@@ -286,18 +286,17 @@ class SimulatorBackend:
         sigma = self.params.noise_sigma
         records = []
         for dimension in DIMENSION_ORDER:
+            slice_noise: dict[str, float] = {}  # one draw per slice per round
             for annotation in request.eval_sets.get(dimension, ()):
-                slice_rng = random.Random(
-                    child_seed(request.seed, "slice", dimension.value, annotation.slice_label)
-                )
+                noise = slice_noise.get(annotation.slice_label)
+                if noise is None:
+                    noise = slice_noise[annotation.slice_label] = random.Random(
+                        child_seed(request.seed, "slice", dimension.value, annotation.slice_label)
+                    ).gauss(0.0, sigma)
                 sample_rng = random.Random(
                     child_seed(request.seed, "sample", dimension.value, annotation.sample_id)
                 )
-                raw = (
-                    means[dimension]
-                    + slice_rng.gauss(0.0, sigma)
-                    + sample_rng.gauss(0.0, sigma)
-                )
+                raw = means[dimension] + noise + sample_rng.gauss(0.0, sigma)
                 score = round(_clip(raw), 4)
                 records.append(
                     synthesize_record(

@@ -10,7 +10,10 @@ count for metadata-only pools.
 Long documents split into fixed-length windows whose starts advance by
 ``stride`` (default: the window length, i.e. no overlap); the final
 window may be shorter.  Windows inherit their bucket's slice fields as
-tags, so focus predicates can address slice axes uniformly.
+tags, so focus predicates can address slice axes uniformly.  Windows
+with equal tags share one tag mapping, and the pool lists each bucket's
+distinct mappings, so predicates can be evaluated per mapping instead of
+per window.
 """
 from __future__ import annotations
 
@@ -103,12 +106,6 @@ class BucketCatalog:
 
     def bucket_ids(self) -> tuple[str, ...]:
         return tuple(bucket.bucket_id for bucket in self.buckets)
-
-    def slice_for(self, bucket_id: str) -> str:
-        for bucket in self.buckets:
-            if bucket.bucket_id == bucket_id:
-                return bucket.slice_label
-        raise KeyError(bucket_id)
 
 
 @dataclass(frozen=True)
@@ -214,6 +211,7 @@ class Pool:
         self.manifest = manifest
         self._windows_by_bucket = windows_by_bucket
         self._catalogs = {spec.dataset_id: spec.catalog for spec in manifest.datasets}
+        self._tag_groups: dict[tuple[Dataset, str], tuple[tuple[dict[str, str], int], ...]] = {}
 
     def catalog(self, dataset_id: Dataset) -> BucketCatalog:
         try:
@@ -227,6 +225,27 @@ class Pool:
 
     def windows(self, dataset_id: Dataset, bucket_id: str) -> tuple[TrainingWindow, ...]:
         return self._windows_by_bucket.get((dataset_id, bucket_id), ())
+
+    def tag_groups(
+        self, dataset_id: Dataset, bucket_id: str
+    ) -> tuple[tuple[dict[str, str], int], ...]:
+        """The bucket's tag mappings, each paired with the token count of
+        its shortest window, in first-seen order.
+
+        Windows are grouped by mapping object; ``load_pool`` gives equal
+        tags one shared mapping, so each group is one distinct mapping
+        and predicates can run once per group instead of once per window.
+        """
+        key = (dataset_id, bucket_id)
+        groups = self._tag_groups.get(key)
+        if groups is None:
+            shortest: dict[int, tuple[dict[str, str], int]] = {}
+            for window in self.windows(dataset_id, bucket_id):
+                seen = shortest.get(id(window.tags))
+                if seen is None or window.token_count < seen[1]:
+                    shortest[id(window.tags)] = (window.tags, window.token_count)
+            groups = self._tag_groups[key] = tuple(shortest.values())
+        return groups
 
     def window_count(self, dataset_id: Dataset) -> int:
         return sum(
@@ -267,6 +286,7 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
     stride = manifest.effective_stride
     windows_by_bucket: dict[tuple[Dataset, str], list[TrainingWindow]] = {}
     window_ids: set[str] = set()
+    shared_tags: dict[tuple[tuple[str, str], ...], dict[str, str]] = {}
     for spec in manifest.datasets:
         for bucket in spec.catalog.buckets:
             windows_by_bucket[(spec.dataset_id, bucket.bucket_id)] = []
@@ -278,8 +298,12 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
             ) from exc
         except ValueError as exc:
             raise SchemaError(f"dataset {spec.dataset_id.value}: {exc}") from exc
-        bucket_fields = {
-            bucket.bucket_id: bucket.slice_fields for bucket in spec.catalog.buckets
+        # The tags of a record without its own: its bucket's slice fields.
+        bucket_tags = {
+            bucket.bucket_id: shared_tags.setdefault(
+                tuple(bucket.slice_fields.items()), dict(bucket.slice_fields)
+            )
+            for bucket in spec.catalog.buckets
         }
         for row in rows:
             record_id = str(row.get("id", ""))
@@ -292,14 +316,18 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
                     f"file's dataset {spec.dataset_id.value}"
                 )
             bucket_id = str(row.get("bucket", ""))
-            if bucket_id not in bucket_fields:
+            if bucket_id not in bucket_tags:
                 raise SchemaError(
                     f"record {record_id!r} references undeclared bucket {bucket_id!r} "
                     f"in dataset {spec.dataset_id.value}"
                 )
-            tags = {str(k): str(v) for k, v in row.get("tags", {}).items()}
-            for fld, value in bucket_fields[bucket_id].items():
-                tags.setdefault(fld, value)
+            if row.get("tags"):
+                tags = {str(k): str(v) for k, v in row["tags"].items()}
+                for fld, value in bucket_tags[bucket_id].items():
+                    tags.setdefault(fld, value)
+                tags = shared_tags.setdefault(tuple(tags.items()), tags)
+            else:
+                tags = bucket_tags[bucket_id]
             if "text" in row:
                 token_count = tokenizer(row["text"])
                 if token_count < 1:

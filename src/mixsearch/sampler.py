@@ -91,8 +91,8 @@ class FocusCriterion:
         if not 0.0 < self.cap_fraction <= 1.0:
             raise ValueError(f"cap_fraction must be in (0, 1], got {self.cap_fraction}")
 
-    def matches(self, window: TrainingWindow) -> bool:
-        return all(test.matches(window.tags) for test in self.tests)
+    def matches(self, tags: Mapping[str, str]) -> bool:
+        return all(test.matches(tags) for test in self.tests)
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +229,8 @@ def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, fl
                 continue
             probability = share * weight
             for criterion in action.focus_criteria:
-                if all(criterion.matches(window) for window in windows):
+                groups = pool.tag_groups(dataset, bucket_id)
+                if all(criterion.matches(tags) for tags, _ in groups):
                     probability *= criterion.boost
             raw[(dataset, bucket_id)] = probability
             dataset_mass += probability
@@ -317,11 +318,6 @@ class SampleManifest:
         }
 
 
-EMPTY_MANIFEST = SampleManifest(
-    entries=(), total_tokens=0, budget_tokens=0, seed=0, distribution={}, stop_reason="budget"
-)
-
-
 def draw_budgeted(
     distribution: Mapping[BucketKey, float],
     pool: Pool,
@@ -356,7 +352,28 @@ def draw_budgeted(
         cumulative.append(running)
     if not support:
         raise ConfigError("distribution has no positive-probability buckets")
-    if min(w.token_count for _, windows in support for w in windows) > budget_tokens:
+
+    # A window's match signature is the tuple of focus criteria its tags
+    # satisfy.  Criteria run once per distinct tag mapping, and cap
+    # exhaustion is decided from the shortest window of each signature.
+    signatures: dict[int, tuple[int, ...]] = {}  # id(tag mapping) -> signature
+
+    def signature(tags: Mapping[str, str]) -> tuple[int, ...]:
+        matched = signatures.get(id(tags))
+        if matched is None:
+            matched = tuple(
+                index for index, criterion in enumerate(focus) if criterion.matches(tags)
+            )
+            signatures[id(tags)] = matched
+        return matched
+
+    shortest: dict[tuple[int, ...], int] = {}  # signature -> shortest window on the support
+    for key, _ in support:
+        for tags, length in pool.tag_groups(*key):
+            matched = signature(tags)
+            if length < shortest.get(matched, length + 1):
+                shortest[matched] = length
+    if min(shortest.values()) > budget_tokens:
         raise ConfigError(
             f"budget {budget_tokens} is smaller than every window on the support; "
             "the manifest would be empty"
@@ -366,18 +383,15 @@ def draw_budgeted(
     caps = [int(criterion.cap_fraction * budget_tokens) for criterion in focus]
     focus_tokens = [0 for _ in focus]
 
-    def cap_blocked(window: TrainingWindow) -> bool:
-        for index, criterion in enumerate(focus):
-            if criterion.matches(window) and focus_tokens[index] + window.token_count > caps[index]:
-                return True
-        return False
+    def cap_blocked(matched: tuple[int, ...], length: int) -> bool:
+        return any(focus_tokens[index] + length > caps[index] for index in matched)
 
     def any_acceptable(remaining: int) -> bool:
-        for _, windows in support:
-            for window in windows:
-                if window.token_count <= remaining and not cap_blocked(window):
-                    return True
-        return False
+        """True iff some window on the support fits ``remaining`` and no cap."""
+        return any(
+            length <= remaining and not cap_blocked(matched, length)
+            for matched, length in shortest.items()
+        )
 
     entries: list[ManifestEntry] = []
     rejections: list[tuple[str, str]] = []
@@ -391,7 +405,8 @@ def draw_budgeted(
         if total + window.token_count > budget_tokens:
             rejections.append((window.window_id, "budget"))
             break
-        if cap_blocked(window):
+        matched = signature(window.tags)
+        if cap_blocked(matched, window.token_count):
             rejections.append((window.window_id, "cap"))
             if not any_acceptable(budget_tokens - total):
                 stop_reason = "cap_exhausted"
@@ -406,9 +421,8 @@ def draw_budgeted(
             )
         )
         total += window.token_count
-        for index, criterion in enumerate(focus):
-            if criterion.matches(window):
-                focus_tokens[index] += window.token_count
+        for index in matched:
+            focus_tokens[index] += window.token_count
     return SampleManifest(
         entries=tuple(entries),
         total_tokens=total,

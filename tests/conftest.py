@@ -49,13 +49,14 @@ def trajectory_vector(label: str) -> MetricVector:
 
 def make_pool(
     root: Path,
-    layout: dict[str, dict[str, list[int]]],
+    layout: dict[str, dict[str, list[int | tuple[int, dict[str, str]]]]],
     window_length: int = 4096,
     stride: int | None = None,
 ) -> Pool:
     """Write a synthetic metadata-only pool under ``root`` and load it.
 
-    ``layout`` maps dataset name -> bucket id -> window token counts.
+    ``layout`` maps dataset name -> bucket id -> document token counts;
+    a ``(token_count, tags)`` pair gives the document its own tags.
     Each bucket's slice descriptor is ``{"tier": bucket_id}`` so focus
     criteria in tests can match on the ``tier`` tag.
     """
@@ -66,13 +67,11 @@ def make_pool(
         for bucket_id, token_counts in buckets.items():
             bucket_entries.append({"id": bucket_id, "slice": {"tier": bucket_id}})
             for index, count in enumerate(token_counts):
-                rows.append(
-                    {
-                        "id": f"{dataset_value.lower()}-{bucket_id}-{index}",
-                        "bucket": bucket_id,
-                        "token_count": count,
-                    }
-                )
+                row = {"id": f"{dataset_value.lower()}-{bucket_id}-{index}", "bucket": bucket_id}
+                if isinstance(count, tuple):
+                    count, row["tags"] = count
+                row["token_count"] = count
+                rows.append(row)
         record_path = root / f"{dataset_value.lower()}.jsonl"
         with open(record_path, "w", encoding="utf-8") as handle:
             for row in rows:

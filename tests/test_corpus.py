@@ -172,3 +172,56 @@ class TestLoadPool:
     def test_longest_window(self, tmp_path):
         pool = make_pool(tmp_path, {"IF": {"b1": [10, 99, 45]}})
         assert pool.longest_window == 99
+
+
+class TestSharedTags:
+    LAYOUT = {
+        "XGUARD": {
+            "hot": [30, 5, 12, (70, {"difficulty": "3"}), (9, {"difficulty": "3"})],
+            "cold": [20, (25, {"tier": "hot"}), (8, {"difficulty": "1"})],
+        },
+        "IF": {"hot": [11, (4, {"difficulty": "3"})]},
+    }
+
+    def test_equal_tags_share_one_mapping(self, tmp_path):
+        pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
+        hot = pool.windows(Dataset.XGUARD, "hot")
+        cold = pool.windows(Dataset.XGUARD, "cold")
+        (if_hot, if_tagged) = pool.windows(Dataset.IF, "hot")
+        # Three plain documents, and a tagged one split into three windows
+        # plus a second document with the same tags.
+        assert hot[0].tags is hot[1].tags is hot[2].tags
+        assert all(w.tags is hot[3].tags for w in hot[3:])
+        assert hot[0].tags is not hot[3].tags
+        # Equal tags from another dataset's record file share too.
+        assert if_hot.tags is hot[0].tags
+        assert if_tagged.tags is hot[3].tags
+        # A cold record tagged tier=hot has exactly the hot mapping.
+        assert cold[1].tags is hot[0].tags
+        assert cold[0].tags is not hot[0].tags
+
+    def test_records_keep_their_own_tags(self, tmp_path):
+        pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
+        cold = pool.windows(Dataset.XGUARD, "cold")
+        assert cold[0].tags == {"tier": "cold"}
+        assert cold[1].tags == {"tier": "hot"}  # the record's own tier wins
+        assert cold[2].tags == {"difficulty": "1", "tier": "cold"}
+        assert pool.windows(Dataset.XGUARD, "hot")[3].tags == {
+            "difficulty": "3",
+            "tier": "hot",
+        }
+
+    def test_tag_groups_cover_windows_with_true_shortest(self, tmp_path):
+        pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
+        for dataset in pool.datasets:
+            for bucket_id in pool.catalog(dataset).bucket_ids():
+                windows = pool.windows(dataset, bucket_id)
+                groups = pool.tag_groups(dataset, bucket_id)
+                shortest = {}
+                for window in windows:
+                    key = tuple(sorted(window.tags.items()))
+                    shortest[key] = min(shortest.get(key, window.token_count), window.token_count)
+                assert {tuple(sorted(tags.items())): length for tags, length in groups} == shortest
+                assert len(groups) == len(shortest)
+        # XGUARD/hot: plain documents (30, 5, 12) and difficulty=3 ones (32, 32, 6, 9).
+        assert [length for _, length in pool.tag_groups(Dataset.XGUARD, "hot")] == [5, 6]

@@ -1,5 +1,6 @@
 """Data actions, effective distributions, and token-budgeted drawing."""
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from mixsearch import (
     effective_distribution,
     uniform_bucket_weights,
 )
+from mixsearch.oracles.draw_enum import draw as oracle_draw
 from mixsearch.sampler import bucket_key_str, parse_bucket_key, read_manifest_entries, write_manifest
 
 from conftest import make_pool
@@ -353,6 +355,161 @@ class TestDrawBudgeted:
         for seed in range(25):
             manifest = draw_budgeted(distribution, pool, budget_tokens=500, seed=seed)
             assert manifest.total_tokens <= 500
+
+
+def random_tags(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return None  # the bucket's slice tags only
+    if kind == 1:
+        return {"difficulty": rng.choice(["1", "2", "3", "hard"])}
+    if kind == 2:
+        return {"difficulty": rng.choice(["1", "3"]), "topic": rng.choice("xy")}
+    tags = {"doc": str(rng.randrange(10**6))}  # distinct per record
+    if rng.random() < 0.5:
+        tags["tier"] = rng.choice("ab")  # overrides the bucket's tier
+    return tags
+
+
+def random_test(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return TagTest("tier", "eq", rng.choice("ab"))
+    if kind == 1:
+        return TagTest("topic", "eq", rng.choice("xy"))
+    return TagTest("difficulty", rng.choice(["ge", "le"]), rng.choice([1, 2, "2", 3.0]))
+
+
+def random_draw_case(rng, root):
+    """A random pool, distribution, budget and criteria under ``root``."""
+    window_length = rng.randint(4, 60)
+    # A whole number of full windows, so exact fits are common.
+    budget = window_length * rng.randint(2, 15)
+    layout = {}
+    for dataset in rng.sample([ds.value for ds in Dataset], rng.randint(1, 3)):
+        layout[dataset] = {}
+        for bucket_id in rng.sample("abc", rng.randint(1, 2)):
+            documents = []
+            for _ in range(rng.randint(1, 12)):
+                count = rng.randint(1, 2 * window_length)
+                tags = random_tags(rng)
+                documents.append(count if tags is None else (count, tags))
+            layout[dataset][bucket_id] = documents
+    pool = make_pool(root, layout, window_length=window_length)
+    distribution = {
+        (Dataset(dataset), bucket_id): rng.choice([0.0, rng.random()])
+        for dataset, buckets in layout.items()
+        for bucket_id in buckets
+    }
+    if not any(distribution.values()):
+        distribution[next(iter(distribution))] = 1.0
+    focus_tests = [[random_test(rng)] for _ in range(rng.randint(0, 3))]
+    for tests in focus_tests[1:]:
+        if rng.random() < 0.5:
+            tests.append(random_test(rng))  # a conjunction
+    if focus_tests and rng.random() < 0.6:
+        # Focus one tier and draw only from buckets of that tier, so the
+        # caps can cover the whole support.
+        focused = rng.choice(sorted({key[1] for key in distribution}))
+        focus_tests[0] = [TagTest("tier", "eq", focused)]
+        for key in distribution:
+            distribution[key] = rng.random() + 0.01 if key[1] == focused else 0.0
+    focus = [
+        FocusCriterion(
+            tests=tuple(tests),
+            boost=2.0,
+            cap_fraction=rng.choice([rng.uniform(0.05, 1.0), rng.randint(1, 20) / 20]),
+        )
+        for tests in focus_tests
+    ]
+    return pool, distribution, budget, focus
+
+
+def as_plain_data(pool, distribution, budget, seed, focus):
+    return {
+        "budget_tokens": budget,
+        "seed": seed,
+        "buckets": [
+            {
+                "dataset": dataset.value,
+                "bucket": bucket_id,
+                "probability": probability,
+                "windows": [
+                    {"window_id": w.window_id, "token_count": w.token_count, "tags": dict(w.tags)}
+                    for w in pool.windows(dataset, bucket_id)
+                ],
+            }
+            for (dataset, bucket_id), probability in distribution.items()
+        ],
+        "focus": [criterion.to_json() for criterion in focus],
+    }
+
+
+class TestDrawOracle:
+    def test_matches_rescanning_oracle_on_random_pools(self, tmp_path):
+        rng = random.Random(20261017)
+        outcomes = {"budget": 0, "cap_exhausted": 0}
+        for trial in range(300):
+            root = tmp_path / str(trial)
+            root.mkdir()
+            pool, distribution, budget, focus = random_draw_case(rng, root)
+            seed = rng.randrange(2**31)
+            expected = oracle_draw(as_plain_data(pool, distribution, budget, seed, focus))
+            manifest = draw_budgeted(distribution, pool, budget, seed, focus=focus)
+            entries = [
+                [e.dataset.value, e.bucket_id, e.window_id, e.token_count]
+                for e in manifest.entries
+            ]
+            assert entries == expected["entries"], f"trial {trial}"
+            assert [list(r) for r in manifest.rejections] == expected["rejections"]
+            assert manifest.stop_reason == expected["stop_reason"]
+            assert manifest.total_tokens == expected["total_tokens"]
+            outcomes[manifest.stop_reason] += 1
+        assert outcomes["cap_exhausted"] >= 30, outcomes
+        assert outcomes["budget"] >= 30, outcomes
+
+    def test_cap_rejections_cost_per_tag_mapping_not_per_window(self, tmp_path, monkeypatch):
+        """The slow shape: the capped bucket sorts first on the support,
+        holds only full windows, and its cap binds after two windows, so
+        most of the draw is cap rejections."""
+        original = TagTest.matches
+        calls = []
+
+        def counting(self, tags):
+            calls.append(1)
+            return original(self, tags)
+
+        monkeypatch.setattr(TagTest, "matches", counting)
+        counts = {}
+        for size in (40, 400):
+            root = tmp_path / str(size)
+            root.mkdir()
+            pool = make_pool(
+                root,
+                {"IF": {"a": [16] * size, "b": [16] * size}, "XGUARD": {"c": [16] * size}},
+                window_length=16,
+            )
+            focus = (tier_focus("a", boost=4.0, cap_fraction=0.02), tier_focus("c"))
+            action = DataAction(
+                dataset_mixture=(0.5, 0.0, 0.5),
+                bucket_weights={
+                    Dataset.IF: {"a": 0.5, "b": 0.5},
+                    Dataset.XGUARD: {"c": 1.0},
+                },
+                focus_criteria=focus,
+            )
+            calls.clear()
+            distribution = effective_distribution(action, pool)
+            manifest = draw_budgeted(distribution, pool, 2000, seed=1, focus=focus)
+            cap_rejections = sum(1 for _, why in manifest.rejections if why == "cap")
+            assert cap_rejections >= 20
+            mappings = sum(len(pool.tag_groups(*key)) for key in distribution)
+            draws = len(manifest.entries) + len(manifest.rejections)
+            # The boost test and the draw each run every criterion once
+            # per mapping; nothing may scale with the windows in a bucket.
+            assert len(calls) <= 2 * mappings * len(focus) + draws
+            counts[size] = len(calls)
+        assert counts[40] == counts[400]
 
 
 class TestManifest:
