@@ -6,192 +6,5 @@ which slices fail and how, move the dataset mixture / bucket weights /
 focus criteria accordingly, draw the next token-budgeted training
 sample, and keep every non-dominated round on a Pareto archive.
 """
-from .backend import (
-    Backend,
-    BackendRequest,
-    ReplayBackend,
-    SimulatorBackend,
-    SurfaceParams,
-    build_backend,
-    replay_action,
-    synthesize_record,
-)
-from .corpus import (
-    Bucket,
-    BucketCatalog,
-    DatasetSpec,
-    Pool,
-    PoolManifest,
-    TrainingWindow,
-    load_pool,
-    split_windows,
-    whitespace_token_count,
-)
-from .errors import (
-    BackendError,
-    ConfigError,
-    DataError,
-    FixtureError,
-    MixSearchError,
-    ReplayGapError,
-    SchemaError,
-    UndefinedMetricError,
-)
-from .fixtures import (
-    FixtureRow,
-    ReplayFixture,
-    default_fixture_path,
-    default_taxonomy_path,
-    demo_config_path,
-    load_replay_fixture,
-    row_check,
-    validate_fixture,
-)
-from .orchestrator import LoopConfig, RunDirectory, report, run
-from .pareto import ArchiveEntry, InsertVerdict, ParetoArchive, dominates
-from .profiles import (
-    DEFAULT_FAIL_THRESHOLD,
-    FailureProfile,
-    MetricVector,
-    build_failure_profiles,
-    fail_mass_ranking,
-    metric_vector,
-    rank_slices,
-    weighted_means,
-)
-from .proposer import (
-    PolicyConfig,
-    RoundHistory,
-    RoundRecord,
-    propose,
-    propose_explained,
-)
-from .records import (
-    DIMENSION_ORDER,
-    MIXTURE_ORDER,
-    CheckResult,
-    Dataset,
-    Dimension,
-    L2State,
-    SampleRecord,
-    child_seed,
-    parse_slice_key,
-    slice_key,
-)
-from .rubric import (
-    AtomicCheckVector,
-    ConstraintFamily,
-    ConstraintSpec,
-    DimensionScore,
-    EvalSample,
-    PromptAnnotation,
-    SliceTaxonomy,
-    aggregate_l2,
-    annotate_prompt,
-    load_eval_set,
-    score_eval_set,
-    score_l1,
-    score_sample,
-    verify_constraints,
-)
-from .sampler import (
-    DataAction,
-    FocusCriterion,
-    ManifestEntry,
-    SampleManifest,
-    TagTest,
-    draw_budgeted,
-    effective_distribution,
-    uniform_bucket_weights,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Backend",
-    "BackendError",
-    "BackendRequest",
-    "ArchiveEntry",
-    "AtomicCheckVector",
-    "Bucket",
-    "BucketCatalog",
-    "CheckResult",
-    "ConfigError",
-    "ConstraintFamily",
-    "ConstraintSpec",
-    "DataAction",
-    "DataError",
-    "Dataset",
-    "DatasetSpec",
-    "DEFAULT_FAIL_THRESHOLD",
-    "DIMENSION_ORDER",
-    "Dimension",
-    "DimensionScore",
-    "EvalSample",
-    "FailureProfile",
-    "FixtureError",
-    "FixtureRow",
-    "FocusCriterion",
-    "InsertVerdict",
-    "L2State",
-    "LoopConfig",
-    "ManifestEntry",
-    "MetricVector",
-    "MIXTURE_ORDER",
-    "MixSearchError",
-    "ParetoArchive",
-    "PolicyConfig",
-    "Pool",
-    "PoolManifest",
-    "PromptAnnotation",
-    "ReplayBackend",
-    "ReplayFixture",
-    "ReplayGapError",
-    "RoundHistory",
-    "RoundRecord",
-    "RunDirectory",
-    "SampleManifest",
-    "SampleRecord",
-    "SchemaError",
-    "SimulatorBackend",
-    "SliceTaxonomy",
-    "SurfaceParams",
-    "TagTest",
-    "TrainingWindow",
-    "UndefinedMetricError",
-    "aggregate_l2",
-    "annotate_prompt",
-    "build_backend",
-    "build_failure_profiles",
-    "child_seed",
-    "default_fixture_path",
-    "default_taxonomy_path",
-    "demo_config_path",
-    "dominates",
-    "draw_budgeted",
-    "effective_distribution",
-    "fail_mass_ranking",
-    "load_eval_set",
-    "load_pool",
-    "load_replay_fixture",
-    "metric_vector",
-    "parse_slice_key",
-    "propose",
-    "propose_explained",
-    "rank_slices",
-    "replay_action",
-    "report",
-    "row_check",
-    "run",
-    "score_eval_set",
-    "score_l1",
-    "score_sample",
-    "slice_key",
-    "split_windows",
-    "synthesize_record",
-    "uniform_bucket_weights",
-    "validate_fixture",
-    "verify_constraints",
-    "weighted_means",
-    "whitespace_token_count",
-]

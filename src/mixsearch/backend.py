@@ -406,22 +406,3 @@ def replay_action(row: FixtureRow) -> DataAction:
         )
     return DataAction(dataset_mixture=row.mixture, focus_criteria=tuple(criteria))
 
-
-# ---------------------------------------------------------------------------
-# Factory
-
-
-def build_backend(kind: str, *, params: SurfaceParams | None = None,
-                  fixture: ReplayFixture | None = None) -> Backend:
-    if kind == "simulate":
-        return SimulatorBackend(params)
-    if kind == "replay":
-        if fixture is None:
-            raise ConfigError("replay backend needs a fixture")
-        return ReplayBackend(fixture)
-    if kind == "external":
-        raise BackendError(
-            "backend 'external' is interface-only: wire a real fine-tuning driver "
-            "to the Backend protocol to use it"
-        )
-    raise ConfigError(f"unknown backend kind {kind!r}")

@@ -7,6 +7,8 @@ Subcommands:
 * ``report``  render the trajectory/archive/slice report for a run
 * ``pareto``  print the non-dominated archive of a run
 
+``report`` and ``pareto`` only read the run directory.
+
 Exit codes: 0 success, 2 config problems, 3 data problems, 4 backend
 problems.  Set ``MIXSEARCH_LOG`` (DEBUG/INFO/WARNING/ERROR) to control
 log verbosity.
@@ -104,7 +106,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError("replay needs --out (or use --validate-only)")
     config = LoopConfig(
         backend_kind="replay",
-        fixture_path=fixture_path,
+        fixture_path=Path(os.path.abspath(fixture_path)),
         master_seed=args.seed,
     )
     run_dir = run(config, args.out)
@@ -152,9 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     except MixSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
 
 
 def entrypoint() -> None:

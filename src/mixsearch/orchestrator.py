@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,14 +24,14 @@ from .backend import (
     Backend,
     BackendRequest,
     ReplayBackend,
+    SimulatorBackend,
     SurfaceParams,
-    build_backend,
     replay_action,
 )
 from .corpus import Pool, PoolManifest, load_pool
-from .errors import ConfigError, DataError
+from .errors import BackendError, ConfigError, DataError
 from .fixtures import ReplayFixture, default_fixture_path, load_replay_fixture
-from .pareto import ParetoArchive
+from .pareto import InsertVerdict, ParetoArchive
 from .profiles import (
     DEFAULT_FAIL_THRESHOLD,
     FailureProfile,
@@ -47,14 +48,11 @@ from .records import (
     SampleRecord,
     child_seed,
     dump_jsonl,
-    load_jsonl,
-    read_records,
     write_records,
 )
 from .rubric import PromptAnnotation, SliceTaxonomy, annotate_prompt, load_eval_set
 from .sampler import (
     DataAction,
-    SampleManifest,
     draw_budgeted,
     effective_distribution,
     uniform_bucket_weights,
@@ -120,7 +118,7 @@ class LoopConfig:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return LoopConfig.from_json(raw, base_dir=path.parent)
+        return LoopConfig.from_json(raw, base_dir=Path(os.path.abspath(path.parent)))
 
     @staticmethod
     def from_json(raw: dict, base_dir: Path | None = None) -> "LoopConfig":
@@ -185,18 +183,36 @@ class LoopConfig:
 
 
 class RunDirectory:
-    """Read-side view of a run's artifacts."""
+    """Read-side view of a run's artifacts.
+
+    Every JSON and JSON-lines artifact is read through ``read``, so a
+    missing or damaged file is a ``DataError`` that names it.
+    """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
 
-    def _require(self, name: str) -> Path:
-        target = self.path / name
-        if not target.exists():
-            raise DataError(f"run directory {self.path} lacks {name}")
-        return target
+    def read(self, name: str, build=None, *, lines: bool = False):
+        """Parse the artifact ``name`` (relative to the run directory), one
+        JSON document or, with ``lines``, a list of JSON lines, and return
+        ``build`` applied to it."""
+        path = self.path / name
+        try:
+            text = path.read_text("utf-8")
+            parsed = (
+                [json.loads(line) for line in text.splitlines() if line.strip()]
+                if lines
+                else json.loads(text)
+            )
+            return parsed if build is None else build(parsed)
+        except FileNotFoundError as exc:
+            raise DataError(f"run directory {self.path} lacks {name}") from exc
+        except (OSError, ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
+            raise DataError(f"run artifact {path} is damaged: {exc}") from exc
 
     def round_indices(self) -> list[int]:
+        if not self.path.is_dir():
+            raise DataError(f"run directory {self.path} does not exist")
         indices = []
         for entry in sorted(self.path.iterdir()):
             if entry.is_dir() and entry.name.startswith("round-"):
@@ -207,47 +223,71 @@ class RunDirectory:
         return sorted(indices)
 
     def completed_rounds(self) -> int:
-        cursor = json.loads(self._require("cursor.json").read_text("utf-8"))
-        return int(cursor["next_round"])
+        return self.read("cursor.json", lambda cursor: int(cursor["next_round"]))
 
     def round_dir(self, index: int) -> Path:
         return self.path / round_dir_name(index)
 
     def load_round_metric(self, index: int) -> MetricVector:
-        return MetricVector.from_json(
-            json.loads((self.round_dir(index) / "metric.json").read_text("utf-8"))
-        )
+        return self.read(f"{round_dir_name(index)}/metric.json", MetricVector.from_json)
 
     def load_round_action(self, index: int) -> tuple[DataAction, list[str], str]:
-        obj = json.loads((self.round_dir(index) / "action.json").read_text("utf-8"))
-        return DataAction.from_json(obj["action"]), list(obj["rationale"]), obj["source"]
-
-    def load_round_profiles(self, index: int) -> list[FailureProfile]:
-        return [
-            FailureProfile.from_json(obj)
-            for obj in load_jsonl(self.round_dir(index) / "profiles.jsonl")
-        ]
-
-    def load_round_records(self, index: int) -> list[SampleRecord]:
-        return read_records(self.round_dir(index) / "records.jsonl")
-
-    def load_base_metric(self) -> MetricVector:
-        return MetricVector.from_json(
-            json.loads((self._require(BASE_LABEL) / "metric.json").read_text("utf-8"))
+        return self.read(
+            f"{round_dir_name(index)}/action.json",
+            lambda obj: (
+                DataAction.from_json(obj["action"]), list(obj["rationale"]), obj["source"]
+            ),
         )
 
+    def load_round_profiles(self, index: int) -> list[FailureProfile]:
+        return self.read(
+            f"{round_dir_name(index)}/profiles.jsonl",
+            lambda rows: [FailureProfile.from_json(obj) for obj in rows],
+            lines=True,
+        )
+
+    def load_round_records(self, index: int) -> list[SampleRecord]:
+        return self.read(
+            f"{round_dir_name(index)}/records.jsonl",
+            lambda rows: [SampleRecord.from_json(obj) for obj in rows],
+            lines=True,
+        )
+
+    def load_base_metric(self) -> MetricVector:
+        return self.read(f"{BASE_LABEL}/metric.json", MetricVector.from_json)
+
+    def check_manifest(self, index: int) -> None:
+        """Raise ``DataError`` unless the round's ``manifest.jsonl`` has the
+        sha256 that its ``manifest_summary.json`` records."""
+        name = f"{round_dir_name(index)}/manifest.jsonl"
+        recorded = self.read(
+            f"{round_dir_name(index)}/manifest_summary.json",
+            lambda summary: summary["manifest_digest"],
+        )
+        try:
+            actual = _digest_file(self.path / name)
+        except OSError as exc:
+            raise DataError(f"run directory {self.path} lacks {name}") from exc
+        if actual != recorded:
+            raise DataError(
+                f"{self.path / name} does not match the digest in its manifest_summary.json"
+            )
+
     def archive_rows(self) -> list[dict]:
-        return load_jsonl(self._require("archive.jsonl"))
+        return self.read("archive.jsonl", lines=True)
 
     def frontier(self) -> list[tuple[str, MetricVector]]:
-        rows = self.archive_rows()
-        frontier_row = next(row for row in reversed(rows) if row.get("kind") == "frontier")
-        by_label = {
-            row["label"]: MetricVector.from_json(row["metric"])
-            for row in rows
-            if row.get("kind") == "insert"
-        }
-        return [(label, by_label[label]) for label in frontier_row["labels"]]
+        return self.read("archive.jsonl", _final_frontier, lines=True)
+
+
+def _final_frontier(rows: list[dict]) -> list[tuple[str, MetricVector]]:
+    frontier_row = [row for row in rows if row.get("kind") == "frontier"][-1]
+    by_label = {
+        row["label"]: MetricVector.from_json(row["metric"])
+        for row in rows
+        if row.get("kind") == "insert"
+    }
+    return [(label, by_label[label]) for label in frontier_row["labels"]]
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -282,8 +322,13 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
     if config.backend_kind == "replay":
         fixture = load_replay_fixture(config.fixture_path or default_fixture_path())
         backend: Backend = ReplayBackend(fixture)
+    elif config.backend_kind == "simulate":
+        backend = SimulatorBackend(config.surface)
     else:
-        backend = build_backend(config.backend_kind, params=config.surface)
+        raise BackendError(
+            "backend 'external' is interface-only: wire a real fine-tuning driver "
+            "to the Backend protocol to use it"
+        )
     if config.pool_manifest_path is not None:
         pool = load_pool(PoolManifest.from_file(config.pool_manifest_path))
     if config.eval_set_paths:
@@ -300,8 +345,6 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
                     f"eval sets contain no valid samples for dimension {dimension.value}"
                 )
         eval_sets = {dim: tuple(annotations[dim]) for dim in DIMENSION_ORDER}
-    elif config.backend_kind == "simulate":
-        raise ConfigError("simulate runs need eval sets")
     return _Runtime(
         config=config,
         backend=backend,
@@ -330,42 +373,39 @@ def _round_action(
     return action, rationale, "policy"
 
 
-def _write_round(
-    directory: Path,
-    *,
-    action: DataAction,
-    rationale: list[str],
-    source: str,
-    manifest: SampleManifest | None,
-    records: list[SampleRecord],
-    metric: MetricVector,
-    weighted: dict,
-    profiles: list[FailureProfile],
-    verdict,
+def _evaluate(
+    runtime: _Runtime,
     archive: ParetoArchive,
+    label: str,
+    directory: Path,
+    request: BackendRequest,
     seeds: dict[str, int],
-) -> str:
+) -> tuple[MetricVector, list[FailureProfile], InsertVerdict]:
+    """Evaluate one point (the base or a round) and write its artifacts.
+
+    Runs the backend, profiles the records, inserts the point into the
+    archive, then writes the request's manifest and summary (when it has
+    a manifest), the records, metric, profiles and archive snapshot.
+    """
+    records = runtime.backend.run_round(request)
+    metric = metric_vector(records)
+    profiles = build_failure_profiles(records, runtime.config.fail_threshold)
+    verdict = archive.insert(label, metric)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        directory / "action.json",
-        {"action": action.to_json(), "rationale": rationale, "source": source},
-    )
-    manifest_digest = ""
-    if manifest is not None:
-        write_manifest(directory / "manifest.jsonl", manifest)
-        manifest_digest = _digest_file(directory / "manifest.jsonl")
-        summary = manifest.summary()
-        summary["manifest_digest"] = manifest_digest
+    if request.manifest is not None:
+        write_manifest(directory / "manifest.jsonl", request.manifest)
+        summary = request.manifest.summary()
+        summary["manifest_digest"] = _digest_file(directory / "manifest.jsonl")
         _write_json(directory / "manifest_summary.json", summary)
     write_records(directory / "records.jsonl", records)
     _write_json(
         directory / "metric.json",
-        dict(metric.to_json(), weighted=weighted, seeds=seeds, verdict=verdict.status,
-             replaced=list(verdict.replaced)),
+        dict(metric.to_json(), weighted=weighted_means(records), seeds=seeds,
+             verdict=verdict.status, replaced=list(verdict.replaced)),
     )
     dump_jsonl(directory / "profiles.jsonl", (profile.to_json() for profile in profiles))
     dump_jsonl(directory / "archive.jsonl", archive.snapshot_rows())
-    return manifest_digest
+    return metric, profiles, verdict
 
 
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
@@ -376,24 +416,37 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     rounds = config.rounds
     if runtime.fixture is not None:
         rounds = min(rounds, runtime.fixture.round_count)
+    draws = runtime.pool is not None and runtime.fixture is None
 
     normalized = config.normalized()
-    config_path = out / "config.json"
     cursor_path = out / "cursor.json"
-    resuming = cursor_path.exists()
-    if resuming:
-        existing = json.loads(config_path.read_text("utf-8"))
-        ours = dict(normalized)
-        theirs = dict(existing)
-        ours.pop("rounds"), theirs.pop("rounds")
+    archive = ParetoArchive()
+    history = RoundHistory(bucket_slices=runtime.bucket_slices)
+    run_dir = RunDirectory(out)
+
+    if cursor_path.exists():
+        ours, theirs = dict(normalized), run_dir.read("config.json", dict)
+        ours.pop("rounds"), theirs.pop("rounds", None)
         if ours != theirs:
             raise ConfigError(
                 f"run directory {out} was produced by a different config; "
                 "refusing to mix trajectories"
             )
-        next_round = json.loads(cursor_path.read_text("utf-8"))["next_round"]
+        next_round = run_dir.completed_rounds()
+        history.base_metric = run_dir.load_base_metric()
+        archive.insert(BASE_LABEL, history.base_metric)
+        for index in range(next_round):
+            if draws:
+                run_dir.check_manifest(index)
+            action, _, _ = run_dir.load_round_action(index)
+            metric = run_dir.load_round_metric(index)
+            archive.insert(round_label(index), metric)
+            history.append(
+                RoundRecord(index, action, metric, tuple(run_dir.load_round_profiles(index)))
+            )
+        log.info("resuming run at round %d", next_round)
     else:
-        _write_json(config_path, normalized)
+        _write_json(out / "config.json", normalized)
         _write_json(
             out / "run_meta.json",
             {
@@ -401,78 +454,31 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 "tool": "mixsearch 0.1.0",
             },
         )
-        next_round = None  # base evaluation still pending
-
-    archive = ParetoArchive()
-    history = RoundHistory(bucket_slices=runtime.bucket_slices)
-    run_dir = RunDirectory(out)
-
-    if resuming:
-        base_metric = run_dir.load_base_metric()
-        archive.insert(BASE_LABEL, base_metric)
-        history.base_metric = base_metric
-        for index in range(next_round):
-            action, _, _ = run_dir.load_round_action(index)
-            metric = run_dir.load_round_metric(index)
-            profiles = run_dir.load_round_profiles(index)
-            archive.insert(round_label(index), metric)
-            summary_path = run_dir.round_dir(index) / "manifest_summary.json"
-            digest = (
-                json.loads(summary_path.read_text("utf-8"))["manifest_digest"]
-                if summary_path.exists()
-                else ""
-            )
-            history.append(
-                RoundRecord(
-                    round_index=index,
-                    action=action,
-                    metric=metric,
-                    profiles=tuple(profiles),
-                    manifest_digest=digest,
-                    seed=child_seed(config.master_seed, "round", index),
-                )
-            )
-        log.info("resuming run at round %d", next_round)
-    else:
         base_seed = child_seed(config.master_seed, "base")
-        base_records = runtime.backend.run_round(
+        history.base_metric, _, _ = _evaluate(
+            runtime,
+            archive,
+            BASE_LABEL,
+            out / BASE_LABEL,
             BackendRequest(
                 round_index=-1,
                 action=None,
                 manifest=None,
                 eval_sets=runtime.eval_sets,
                 seed=base_seed,
-            )
-        )
-        base_metric = metric_vector(base_records)
-        verdict = archive.insert(BASE_LABEL, base_metric)
-        history.base_metric = base_metric
-        base_dir = out / BASE_LABEL
-        base_dir.mkdir(parents=True, exist_ok=True)
-        write_records(base_dir / "records.jsonl", base_records)
-        _write_json(
-            base_dir / "metric.json",
-            dict(
-                base_metric.to_json(),
-                weighted=weighted_means(base_records),
-                seeds={"backend": base_seed},
-                verdict=verdict.status,
-                replaced=[],
             ),
+            {"backend": base_seed},
         )
-        base_profiles = build_failure_profiles(base_records, config.fail_threshold)
-        dump_jsonl(base_dir / "profiles.jsonl", (p.to_json() for p in base_profiles))
-        dump_jsonl(base_dir / "archive.jsonl", archive.snapshot_rows())
         next_round = 0
         _write_json(cursor_path, {"next_round": 0, "completed": False})
-        log.info("base point evaluated: %s", format(base_metric, ".4f"))
+        log.info("base point evaluated: %s", format(history.base_metric, ".4f"))
 
     for index in range(next_round, rounds):
         action, rationale, source = _round_action(runtime, history, index)
         draw_seed = child_seed(config.master_seed, "round", index, "draw")
         backend_seed = child_seed(config.master_seed, "round", index, "backend")
         manifest = None
-        if runtime.pool is not None and runtime.fixture is None:
+        if draws:
             distribution = effective_distribution(action, runtime.pool)
             manifest = draw_budgeted(
                 distribution,
@@ -481,42 +487,26 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 draw_seed,
                 focus=action.focus_criteria,
             )
-        records = runtime.backend.run_round(
+        directory = out / round_dir_name(index)
+        metric, profiles, verdict = _evaluate(
+            runtime,
+            archive,
+            round_label(index),
+            directory,
             BackendRequest(
                 round_index=index,
                 action=action,
                 manifest=manifest,
                 eval_sets=runtime.eval_sets,
                 seed=backend_seed,
-            )
+            ),
+            {"draw": draw_seed, "backend": backend_seed},
         )
-        metric = metric_vector(records)
-        profiles = build_failure_profiles(records, config.fail_threshold)
-        verdict = archive.insert(round_label(index), metric)
-        manifest_digest = _write_round(
-            out / round_dir_name(index),
-            action=action,
-            rationale=rationale,
-            source=source,
-            manifest=manifest,
-            records=records,
-            metric=metric,
-            weighted=weighted_means(records),
-            profiles=profiles,
-            verdict=verdict,
-            archive=archive,
-            seeds={"draw": draw_seed, "backend": backend_seed},
+        _write_json(
+            directory / "action.json",
+            {"action": action.to_json(), "rationale": rationale, "source": source},
         )
-        history.append(
-            RoundRecord(
-                round_index=index,
-                action=action,
-                metric=metric,
-                profiles=tuple(profiles),
-                manifest_digest=manifest_digest,
-                seed=child_seed(config.master_seed, "round", index),
-            )
-        )
+        history.append(RoundRecord(index, action, metric, tuple(profiles)))
         _write_json(cursor_path, {"next_round": index + 1, "completed": index + 1 >= rounds})
         log.info(
             "round %d (%s): metric %s, archive verdict %s",
@@ -527,7 +517,8 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
         )
 
     dump_jsonl(out / "archive.jsonl", archive.snapshot_rows())
-    (out / "report.txt").write_text(report(run_dir, "text"), encoding="utf-8")
+    for name, content in report(run_dir, None).items():
+        (out / name).write_text(content, encoding="utf-8")
     return run_dir
 
 
@@ -623,62 +614,35 @@ def _worst_slices(run_dir: RunDirectory, per_dimension: int = 3) -> list[Failure
     return worst
 
 
-def report(run_dir: RunDirectory | Path | str, fmt: str = "text") -> str:
-    """Render the trajectory, archive, and worst slices; write the
-    plot-ready CSV files next to the run artifacts."""
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+REPORT_FORMATS = {"text": "report.txt", "csv": "trajectory.csv"}
+
+
+def report(
+    run_dir: RunDirectory | Path | str, fmt: str | None = "text"
+) -> str | dict[str, str]:
+    """Render the trajectory, archive, and worst slices of a run; read
+    the run directory and write nothing.
+
+    ``fmt`` "text" returns the text report and "csv" the trajectory
+    table.  ``None`` returns every report file ``run()`` writes
+    (``REPORT_FORMATS``' files plus ``archive.csv`` and ``slices.csv``),
+    keyed by file name.
+    """
     if not isinstance(run_dir, RunDirectory):
         run_dir = RunDirectory(run_dir)
-    if fmt not in ("text", "csv"):
+    if fmt is not None and fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
     rows, flag_lines = _trajectory(run_dir)
     frontier = run_dir.frontier()
     worst = _worst_slices(run_dir)
-
-    trajectory_csv = io.StringIO()
-    writer = csv.writer(trajectory_csv, lineterminator="\n")
-    writer.writerow(["round", "safe", "benign", "if", "mixture", "note"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.label,
-                f"{row.metric.safe:.4f}",
-                f"{row.metric.benign:.4f}",
-                f"{row.metric.if_score:.4f}",
-                row.mixture,
-                row.note,
-            ]
-        )
-    (run_dir.path / "trajectory.csv").write_text(trajectory_csv.getvalue(), encoding="utf-8")
-
-    archive_csv = io.StringIO()
-    writer = csv.writer(archive_csv, lineterminator="\n")
-    writer.writerow(["label", "safe", "benign", "if"])
-    for label, metric in frontier:
-        writer.writerow(
-            [label, f"{metric.safe:.4f}", f"{metric.benign:.4f}", f"{metric.if_score:.4f}"]
-        )
-    (run_dir.path / "archive.csv").write_text(archive_csv.getvalue(), encoding="utf-8")
-
-    slices_csv = io.StringIO()
-    writer = csv.writer(slices_csv, lineterminator="\n")
-    writer.writerow(["dimension", "slice", "mean_score", "fail_rate", "fail_mass", "top_modes"])
-    for profile in worst:
-        writer.writerow(
-            [
-                profile.dimension.value,
-                profile.slice_label,
-                f"{profile.mean_score:.4f}",
-                f"{profile.fail_rate:.4f}",
-                f"{profile.fail_mass:.4f}",
-                " ".join(profile.top_modes()),
-            ]
-        )
-    (run_dir.path / "slices.csv").write_text(slices_csv.getvalue(), encoding="utf-8")
-
-    if fmt == "csv":
-        out = trajectory_csv.getvalue()
-        (run_dir.path / "report.csv").write_text(out, encoding="utf-8")
-        return out
 
     lines = ["mixture search report", "=" * 52, "", "trajectory:"]
     lines.append(f"{'round':<8}{'safe':>9}{'benign':>9}{'if':>9}  {'mixture':<22}note")
@@ -702,5 +666,43 @@ def report(run_dir: RunDirectory | Path | str, fmt: str = "text") -> str:
     if flag_lines:
         lines.extend(["", "flags:"])
         lines.extend(f"  {line}" for line in flag_lines)
-    text = "\n".join(lines) + "\n"
-    return text
+
+    files = {
+        "report.txt": "\n".join(lines) + "\n",
+        "trajectory.csv": _csv(
+            ["round", "safe", "benign", "if", "mixture", "note"],
+            [
+                [
+                    row.label,
+                    f"{row.metric.safe:.4f}",
+                    f"{row.metric.benign:.4f}",
+                    f"{row.metric.if_score:.4f}",
+                    row.mixture,
+                    row.note,
+                ]
+                for row in rows
+            ],
+        ),
+        "archive.csv": _csv(
+            ["label", "safe", "benign", "if"],
+            [
+                [label, f"{metric.safe:.4f}", f"{metric.benign:.4f}", f"{metric.if_score:.4f}"]
+                for label, metric in frontier
+            ],
+        ),
+        "slices.csv": _csv(
+            ["dimension", "slice", "mean_score", "fail_rate", "fail_mass", "top_modes"],
+            [
+                [
+                    profile.dimension.value,
+                    profile.slice_label,
+                    f"{profile.mean_score:.4f}",
+                    f"{profile.fail_rate:.4f}",
+                    f"{profile.fail_mass:.4f}",
+                    " ".join(profile.top_modes()),
+                ]
+                for profile in worst
+            ],
+        ),
+    }
+    return files if fmt is None else files[REPORT_FORMATS[fmt]]

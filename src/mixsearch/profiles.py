@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import UndefinedMetricError
 from .records import DIMENSION_ORDER, Dimension, SampleRecord
@@ -191,15 +191,9 @@ def build_failure_profiles(
     return profiles
 
 
-RankingPolicy = Callable[[FailureProfile], tuple]
-
-
-def fail_mass_ranking(profile: FailureProfile) -> tuple:
-    """Default priority: descending fail mass, then lower mean, then label."""
-    return (-profile.fail_mass, profile.mean_score, profile.slice_label)
-
-
-def rank_slices(
-    profiles: Iterable[FailureProfile], policy: RankingPolicy = fail_mass_ranking
-) -> list[FailureProfile]:
-    return sorted(profiles, key=policy)
+def rank_slices(profiles: Iterable[FailureProfile]) -> list[FailureProfile]:
+    """Priority order: descending fail mass, then lower mean, then label."""
+    return sorted(
+        profiles,
+        key=lambda profile: (-profile.fail_mass, profile.mean_score, profile.slice_label),
+    )

@@ -102,8 +102,6 @@ class RoundRecord:
     action: DataAction
     metric: MetricVector
     profiles: tuple[FailureProfile, ...]
-    manifest_digest: str = ""
-    seed: int = 0
 
 
 @dataclass

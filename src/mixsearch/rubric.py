@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DataError, SchemaError
 from .records import (
@@ -550,7 +550,3 @@ def score_sample(sample: EvalSample, taxonomy: SliceTaxonomy) -> SampleRecord:
         score=score.value,
         invalid_reason=annotation.reason,
     )
-
-
-def score_eval_set(samples: Iterable[EvalSample], taxonomy: SliceTaxonomy) -> list[SampleRecord]:
-    return [score_sample(sample, taxonomy) for sample in samples]

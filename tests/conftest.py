@@ -9,14 +9,10 @@ from pathlib import Path
 
 from hypothesis import settings
 
-from mixsearch import (
-    LoopConfig,
-    MetricVector,
-    Pool,
-    PoolManifest,
-    SurfaceParams,
-    load_pool,
-)
+from mixsearch.backend import SurfaceParams
+from mixsearch.corpus import Pool, PoolManifest, load_pool
+from mixsearch.orchestrator import LoopConfig
+from mixsearch.profiles import MetricVector
 
 settings.register_profile("package", deadline=None, max_examples=100)
 settings.load_profile("package")

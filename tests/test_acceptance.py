@@ -13,34 +13,38 @@ from collections import Counter
 
 import pytest
 
-from mixsearch import (
-    AtomicCheckVector,
+from mixsearch.backend import SurfaceParams
+from mixsearch.oracles.naive_checker import naive_verdict
+from mixsearch.orchestrator import LoopConfig, run
+from mixsearch.pareto import ParetoArchive, dominates
+from mixsearch.profiles import build_failure_profiles
+from mixsearch.proposer import PolicyConfig
+from mixsearch.records import (
     CheckResult,
-    ConstraintFamily,
-    ConstraintSpec,
-    DataAction,
     Dataset,
     Dimension,
-    FocusCriterion,
-    LoopConfig,
     MIXTURE_ORDER,
-    ParetoArchive,
-    PolicyConfig,
-    SurfaceParams,
-    TagTest,
+    FLOOR_STATES,
+    read_records,
+)
+from mixsearch.rubric import (
+    AtomicCheckVector,
+    ConstraintFamily,
+    ConstraintSpec,
     aggregate_l2,
-    build_failure_profiles,
-    dominates,
+    score_l1,
+    verify_constraints,
+    BENIGN_CHECKS,
+    SAFE_CHECKS,
+)
+from mixsearch.sampler import (
+    DataAction,
+    FocusCriterion,
+    TagTest,
     draw_budgeted,
     effective_distribution,
-    run,
-    score_l1,
     uniform_bucket_weights,
-    verify_constraints,
 )
-from mixsearch.oracles.naive_checker import naive_verdict
-from mixsearch.records import FLOOR_STATES, read_records
-from mixsearch.rubric import BENIGN_CHECKS, SAFE_CHECKS
 
 from conftest import (
     REPLAY_FRONTIER,

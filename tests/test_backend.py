@@ -5,27 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import (
-    BackendError,
+from mixsearch.backend import (
     BackendRequest,
-    ConfigError,
-    Dataset,
-    Dimension,
-    L2State,
-    PromptAnnotation,
     ReplayBackend,
     SimulatorBackend,
     SurfaceParams,
-    aggregate_l2,
-    build_backend,
-    load_replay_fixture,
-    metric_vector,
     replay_action,
     synthesize_record,
 )
-from mixsearch.errors import ReplayGapError
-from mixsearch.fixtures import default_fixture_path
-from mixsearch.rubric import AtomicCheckVector
+from mixsearch.errors import BackendError, ConfigError, ReplayGapError
+from mixsearch.fixtures import default_fixture_path, load_replay_fixture
+from mixsearch.profiles import metric_vector
+from mixsearch.records import Dataset, Dimension, L2State
+from mixsearch.rubric import AtomicCheckVector, PromptAnnotation, aggregate_l2
 
 from conftest import REPLAY_MIXTURES, REPLAY_TRAJECTORY
 
@@ -151,7 +143,7 @@ class TestSimulatorRounds:
             assert 1.0 <= record.score <= 5.0
 
     def test_saturated_dimension_pins_samples_at_the_boundary(self, tmp_path):
-        from mixsearch import DataAction, draw_budgeted, effective_distribution
+        from mixsearch.sampler import DataAction, draw_budgeted, effective_distribution
 
         from conftest import make_pool
 
@@ -310,23 +302,3 @@ class TestReplayBackend:
             for record in backend.run_round(request):
                 assert 1.0 <= record.score <= 5.0
 
-
-class TestBackendFactory:
-    def test_simulate(self):
-        assert isinstance(build_backend("simulate"), SimulatorBackend)
-
-    def test_replay_requires_fixture(self):
-        with pytest.raises(ConfigError, match="fixture"):
-            build_backend("replay")
-
-    def test_replay(self):
-        fixture = load_replay_fixture(default_fixture_path())
-        assert isinstance(build_backend("replay", fixture=fixture), ReplayBackend)
-
-    def test_external_is_interface_only(self):
-        with pytest.raises(BackendError, match="external"):
-            build_backend("external")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            build_backend("quantum")

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, and output."""
+import hashlib
 import json
+import shutil
 
 import pytest
 
 from mixsearch.cli import main
+from mixsearch.fixtures import demo_config_path
 
-from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY
+from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +81,111 @@ class TestReportAndPareto:
         assert main(["report", "--in", str(tmp_path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_read_only_commands_write_nothing(self, replay_out, capsys):
+        def snapshot():
+            return {
+                str(path.relative_to(replay_out)): (
+                    path.stat().st_size,
+                    hashlib.sha256(path.read_bytes()).hexdigest(),
+                    path.stat().st_mtime_ns,
+                )
+                for path in sorted(replay_out.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        for args in (
+            ["report", "--in", str(replay_out)],
+            ["report", "--in", str(replay_out), "--format", "csv"],
+            ["pareto", "--in", str(replay_out)],
+            ["pareto", "--in", str(replay_out), "--json"],
+        ):
+            assert main(args) == 0, args
+        capsys.readouterr()
+        assert snapshot() == before
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# case -> (command up to the run directory argument, damage done to a finished run)
+DAMAGE = {
+    "missing-metric": (
+        ["report", "--in"],
+        lambda run: (run / "round-002" / "metric.json").unlink(),
+    ),
+    "truncated-metric": (
+        ["report", "--in"],
+        lambda run: _truncate(run / "round-001" / "metric.json"),
+    ),
+    "truncated-cursor": (["replay", "--out"], lambda run: _truncate(run / "cursor.json")),
+    "non-json-archive": (
+        ["pareto", "--in"],
+        lambda run: (run / "archive.jsonl").write_text("not json\n", encoding="utf-8"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGE))
+def test_damaged_run_directory_exits_three(case, replay_out, tmp_path, capsys):
+    command, damage = DAMAGE[case]
+    damaged = tmp_path / "run"
+    shutil.copytree(replay_out, damaged)
+    damage(damaged)
+    assert main(command + [str(damaged)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture
+def demo_inputs(tmp_path):
+    inputs = tmp_path / "demo-inputs"
+    shutil.copytree(demo_config_path().parent, inputs)
+    return inputs
+
 
 class TestRun:
+    def test_external_backend_exits_four(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"backend": {"kind": "external"}}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 4
+        assert "external" in capsys.readouterr().err
+
+    def test_resume_accepts_another_spelling_of_the_config(
+        self, demo_inputs, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        relative = ["run", "--config", "demo-inputs/config.json", "--out", "out"]
+        assert main(relative + ["--rounds", "2"]) == 0
+        absolute = str(demo_inputs / "config.json")
+        assert main(["run", "--config", absolute, "--out", "out", "--rounds", "3"]) == 0
+        assert main(["run", "--config", absolute, "--out", "fresh", "--rounds", "3"]) == 0
+        capsys.readouterr()
+        # config.json keeps the round count of the run that created the directory
+        skip = ("run_meta.json", "config.json")
+        assert tree_bytes(tmp_path / "out", skip) == tree_bytes(tmp_path / "fresh", skip)
+
+    def test_resume_rejects_a_tampered_manifest(self, demo_inputs, tmp_path, capsys):
+        def args(out, rounds):
+            config = str(demo_inputs / "config.json")
+            return ["run", "--config", config, "--out", str(out), "--rounds", str(rounds)]
+
+        for out in ("tampered", "untouched"):
+            assert main(args(tmp_path / out, 2)) == 0
+        manifest = tmp_path / "tampered" / "round-001" / "manifest.jsonl"
+        data = bytearray(manifest.read_bytes())
+        data[len(data) // 2] ^= 1
+        manifest.write_bytes(bytes(data))
+        before = tree_bytes(tmp_path / "tampered")
+        capsys.readouterr()
+        assert main(args(tmp_path / "tampered", 3)) == 3
+        assert "manifest.jsonl" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "tampered") == before
+        assert main(args(tmp_path / "untouched", 3)) == 0
+        assert main(args(tmp_path / "fresh", 3)) == 0
+        skip = ("run_meta.json", "config.json")  # config.json keeps the first round count
+        assert tree_bytes(tmp_path / "untouched", skip) == tree_bytes(tmp_path / "fresh", skip)
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == 2

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import (
-    ConfigError,
-    Dataset,
-    PoolManifest,
-    SchemaError,
-    load_pool,
-    split_windows,
-    whitespace_token_count,
-)
+from mixsearch.corpus import PoolManifest, load_pool, split_windows, whitespace_token_count
+from mixsearch.errors import ConfigError, SchemaError
+from mixsearch.records import Dataset
 from mixsearch.oracles.window_enum import check_coverage, expected_windows
 
 from conftest import make_pool
@@ -154,7 +148,7 @@ class TestLoadPool:
                 }
             )
         )
-        from mixsearch import DataError
+        from mixsearch.errors import DataError
 
         with pytest.raises(DataError, match="absent.jsonl"):
             load_pool(PoolManifest.from_file(manifest_path))

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from mixsearch import FixtureError, load_replay_fixture, validate_fixture
-from mixsearch.errors import ReplayGapError
+from mixsearch.errors import FixtureError, ReplayGapError
 from mixsearch.fixtures import (
+    load_replay_fixture,
+    validate_fixture,
     data_path,
     default_fixture_path,
     default_taxonomy_path,

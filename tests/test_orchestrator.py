@@ -4,15 +4,9 @@ import json
 
 import pytest
 
-from mixsearch import (
-    ConfigError,
-    DataError,
-    LoopConfig,
-    RunDirectory,
-    report,
-    run,
-)
+from mixsearch.errors import ConfigError, DataError
 from mixsearch.fixtures import default_fixture_path
+from mixsearch.orchestrator import LoopConfig, RunDirectory, report, run
 
 from conftest import (
     REPLAY_FRONTIER,
@@ -60,6 +54,10 @@ class TestLoopConfig:
         config = LoopConfig.from_file(config_path)
         assert config.fixture_path == tmp_path / "nested" / "trace.jsonl"
         assert config.rounds == 3
+
+    def test_unknown_backend_kind(self):
+        with pytest.raises(ConfigError, match="unknown backend kind 'quantum'"):
+            LoopConfig.from_json({"backend": {"kind": "quantum"}})
 
     def test_from_file_missing(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -119,12 +117,14 @@ class TestReplayRun:
         assert "non-dominated archive:" in text
 
     def test_report_csv_written(self, run_dir):
+        for name in ("trajectory.csv", "archive.csv", "slices.csv"):
+            assert (run_dir.path / name).exists(), name
+        before = tree_bytes(run_dir.path)
         out = report(run_dir, fmt="csv")
         assert out.splitlines()[0] == "round,safe,benign,if,mixture,note"
-        assert (run_dir.path / "report.csv").exists()
-        assert (run_dir.path / "trajectory.csv").exists()
-        assert (run_dir.path / "archive.csv").exists()
-        assert (run_dir.path / "slices.csv").exists()
+        assert out == (run_dir.path / "trajectory.csv").read_text("utf-8")
+        assert tree_bytes(run_dir.path) == before
+        assert not (run_dir.path / "report.csv").exists()
 
     def test_unknown_report_format(self, run_dir):
         with pytest.raises(ConfigError, match="format"):

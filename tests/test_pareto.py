@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import MetricVector, ParetoArchive, dominates
+from mixsearch.pareto import ParetoArchive, dominates
+from mixsearch.profiles import MetricVector
 from mixsearch.oracles.dominance_enum import non_dominated, strictly_better
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, trajectory_vector

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import (
+from mixsearch.errors import UndefinedMetricError
+from mixsearch.profiles import (
     DEFAULT_FAIL_THRESHOLD,
-    CheckResult,
-    Dimension,
     FailureProfile,
-    L2State,
     MetricVector,
-    SampleRecord,
-    UndefinedMetricError,
     build_failure_profiles,
-    fail_mass_ranking,
     metric_vector,
     rank_slices,
     weighted_means,
 )
+from mixsearch.records import CheckResult, Dimension, L2State, SampleRecord
 
 _DEFAULT_STATES = {
     Dimension.SAFE: (L2State.LEAKAGE, L2State.BARE_REFUSAL, L2State.SAFE_HELPFUL_REFUSAL),
@@ -251,12 +247,11 @@ class TestRankSlices:
         second = self._profile("beta", 0.5, 3.0)
         assert [p.slice_label for p in rank_slices([second, first])] == ["alpha", "beta"]
 
-    def test_custom_policy(self):
+    def test_fail_mass_outranks_lower_mean(self):
         low = self._profile("low", 0.1, 1.5)
         high = self._profile("high", 0.9, 4.5)
-        by_mean = rank_slices([high, low], policy=lambda p: p.mean_score)
-        assert by_mean[0] is low
-        assert fail_mass_ranking(high)[0] == pytest.approx(-0.9)
+        assert high.fail_mass == pytest.approx(0.9)
+        assert rank_slices([low, high]) == [high, low]
 
 
 # ---------------------------------------------------------------------------

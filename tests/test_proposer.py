@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import (
-    ConfigError,
-    DataAction,
-    Dataset,
-    Dimension,
-    FailureProfile,
-    MetricVector,
-    PolicyConfig,
-    RoundHistory,
-    RoundRecord,
-    propose,
-    propose_explained,
-)
+from mixsearch.errors import ConfigError
+from mixsearch.profiles import FailureProfile, MetricVector
+from mixsearch.proposer import PolicyConfig, RoundHistory, RoundRecord, propose, propose_explained
+from mixsearch.records import Dataset, Dimension
+from mixsearch.sampler import DataAction
 
 BUCKET_SLICES = {
     Dataset.XGUARD: {"hot": "tier=hot", "cold": "tier=cold"},

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import CheckResult, Dimension, L2State, SampleRecord, child_seed
 from mixsearch.records import (
+    CheckResult,
+    Dimension,
+    L2State,
+    SampleRecord,
+    child_seed,
     DATASET_FOR_DIMENSION,
     DIMENSION_FOR_DATASET,
     parse_slice_key,

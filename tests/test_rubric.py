@@ -3,24 +3,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch import (
+from mixsearch.oracles.naive_checker import naive_verdict
+from mixsearch.records import CheckResult, Dataset, Dimension, L2State
+from mixsearch.rubric import (
     AtomicCheckVector,
-    CheckResult,
     ConstraintFamily,
     ConstraintSpec,
-    Dataset,
-    Dimension,
     EvalSample,
-    L2State,
     SliceTaxonomy,
     aggregate_l2,
     annotate_prompt,
     score_l1,
     score_sample,
     verify_constraints,
+    BENIGN_CHECKS,
+    SAFE_CHECKS,
+    judged_checks,
 )
-from mixsearch.oracles.naive_checker import naive_verdict
-from mixsearch.rubric import BENIGN_CHECKS, SAFE_CHECKS, judged_checks
 
 # ---------------------------------------------------------------------------
 # Constraint verification

@@ -7,18 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from mixsearch import (
-    ConfigError,
+from mixsearch.errors import ConfigError
+from mixsearch.oracles.draw_enum import draw as oracle_draw
+from mixsearch.records import Dataset
+from mixsearch.sampler import (
     DataAction,
-    Dataset,
     FocusCriterion,
     TagTest,
     draw_budgeted,
     effective_distribution,
     uniform_bucket_weights,
+    bucket_key_str,
+    parse_bucket_key,
+    read_manifest_entries,
+    write_manifest,
 )
-from mixsearch.oracles.draw_enum import draw as oracle_draw
-from mixsearch.sampler import bucket_key_str, parse_bucket_key, read_manifest_entries, write_manifest
 
 from conftest import make_pool
 
