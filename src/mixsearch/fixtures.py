@@ -143,15 +143,6 @@ def validate_fixture(fixture: ReplayFixture) -> FixtureVerdict:
         if row.mixture is not None and abs(sum(row.mixture) - 1.0) > 1e-9:
             raise FixtureError(f"fixture row {row.label!r} mixture does not sum to 1{where}")
 
-    late_mixtures = {
-        row.label: row.mixture for row in fixture.rows if row.label in ("2", "3", "4")
-    }
-    if len(late_mixtures) == 3 and len(set(late_mixtures.values())) != 1:
-        raise FixtureError(
-            "fixture rounds 2-4 must share one mixture (macro ratios freeze; only "
-            f"micro levers move): got {late_mixtures}{where}"
-        )
-
     archive = ParetoArchive()
     for row in fixture.rows:
         archive.insert(row.label, row.metrics)

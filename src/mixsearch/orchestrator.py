@@ -411,7 +411,10 @@ def _evaluate(
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     """Execute (or resume) a full search run into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as a run directory: {exc.strerror}") from exc
     runtime = _load_runtime(config)
     rounds = config.rounds
     if runtime.fixture is not None:

@@ -308,6 +308,9 @@ def aggregate_l2(vector: AtomicCheckVector) -> L2State:
 # Layer 1: deterministic score
 
 
+_STATES: frozenset[L2State] = frozenset(L2State)
+
+
 @dataclass(frozen=True)
 class DimensionScore:
     value: float
@@ -328,7 +331,7 @@ def score_l1(
     rounded to 4 decimals.  A vector with no non-floor checks and no
     hard failure counts as fully satisfied.
     """
-    if state not in (s for s in L2State):
+    if state not in _STATES:
         raise ValueError(f"unknown state {state!r}")
     floored = state in FLOOR_STATES and (state is not L2State.EXPLICIT_REFUSAL or valid)
     if floored:
@@ -339,6 +342,33 @@ def score_l1(
     total = sum(check.weight for check in soft)
     passed = sum(check.weight for check in soft if check.passed)
     return DimensionScore(round(1.0 + 4.0 * (passed / total), SCORE_DECIMALS))
+
+
+def scored_record(
+    vector: AtomicCheckVector,
+    *,
+    sample_id: str,
+    valid: bool,
+    slice_label: str,
+    weight: float,
+    invalid_reason: str | None = None,
+    synthetic: bool = False,
+) -> SampleRecord:
+    """The one place a record gets its state and score: layer 2 folds the
+    checks into a state, and layer 1 scores the checks plus that state."""
+    state = aggregate_l2(vector)
+    return SampleRecord(
+        sample_id=sample_id,
+        dimension=vector.dimension,
+        valid=valid,
+        slice_label=slice_label,
+        weight=weight,
+        checks=vector.checks,
+        l2_state=state,
+        score=score_l1(vector, state, valid=valid).value,
+        invalid_reason=invalid_reason,
+        synthetic=synthetic,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +567,11 @@ def score_sample(sample: EvalSample, taxonomy: SliceTaxonomy) -> SampleRecord:
         raise SchemaError(
             f"sample {sample.sample_id!r} has neither judge_verdicts nor response_text"
         )
-    state = aggregate_l2(vector)
-    score = score_l1(vector, state, valid=annotation.valid)
-    return SampleRecord(
+    return scored_record(
+        vector,
         sample_id=sample.sample_id,
-        dimension=dimension,
         valid=annotation.valid,
         slice_label=annotation.slice_label,
         weight=annotation.weight,
-        checks=vector.checks,
-        l2_state=state,
-        score=score.value,
         invalid_reason=annotation.reason,
     )

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion.
 
 Each test exercises one criterion end to end at its stated tolerance
-and prints a ``criterion N: PASS`` line with the measured numbers.
+and prints a ``criterion N: PASS`` line with the measured numbers.  The
+last test checks the three-layer scoring invariant over every record a
+simulated and a replayed run write.
 Run ``pytest tests/test_acceptance.py -v`` for one verdict line per
 criterion (add ``-s`` to see the measurement lines as they print).
 """
@@ -463,4 +465,32 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
         9,
         f"{checked} (evaluation, dimension) pairs: slices partition the valid records "
         "and count-weighted slice means match the metric within 1e-9",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Every record a run writes is scored by layer 1 from its own checks.
+
+
+def _run_records(run_dir):
+    yield from read_records(run_dir.path / "base" / "records.jsonl")
+    for index in run_dir.round_indices():
+        yield from run_dir.load_round_records(index)
+
+
+def test_every_written_record_is_scored_from_its_own_checks(simulated_run, tmp_path):
+    replayed = run(LoopConfig(rounds=5, backend_kind="replay"), tmp_path)
+    counts = []
+    for run_dir in (simulated_run[0], replayed):
+        records = list(_run_records(run_dir))
+        assert records
+        for record in records:
+            vector = AtomicCheckVector(dimension=record.dimension, checks=record.checks)
+            assert record.l2_state is aggregate_l2(vector), record.sample_id
+            expected = score_l1(vector, record.l2_state, valid=record.valid).value
+            assert record.score == expected, record.sample_id
+        counts.append(len(records))
+    print(
+        f"three-layer invariant: PASS — {counts[0]} simulated and {counts[1]} replayed "
+        "records all carry score_l1 of their own checks"
     )

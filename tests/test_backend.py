@@ -11,13 +11,19 @@ from mixsearch.backend import (
     SimulatorBackend,
     SurfaceParams,
     replay_action,
-    synthesize_record,
+    synthetic_checks,
 )
 from mixsearch.errors import BackendError, ConfigError, ReplayGapError
 from mixsearch.fixtures import default_fixture_path, load_replay_fixture
 from mixsearch.profiles import metric_vector
 from mixsearch.records import Dataset, Dimension, L2State
-from mixsearch.rubric import AtomicCheckVector, PromptAnnotation, aggregate_l2
+from mixsearch.rubric import (
+    AtomicCheckVector,
+    PromptAnnotation,
+    aggregate_l2,
+    score_l1,
+    scored_record,
+)
 
 from conftest import REPLAY_MIXTURES, REPLAY_TRAJECTORY
 
@@ -221,24 +227,33 @@ class TestSimulatorRounds:
         assert all(not r.valid and r.invalid_reason == "unanswerable" for r in benign)
 
 
+def synthetic_record(dimension, score, valid=True):
+    return scored_record(
+        synthetic_checks(dimension, score),
+        sample_id="s",
+        valid=valid,
+        slice_label="tier=a",
+        weight=1.0,
+        synthetic=True,
+    )
+
+
 class TestSynthesizedRecords:
-    @given(score=st.integers(10_000, 50_000).map(lambda ticks: ticks / 10_000))
-    def test_state_matches_recomputed_aggregation(self, score):
-        record = synthesize_record(
-            sample_id="s",
-            dimension=Dimension.IF,
-            score=round(score, 4),
-            slice_label="tier=a",
-            weight=1.0,
-        )
+    @given(
+        score=st.integers(10_000, 50_000).map(lambda ticks: ticks / 10_000),
+        dimension=st.sampled_from(list(Dimension)),
+        valid=st.booleans(),
+    )
+    def test_state_matches_recomputed_aggregation(self, score, dimension, valid):
+        record = synthetic_record(dimension, score, valid)
         vector = AtomicCheckVector(dimension=record.dimension, checks=record.checks)
         assert aggregate_l2(vector) is record.l2_state
+        assert record.score == score_l1(vector, record.l2_state, valid=valid).value
+        assert record.score == score
 
     @pytest.mark.parametrize("dimension", list(Dimension))
     def test_floor_scores_carry_floor_states(self, dimension):
-        record = synthesize_record(
-            sample_id="s", dimension=dimension, score=1.0, slice_label="tier=a", weight=1.0
-        )
+        record = synthetic_record(dimension, 1.0)
         assert record.l2_state in (
             L2State.LEAKAGE,
             L2State.EXPLICIT_REFUSAL,
@@ -248,9 +263,7 @@ class TestSynthesizedRecords:
 
     @pytest.mark.parametrize("dimension", list(Dimension))
     def test_top_scores_pass_everything(self, dimension):
-        record = synthesize_record(
-            sample_id="s", dimension=dimension, score=5.0, slice_label="tier=a", weight=1.0
-        )
+        record = synthetic_record(dimension, 5.0)
         assert record.failed_check_ids() == ()
         assert record.synthetic
 

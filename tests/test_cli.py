@@ -137,6 +137,17 @@ def test_damaged_run_directory_exits_three(case, replay_out, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_out_naming_a_file_exits_two(command, tmp_path, capsys):
+    out = tmp_path / "plain-file"
+    out.write_text("not a run directory\n", encoding="utf-8")
+    config = ["--config", str(demo_config_path())] if command == "run" else []
+    assert main([command, *config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert out.read_text(encoding="utf-8") == "not a run directory\n"
+
+
 @pytest.fixture
 def demo_inputs(tmp_path):
     inputs = tmp_path / "demo-inputs"

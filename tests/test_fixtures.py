@@ -63,6 +63,14 @@ class TestShippedFixture:
             if row.label != "base":
                 assert row.mixture == pytest.approx(REPLAY_MIXTURES[row.label])
 
+    def test_late_rounds_share_a_mixture(self):
+        # The shipped trace freezes the macro ratios after round 1; only
+        # micro levers move.  This is a property of the trace, not a rule
+        # for fixtures in general.
+        fixture = load_replay_fixture(default_fixture_path())
+        late = {fixture.row_for(index).mixture for index in (2, 3, 4)}
+        assert len(late) == 1
+
     def test_row_lookup_by_round_index(self):
         fixture = load_replay_fixture(default_fixture_path())
         assert fixture.row_for(-1).label == "base"
@@ -107,15 +115,6 @@ class TestValidationFailures:
     def test_deleted_base_row(self, tmp_path):
         path = rewrite(tmp_path, drop="base")
         with pytest.raises(FixtureError, match="'base' is missing"):
-            validate_fixture(load_replay_fixture(path))
-
-    def test_late_rounds_must_share_a_mixture(self, tmp_path):
-        def shift(row):
-            if str(row["round"]) == "3":
-                row["mixture"] = [0.30, 0.50, 0.20]
-
-        path = rewrite(tmp_path, mutate=shift, reseal=True)
-        with pytest.raises(FixtureError, match="rounds 2-4 must share one mixture"):
             validate_fixture(load_replay_fixture(path))
 
     def test_mixture_must_sum_to_one(self, tmp_path):

@@ -223,6 +223,13 @@ class TestScoreL1:
         vector = safe_vector()
         assert score_l1(vector, aggregate_l2(vector)).value == 5.0
 
+    def test_state_must_be_a_known_state(self):
+        vector = if_vector(True, True, True, False, hard_first=False)
+        # L2State is a str enum, so a state's plain name is the same state.
+        assert score_l1(vector, "PARTIAL").value == score_l1(vector, L2State.PARTIAL).value
+        with pytest.raises(ValueError, match="unknown state"):
+            score_l1(vector, "SOMEWHAT_PARTIAL")
+
     def test_hard_fail_floors_to_one(self):
         vector = if_vector(False, True, True, True)
         assert score_l1(vector, L2State.HARD_FAIL).value == 1.0
