@@ -17,14 +17,13 @@ per window.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigError, DataError, SchemaError
-from .records import Dataset, load_jsonl, slice_key
+from .errors import ConfigError, SchemaError
+from .records import Dataset, read_json, slice_key
 
 log = logging.getLogger(__name__)
 
@@ -145,14 +144,9 @@ class PoolManifest:
     @staticmethod
     def from_file(path: Path | str) -> "PoolManifest":
         path = Path(path)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except FileNotFoundError as exc:
-            raise DataError(f"pool manifest not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"pool manifest {path} is not valid JSON: {exc}") from exc
-        return _manifest_from_json(raw, base_dir=path.parent)
+        return read_json(
+            path, lambda raw: _manifest_from_json(raw, base_dir=path.parent), what="pool manifest"
+        )
 
 
 def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
@@ -254,17 +248,6 @@ class Pool:
             if ds == dataset_id
         )
 
-    @property
-    def longest_window(self) -> int:
-        lengths = [
-            window.token_count
-            for windows in self._windows_by_bucket.values()
-            for window in windows
-        ]
-        if not lengths:
-            raise DataError("pool has no windows")
-        return max(lengths)
-
     def bucket_slices(self) -> dict[Dataset, dict[str, str]]:
         """bucket_id -> slice label map per dataset, for policy plumbing."""
         return {
@@ -278,9 +261,9 @@ class Pool:
 def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Pool:
     """Load every dataset's record file and window its documents.
 
-    Raises ``DataError`` for missing files and ``SchemaError`` for
-    records that reference undeclared buckets or lack both ``text`` and
-    ``token_count``.
+    Each file's rows become windows inside ``read_json``, so an
+    unreadable file or a malformed row is a ``DataError`` naming the
+    file, and one file's parsed rows are freed before the next is read.
     """
     tokenizer = tokenizer or whitespace_token_count
     stride = manifest.effective_stride
@@ -290,14 +273,6 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
     for spec in manifest.datasets:
         for bucket in spec.catalog.buckets:
             windows_by_bucket[(spec.dataset_id, bucket.bucket_id)] = []
-        try:
-            rows = load_jsonl(spec.path)
-        except FileNotFoundError as exc:
-            raise DataError(
-                f"dataset {spec.dataset_id.value}: record file not found: {spec.path}"
-            ) from exc
-        except ValueError as exc:
-            raise SchemaError(f"dataset {spec.dataset_id.value}: {exc}") from exc
         # The tags of a record without its own: its bucket's slice fields.
         bucket_tags = {
             bucket.bucket_id: shared_tags.setdefault(
@@ -305,57 +280,68 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
             )
             for bucket in spec.catalog.buckets
         }
-        for row in rows:
-            record_id = str(row.get("id", ""))
-            if not record_id:
-                raise SchemaError(f"dataset {spec.dataset_id.value}: record without id: {row!r}")
-            declared = row.get("dataset")
-            if declared is not None and declared != spec.dataset_id.value:
-                raise SchemaError(
-                    f"record {record_id!r}: dataset field {declared!r} does not match "
-                    f"file's dataset {spec.dataset_id.value}"
-                )
-            bucket_id = str(row.get("bucket", ""))
-            if bucket_id not in bucket_tags:
-                raise SchemaError(
-                    f"record {record_id!r} references undeclared bucket {bucket_id!r} "
-                    f"in dataset {spec.dataset_id.value}"
-                )
-            if row.get("tags"):
-                tags = {str(k): str(v) for k, v in row["tags"].items()}
-                for fld, value in bucket_tags[bucket_id].items():
-                    tags.setdefault(fld, value)
-                tags = shared_tags.setdefault(tuple(tags.items()), tags)
-            else:
-                tags = bucket_tags[bucket_id]
-            if "text" in row:
-                token_count = tokenizer(row["text"])
-                if token_count < 1:
-                    raise SchemaError(f"record {record_id!r} has empty text")
-            elif "token_count" in row:
-                token_count = int(row["token_count"])
-                if token_count < 1:
+
+        def add_windows(rows: list[dict]) -> None:
+            for row in rows:
+                record_id = str(row.get("id", ""))
+                if not record_id:
                     raise SchemaError(
-                        f"record {record_id!r} has non-positive token_count {token_count}"
+                        f"dataset {spec.dataset_id.value}: record without id: {row!r}"
                     )
-            else:
-                raise SchemaError(f"record {record_id!r} has neither text nor token_count")
-            parts = split_windows(token_count, manifest.window_length, stride)
-            for index, (start, length) in enumerate(parts):
-                window_id = record_id if len(parts) == 1 else f"{record_id}:w{index}"
-                if window_id in window_ids:
-                    raise SchemaError(f"duplicate window id {window_id!r}")
-                window_ids.add(window_id)
-                windows_by_bucket[(spec.dataset_id, bucket_id)].append(
-                    TrainingWindow(
-                        window_id=window_id,
-                        dataset_id=spec.dataset_id,
-                        bucket_id=bucket_id,
-                        token_count=length,
-                        text_ref=f"{record_id}@{start}+{length}" if "text" in row else None,
-                        tags=tags,
+                declared = row.get("dataset")
+                if declared is not None and declared != spec.dataset_id.value:
+                    raise SchemaError(
+                        f"record {record_id!r}: dataset field {declared!r} does not match "
+                        f"file's dataset {spec.dataset_id.value}"
                     )
-                )
+                bucket_id = str(row.get("bucket", ""))
+                if bucket_id not in bucket_tags:
+                    raise SchemaError(
+                        f"record {record_id!r} references undeclared bucket {bucket_id!r} "
+                        f"in dataset {spec.dataset_id.value}"
+                    )
+                if row.get("tags"):
+                    tags = {str(k): str(v) for k, v in row["tags"].items()}
+                    for fld, value in bucket_tags[bucket_id].items():
+                        tags.setdefault(fld, value)
+                    tags = shared_tags.setdefault(tuple(tags.items()), tags)
+                else:
+                    tags = bucket_tags[bucket_id]
+                if "text" in row:
+                    token_count = tokenizer(row["text"])
+                    if token_count < 1:
+                        raise SchemaError(f"record {record_id!r} has empty text")
+                elif "token_count" in row:
+                    token_count = int(row["token_count"])
+                    if token_count < 1:
+                        raise SchemaError(
+                            f"record {record_id!r} has non-positive token_count {token_count}"
+                        )
+                else:
+                    raise SchemaError(f"record {record_id!r} has neither text nor token_count")
+                parts = split_windows(token_count, manifest.window_length, stride)
+                for index, (start, length) in enumerate(parts):
+                    window_id = record_id if len(parts) == 1 else f"{record_id}:w{index}"
+                    if window_id in window_ids:
+                        raise SchemaError(f"duplicate window id {window_id!r}")
+                    window_ids.add(window_id)
+                    windows_by_bucket[(spec.dataset_id, bucket_id)].append(
+                        TrainingWindow(
+                            window_id=window_id,
+                            dataset_id=spec.dataset_id,
+                            bucket_id=bucket_id,
+                            token_count=length,
+                            text_ref=f"{record_id}@{start}+{length}" if "text" in row else None,
+                            tags=tags,
+                        )
+                    )
+
+        read_json(
+            spec.path,
+            add_windows,
+            lines=True,
+            what=f"dataset {spec.dataset_id.value} record file",
+        )
     pool = Pool(
         manifest,
         {key: tuple(windows) for key, windows in windows_by_bucket.items()},

@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import FixtureError
 from .pareto import ParetoArchive
 from .profiles import MetricVector
-from .records import load_jsonl
+from .records import read_json
 
 CHECK_DIGEST_CHARS = 8
 
@@ -81,12 +81,16 @@ def load_replay_fixture(path: Path | str) -> ReplayFixture:
     Content integrity is checked separately by ``validate_fixture``.
     """
     path = Path(path)
-    try:
-        raw_rows = load_jsonl(path)
-    except FileNotFoundError as exc:
-        raise FixtureError(f"replay fixture not found: {path}") from exc
-    except ValueError as exc:
-        raise FixtureError(f"replay fixture {path}: {exc}") from exc
+    return read_json(
+        path,
+        lambda rows: _fixture_from_rows(rows, path),
+        lines=True,
+        error=FixtureError,
+        what="replay fixture",
+    )
+
+
+def _fixture_from_rows(raw_rows: list[dict], path: Path) -> ReplayFixture:
     rows = []
     frontier: tuple[str, ...] | None = None
     for raw in raw_rows:

@@ -48,6 +48,7 @@ from .records import (
     SampleRecord,
     child_seed,
     dump_jsonl,
+    read_json,
     write_records,
 )
 from .rubric import PromptAnnotation, SliceTaxonomy, annotate_prompt, load_eval_set
@@ -110,15 +111,13 @@ class LoopConfig:
 
     @staticmethod
     def from_file(path: Path | str) -> "LoopConfig":
-        path = Path(path)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return LoopConfig.from_json(raw, base_dir=Path(os.path.abspath(path.parent)))
+        base_dir = Path(os.path.abspath(Path(path).parent))
+        return read_json(
+            path,
+            lambda raw: LoopConfig.from_json(raw, base_dir=base_dir),
+            error=ConfigError,
+            what="config file",
+        )
 
     @staticmethod
     def from_json(raw: dict, base_dir: Path | None = None) -> "LoopConfig":
@@ -135,15 +134,9 @@ class LoopConfig:
         surface = (
             SurfaceParams.from_json(backend.get("surface", {})) if kind == "simulate" else None
         )
-        try:
-            policy = PolicyConfig.from_json(raw.get("policy", {}))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad policy section: {exc}") from exc
         eval_sets = raw.get("eval_sets", [])
-        if isinstance(eval_sets, dict):
-            paths = [eval_sets[key] for key in sorted(eval_sets)]
-        else:
-            paths = list(eval_sets)
+        if not isinstance(eval_sets, list) or not all(isinstance(p, str) for p in eval_sets):
+            raise ConfigError(f"eval_sets must be a list of paths, got {eval_sets!r}")
         mixture = raw.get("initial_mixture", list(DEFAULT_INITIAL_MIXTURE))
         if len(mixture) != 3:
             raise ConfigError(f"initial_mixture needs 3 entries, got {mixture!r}")
@@ -155,10 +148,10 @@ class LoopConfig:
             surface=surface,
             fixture_path=_resolve(backend.get("fixture")),
             pool_manifest_path=_resolve(raw.get("pool_manifest")),
-            eval_set_paths=tuple(p for p in (_resolve(v) for v in paths) if p is not None),
+            eval_set_paths=tuple(_resolve(p) for p in eval_sets),
             taxonomy_path=_resolve(raw.get("taxonomy")),
             initial_mixture=tuple(float(v) for v in mixture),  # type: ignore[arg-type]
-            policy=policy,
+            policy=PolicyConfig.from_json(raw.get("policy", {})),
             fail_threshold=float(raw.get("fail_threshold", DEFAULT_FAIL_THRESHOLD)),
         )
 
@@ -193,22 +186,8 @@ class RunDirectory:
         self.path = Path(path)
 
     def read(self, name: str, build=None, *, lines: bool = False):
-        """Parse the artifact ``name`` (relative to the run directory), one
-        JSON document or, with ``lines``, a list of JSON lines, and return
-        ``build`` applied to it."""
-        path = self.path / name
-        try:
-            text = path.read_text("utf-8")
-            parsed = (
-                [json.loads(line) for line in text.splitlines() if line.strip()]
-                if lines
-                else json.loads(text)
-            )
-            return parsed if build is None else build(parsed)
-        except FileNotFoundError as exc:
-            raise DataError(f"run directory {self.path} lacks {name}") from exc
-        except (OSError, ValueError, LookupError, TypeError, AttributeError, ConfigError) as exc:
-            raise DataError(f"run artifact {path} is damaged: {exc}") from exc
+        """``read_json`` of the artifact ``name``, relative to the run directory."""
+        return read_json(self.path / name, build, lines=lines, what="run artifact")
 
     def round_indices(self) -> list[int]:
         if not self.path.is_dir():
@@ -224,9 +203,6 @@ class RunDirectory:
 
     def completed_rounds(self) -> int:
         return self.read("cursor.json", lambda cursor: int(cursor["next_round"]))
-
-    def round_dir(self, index: int) -> Path:
-        return self.path / round_dir_name(index)
 
     def load_round_metric(self, index: int) -> MetricVector:
         return self.read(f"{round_dir_name(index)}/metric.json", MetricVector.from_json)
@@ -273,9 +249,6 @@ class RunDirectory:
                 f"{self.path / name} does not match the digest in its manifest_summary.json"
             )
 
-    def archive_rows(self) -> list[dict]:
-        return self.read("archive.jsonl", lines=True)
-
     def frontier(self) -> list[tuple[str, MetricVector]]:
         return self.read("archive.jsonl", _final_frontier, lines=True)
 
@@ -292,6 +265,14 @@ def _final_frontier(rows: list[dict]) -> list[tuple[str, MetricVector]]:
 
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_cursor(path: Path, cursor: dict) -> None:
+    """Write the cursor to a temp file and rename it into place, so a
+    kill mid-write leaves the previous cursor whole."""
+    temp = path.with_name(path.name + ".tmp")
+    _write_json(temp, cursor)
+    os.replace(temp, path)
 
 
 def _digest_file(path: Path) -> str:
@@ -411,11 +392,11 @@ def _evaluate(
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     """Execute (or resume) a full search run into ``out_dir``."""
     out = Path(out_dir)
+    runtime = _load_runtime(config)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as a run directory: {exc.strerror}") from exc
-    runtime = _load_runtime(config)
     rounds = config.rounds
     if runtime.fixture is not None:
         rounds = min(rounds, runtime.fixture.round_count)
@@ -473,7 +454,7 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
             {"backend": base_seed},
         )
         next_round = 0
-        _write_json(cursor_path, {"next_round": 0, "completed": False})
+        _write_cursor(cursor_path, {"next_round": 0, "completed": False})
         log.info("base point evaluated: %s", format(history.base_metric, ".4f"))
 
     for index in range(next_round, rounds):
@@ -510,7 +491,7 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
             {"action": action.to_json(), "rationale": rationale, "source": source},
         )
         history.append(RoundRecord(index, action, metric, tuple(profiles)))
-        _write_json(cursor_path, {"next_round": index + 1, "completed": index + 1 >= rounds})
+        _write_cursor(cursor_path, {"next_round": index + 1, "completed": index + 1 >= rounds})
         log.info(
             "round %d (%s): metric %s, archive verdict %s",
             index,

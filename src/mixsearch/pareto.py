@@ -61,10 +61,6 @@ class ParetoArchive:
     def entries(self) -> tuple[ArchiveEntry, ...]:
         return tuple(self._entries)
 
-    @property
-    def events(self) -> tuple[dict, ...]:
-        return tuple(self._events)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(entry.label for entry in self._entries)
 

@@ -338,8 +338,3 @@ def propose_explained(
         focus_criteria=criteria,
     )
     return action, rationale
-
-
-def propose(history: RoundHistory, config: PolicyConfig) -> DataAction:
-    action, _ = propose_explained(history, config)
-    return action

@@ -13,7 +13,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
+
+from .errors import DataError, MixSearchError
 
 
 class Dataset(str, Enum):
@@ -211,23 +213,57 @@ def dump_jsonl(path: Path, rows: Iterable[dict]) -> None:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def load_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: not a JSON record: {exc}") from exc
-    return rows
-
-
 def write_records(path: Path, records: Iterable[SampleRecord]) -> None:
     dump_jsonl(path, (record.to_json() for record in records))
 
 
-def read_records(path: Path) -> list[SampleRecord]:
-    return [SampleRecord.from_json(obj) for obj in load_jsonl(path)]
+def read_json(
+    path: Path | str,
+    build: Callable | None = None,
+    *,
+    lines: bool = False,
+    error: type[MixSearchError] = DataError,
+    what: str,
+):
+    """Parse the file at ``path``, one JSON document or, with ``lines``,
+    a list of the JSON values on its non-blank lines, and return
+    ``build`` applied to it.
+
+    This is the one place the package reads a JSON input or artifact.
+    Every failure raises ``error`` with a message naming the file and
+    the ``what`` it was read as: the file cannot be opened, is not
+    UTF-8, is not JSON (lines give their number), or ``build`` rejects
+    what it parsed.  An ``error`` raised by ``build`` keeps its class,
+    and gains the file's name when its message lacks it.
+    """
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            if not lines:
+                parsed = json.load(handle)
+            else:
+                parsed = []
+                for number, line in enumerate(handle, start=1):
+                    if line.strip():
+                        try:
+                            parsed.append(json.loads(line))
+                        except json.JSONDecodeError as exc:
+                            raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if build is None:
+        return parsed
+    try:
+        return build(parsed)
+    except error as exc:
+        if str(path) not in str(exc):
+            exc.args = (f"{what} {path}: {exc}",)
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, MixSearchError) as exc:
+        raise error(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc

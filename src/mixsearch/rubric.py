@@ -19,11 +19,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DataError, SchemaError
+from .errors import SchemaError
+from .fixtures import default_taxonomy_path
 from .records import (
     CheckResult,
     Dataset,
@@ -32,7 +32,7 @@ from .records import (
     FLOOR_STATES,
     L2State,
     SampleRecord,
-    load_jsonl,
+    read_json,
     slice_key,
 )
 
@@ -401,22 +401,17 @@ class SliceTaxonomy:
         for dataset in Dataset:
             if dataset.value not in spec:
                 raise SchemaError(f"taxonomy missing dataset {dataset.value}")
+            if not isinstance(spec[dataset.value], dict):
+                raise SchemaError(f"taxonomy section {dataset.value} is not an object")
         self._spec = spec
 
     @staticmethod
     def from_file(path: Path | str) -> "SliceTaxonomy":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return SliceTaxonomy(json.load(handle))
-        except FileNotFoundError as exc:
-            raise DataError(f"taxonomy file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"taxonomy file {path} is not valid JSON: {exc}") from exc
+        return read_json(path, SliceTaxonomy, what="taxonomy file")
 
     @staticmethod
     def default() -> "SliceTaxonomy":
-        data = resources.files("mixsearch.data").joinpath("taxonomy.json").read_text("utf-8")
-        return SliceTaxonomy(json.loads(data))
+        return SliceTaxonomy.from_file(default_taxonomy_path())
 
     def _section(self, dataset: Dataset) -> dict:
         return self._spec[dataset.value]
@@ -542,13 +537,9 @@ class EvalSample:
 
 
 def load_eval_set(path: Path | str) -> list[EvalSample]:
-    try:
-        rows = load_jsonl(Path(path))
-    except FileNotFoundError as exc:
-        raise DataError(f"eval set not found: {path}") from exc
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    return [EvalSample.from_json(row) for row in rows]
+    return read_json(
+        path, lambda rows: [EvalSample.from_json(row) for row in rows], lines=True, what="eval set"
+    )
 
 
 def score_sample(sample: EvalSample, taxonomy: SliceTaxonomy) -> SampleRecord:

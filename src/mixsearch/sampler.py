@@ -22,9 +22,10 @@ from typing import Mapping, Sequence
 
 from .corpus import Pool, TrainingWindow
 from .errors import ConfigError
-from .records import Dataset, MIXTURE_ORDER, dump_jsonl, load_jsonl
+from .records import Dataset, MIXTURE_ORDER, dump_jsonl
 
 SIMPLEX_TOLERANCE = 1e-9
+SUMMARY_REJECTIONS = 10  # rejections a manifest summary lists, in draw order
 
 BucketKey = tuple[Dataset, str]
 
@@ -311,9 +312,13 @@ class SampleManifest:
             "seed": self.seed,
             "distribution": self.distribution,
             "stop_reason": self.stop_reason,
-            "rejections": [
+            "rejection_counts": {
+                reason: sum(1 for _, why in self.rejections if why == reason)
+                for reason in ("budget", "cap")
+            },
+            "first_rejections": [
                 {"window_id": window_id, "reason": reason}
-                for window_id, reason in self.rejections
+                for window_id, reason in self.rejections[:SUMMARY_REJECTIONS]
             ],
         }
 
@@ -437,6 +442,3 @@ def draw_budgeted(
 def write_manifest(path: Path, manifest: SampleManifest) -> None:
     dump_jsonl(path, (entry.to_json() for entry in manifest.entries))
 
-
-def read_manifest_entries(path: Path) -> list[ManifestEntry]:
-    return [ManifestEntry.from_json(obj) for obj in load_jsonl(path)]

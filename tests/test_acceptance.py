@@ -27,7 +27,7 @@ from mixsearch.records import (
     Dimension,
     MIXTURE_ORDER,
     FLOOR_STATES,
-    read_records,
+    SampleRecord,
 )
 from mixsearch.rubric import (
     AtomicCheckVector,
@@ -427,7 +427,7 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
     evaluations = [
         (
             "base",
-            read_records(run_dir.path / "base" / "records.jsonl"),
+            _base_records(run_dir),
             run_dir.load_base_metric(),
             None,
         )
@@ -472,8 +472,14 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
 # Every record a run writes is scored by layer 1 from its own checks.
 
 
+def _base_records(run_dir):
+    return run_dir.read(
+        "base/records.jsonl", lambda rows: [SampleRecord.from_json(row) for row in rows], lines=True
+    )
+
+
 def _run_records(run_dir):
-    yield from read_records(run_dir.path / "base" / "records.jsonl")
+    yield from _base_records(run_dir)
     for index in run_dir.round_indices():
         yield from run_dir.load_round_records(index)
 

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from mixsearch.cli import main
-from mixsearch.fixtures import demo_config_path
+from mixsearch.fixtures import default_fixture_path, default_taxonomy_path, demo_config_path
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
 
@@ -135,6 +135,158 @@ def test_damaged_run_directory_exits_three(case, replay_out, tmp_path, capsys):
     damage(damaged)
     assert main(command + [str(damaged)]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _make_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _edit_document(edit):
+    def damage(path):
+        obj = json.loads(path.read_text("utf-8"))
+        path.write_text(json.dumps(edit(obj)), encoding="utf-8")
+
+    return damage
+
+
+def _edit_line(index, edit):
+    def damage(path):
+        lines = path.read_text("utf-8").splitlines()
+        lines[index] = json.dumps(edit(json.loads(lines[index])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    return damage
+
+
+def _set(obj, *keys, value):
+    """``obj`` with the value at the key path ``keys`` replaced."""
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return obj
+
+
+# case -> (command, damaged file relative to the inputs or the run, damage, exit code).
+# "run" runs the copied demo config, "replay" and "validate" the copied replay
+# fixture, "report" a copy of a finished replay run.
+FAULTS = {
+    "config-directory": ("run", "config.json", _make_directory, 2),
+    "config-not-utf8": ("run", "config.json", _not_utf8, 2),
+    "config-not-json": ("run", "config.json", lambda p: p.write_text("{broken"), 2),
+    "config-list": ("run", "config.json", _edit_document(lambda obj: [obj]), 2),
+    "config-nested-too-deep": (
+        "run", "config.json", lambda p: p.write_text("[" * 100_000 + "]" * 100_000), 2
+    ),
+    "config-rounds-string": (
+        "run", "config.json", _edit_document(lambda obj: _set(obj, "rounds", value="five")), 2
+    ),
+    "config-null-eval-set": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "eval_sets", value=[None, "eval_if.jsonl"])),
+        2,
+    ),
+    "config-unknown-target": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "policy", "targets", value={"FOO": 4.5})),
+        2,
+    ),
+    "manifest-directory": ("run", "pool_manifest.json", _make_directory, 3),
+    "manifest-not-utf8": ("run", "pool_manifest.json", _not_utf8, 3),
+    "manifest-list": ("run", "pool_manifest.json", _edit_document(lambda obj: [obj]), 3),
+    "manifest-bucket-without-slice": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "datasets", 0, "buckets", 0, value={"id": "b"})),
+        3,
+    ),
+    "manifest-window-length-string": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "window_length", value="wide")),
+        3,
+    ),
+    "records-directory": ("run", "xguard.jsonl", _make_directory, 3),
+    "records-not-utf8": ("run", "xguard.jsonl", _not_utf8, 3),
+    "records-row-list": ("run", "xguard.jsonl", _edit_line(0, lambda row: [row]), 3),
+    "records-token-count-string": (
+        "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "token_count", value="x")), 3
+    ),
+    "eval-set-directory": ("run", "eval_if.jsonl", _make_directory, 3),
+    "eval-set-not-json": (
+        "run", "eval_if.jsonl", lambda p: p.write_text(p.read_text("utf-8") + "{broken\n"), 3
+    ),
+    "eval-set-row-list": ("run", "eval_if.jsonl", _edit_line(0, lambda row: [row]), 3),
+    "eval-set-tags-list": (
+        "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "tags", value=["x"])), 3
+    ),
+    "eval-set-unknown-constraint-family": (
+        "run",
+        "eval_if.jsonl",
+        _edit_line(0, lambda row: _set(row, "constraints", 0, "family", value="FOO")),
+        3,
+    ),
+    "taxonomy-not-utf8": ("run", "taxonomy.json", _not_utf8, 3),
+    "taxonomy-list": ("run", "taxonomy.json", _edit_document(lambda obj: list(obj)), 3),
+    "taxonomy-section-list": (
+        "run", "taxonomy.json", _edit_document(lambda obj: _set(obj, "IF", value=[])), 3
+    ),
+    "fixture-directory": ("replay", "fixture.jsonl", _make_directory, 3),
+    "fixture-not-utf8": ("replay", "fixture.jsonl", _not_utf8, 3),
+    "fixture-row-number": ("validate", "fixture.jsonl", _edit_line(0, lambda row: 5), 3),
+    "fixture-frontier-number": (
+        "validate",
+        "fixture.jsonl",
+        _edit_line(-1, lambda row: _set(row, "frontier", value=5)),
+        3,
+    ),
+    "artifact-directory": ("report", "round-001/metric.json", _make_directory, 3),
+}
+
+
+@pytest.fixture
+def fault_inputs(tmp_path):
+    """A copy of the demo inputs whose config names a copy of the shipped
+    taxonomy, plus a copy of the shipped replay fixture."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(demo_config_path().parent, inputs)
+    shutil.copy(default_taxonomy_path(), inputs / "taxonomy.json")
+    shutil.copy(default_fixture_path(), inputs / "fixture.jsonl")
+    config = inputs / "config.json"
+    config.write_text(
+        json.dumps(dict(json.loads(config.read_text("utf-8")), taxonomy="taxonomy.json")),
+        encoding="utf-8",
+    )
+    return inputs
+
+
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_bad_input_exits_with_one_error_line(case, fault_inputs, replay_out, tmp_path, capsys):
+    command, name, damage, code = FAULTS[case]
+    out = tmp_path / "out"
+    root = fault_inputs
+    if command == "report":
+        root = tmp_path / "run"
+        shutil.copytree(replay_out, root)
+    damage(root / name)
+    argv = {
+        "run": ["run", "--config", str(fault_inputs / "config.json"), "--out", str(out)],
+        "replay": ["replay", "--fixture", str(fault_inputs / "fixture.jsonl"), "--out", str(out)],
+        "validate": ["replay", "--fixture", str(fault_inputs / "fixture.jsonl"), "--validate-only"],
+        "report": ["report", "--in", str(root)],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert str(root / name) in err
+    assert not out.exists()  # inputs are loaded before the run directory is made
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])

@@ -163,10 +163,6 @@ class TestLoadPool:
         ids_b = [w.window_id for w in pool_b.windows(Dataset.XGUARD, "b1")]
         assert ids_a == ids_b
 
-    def test_longest_window(self, tmp_path):
-        pool = make_pool(tmp_path, {"IF": {"b1": [10, 99, 45]}})
-        assert pool.longest_window == 99
-
 
 class TestSharedTags:
     LAYOUT = {

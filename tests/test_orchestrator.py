@@ -6,6 +6,7 @@ import pytest
 
 from mixsearch.errors import ConfigError, DataError
 from mixsearch.fixtures import default_fixture_path
+from mixsearch import orchestrator
 from mixsearch.orchestrator import LoopConfig, RunDirectory, report, run
 
 from conftest import (
@@ -58,6 +59,13 @@ class TestLoopConfig:
     def test_unknown_backend_kind(self):
         with pytest.raises(ConfigError, match="unknown backend kind 'quantum'"):
             LoopConfig.from_json({"backend": {"kind": "quantum"}})
+
+    @pytest.mark.parametrize(
+        "eval_sets", [{"SAFE": "eval_safe.jsonl"}, [None, "eval_if.jsonl"], "eval_if.jsonl"]
+    )
+    def test_eval_sets_must_be_a_list_of_paths(self, eval_sets):
+        with pytest.raises(ConfigError, match="eval_sets"):
+            LoopConfig.from_json({"backend": {"kind": "replay"}, "eval_sets": eval_sets})
 
     def test_from_file_missing(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -151,7 +159,7 @@ class TestSimulateRun:
     def test_round_artifacts_complete(self, tmp_path):
         config = simulate_config(tmp_path / "in", rounds=1)
         run_directory = run(config, tmp_path / "out")
-        round_dir = run_directory.round_dir(0)
+        round_dir = run_directory.path / "round-000"
         for name in (
             "action.json",
             "manifest.jsonl",
@@ -204,6 +212,36 @@ class TestSimulateRun:
         fresh_tree = tree_bytes(fresh.path, exclude=("run_meta.json", "config.json"))
         assert resumed_tree == fresh_tree
 
+    @pytest.mark.parametrize("killed_write", [0, 2])
+    def test_resume_after_a_kill_mid_cursor_write(self, tmp_path, monkeypatch, killed_write):
+        """A kill partway through writing the cursor loses at most the
+        point being recorded: the resumed run has the uninterrupted bytes."""
+
+        class Killed(BaseException):
+            pass
+
+        config = simulate_config(tmp_path / "in", rounds=3, seed=3)
+        fresh = run(config, tmp_path / "fresh")
+        cursor_writes = []
+        write_json = orchestrator._write_json
+
+        def killed_mid_write(path, obj):
+            if path.name.startswith("cursor"):
+                cursor_writes.append(path)
+                if len(cursor_writes) == killed_write + 1:
+                    text = json.dumps(obj, indent=2) + "\n"
+                    path.write_text(text[: len(text) // 2], encoding="utf-8")
+                    raise Killed
+            write_json(path, obj)
+
+        monkeypatch.setattr(orchestrator, "_write_json", killed_mid_write)
+        with pytest.raises(Killed):
+            run(config, tmp_path / "out")
+        monkeypatch.undo()
+        resumed = run(config, tmp_path / "out")
+        assert tree_bytes(resumed.path) == tree_bytes(fresh.path)
+        assert not list(resumed.path.glob("*.tmp"))
+
     def test_resume_rejects_a_different_config(self, tmp_path):
         config = simulate_config(tmp_path / "in", rounds=1, seed=3)
         out = tmp_path / "out"
@@ -235,6 +273,6 @@ class TestRunDirectory:
     def test_missing_artifacts_reported(self, tmp_path):
         empty = RunDirectory(tmp_path)
         with pytest.raises(DataError, match="archive.jsonl"):
-            empty.archive_rows()
+            empty.frontier()
         with pytest.raises(DataError, match="cursor.json"):
             empty.completed_rounds()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mixsearch.errors import ConfigError
 from mixsearch.profiles import FailureProfile, MetricVector
-from mixsearch.proposer import PolicyConfig, RoundHistory, RoundRecord, propose, propose_explained
+from mixsearch.proposer import PolicyConfig, RoundHistory, RoundRecord, propose_explained
 from mixsearch.records import Dataset, Dimension
 from mixsearch.sampler import DataAction
 
@@ -72,7 +72,7 @@ class TestHistory:
 
     def test_empty_history_cannot_propose(self):
         with pytest.raises(ValueError, match="empty history"):
-            propose(RoundHistory(base_metric=AT_TARGET), PolicyConfig())
+            propose_explained(RoundHistory(base_metric=AT_TARGET), PolicyConfig())
 
 
 class TestPolicyConfig:
@@ -283,7 +283,7 @@ class TestFocusRefresh:
                 (
                     action(
                         (0.5, 0.3, 0.2),
-                        focus=propose(
+                        focus=propose_explained(
                             history(
                                 AT_TARGET,
                                 [
@@ -295,7 +295,7 @@ class TestFocusRefresh:
                                 ],
                             ),
                             PolicyConfig(),
-                        ).focus_criteria,
+                        )[0].focus_criteria,
                     ),
                     metric(3.5, 4.6, 4.6),
                     self._failing(),
@@ -334,8 +334,8 @@ class TestDeterminismAndInvariants:
         )
 
     def test_identical_histories_identical_actions(self):
-        first = propose(self._example(), PolicyConfig())
-        second = propose(self._example(), PolicyConfig())
+        first = propose_explained(self._example(), PolicyConfig())[0]
+        second = propose_explained(self._example(), PolicyConfig())[0]
         assert first == second
 
     def test_rationale_narrates_every_stage(self):
@@ -369,7 +369,7 @@ class TestDeterminismAndInvariants:
                 (action(second), metric(*m2), []),
             ],
         )
-        proposed = propose(built, PolicyConfig())
+        proposed = propose_explained(built, PolicyConfig())[0]
         assert math.fsum(proposed.dataset_mixture) == pytest.approx(1.0)
         for share in proposed.dataset_mixture:
             assert share >= floor - 1e-9

@@ -9,7 +9,7 @@ from scipy import stats
 
 from mixsearch.errors import ConfigError
 from mixsearch.oracles.draw_enum import draw as oracle_draw
-from mixsearch.records import Dataset
+from mixsearch.records import Dataset, read_json
 from mixsearch.sampler import (
     DataAction,
     FocusCriterion,
@@ -19,7 +19,8 @@ from mixsearch.sampler import (
     uniform_bucket_weights,
     bucket_key_str,
     parse_bucket_key,
-    read_manifest_entries,
+    ManifestEntry,
+    SampleManifest,
     write_manifest,
 )
 
@@ -527,9 +528,24 @@ class TestManifest:
         assert summary["stop_reason"] == "budget"
         assert set(summary["distribution"]) == {"XGUARD/b", "ORBENCH/b", "IF/b"}
 
-    def test_total_above_budget_rejected(self):
-        from mixsearch.sampler import ManifestEntry, SampleManifest
+    def test_summary_counts_rejections_and_lists_the_first_ten(self):
+        rejections = tuple((f"w{i}", "budget" if i == 24 else "cap") for i in range(25))
+        manifest = SampleManifest(
+            entries=(),
+            total_tokens=0,
+            budget_tokens=100,
+            seed=0,
+            distribution={},
+            rejections=rejections,
+        )
+        summary = manifest.summary()
+        assert summary["rejection_counts"] == {"budget": 1, "cap": 24}
+        assert summary["first_rejections"] == [
+            {"window_id": f"w{i}", "reason": "cap"} for i in range(10)
+        ]
+        assert "rejections" not in summary
 
+    def test_total_above_budget_rejected(self):
         entry = ManifestEntry("w", Dataset.XGUARD, "b", 50)
         with pytest.raises(ValueError, match="exceeds budget"):
             SampleManifest(
@@ -541,7 +557,13 @@ class TestManifest:
         manifest = draw_budgeted(distribution, flat_pool, budget_tokens=100, seed=2)
         path = tmp_path / "manifest.jsonl"
         write_manifest(path, manifest)
-        assert tuple(read_manifest_entries(path)) == manifest.entries
+        entries = read_json(
+            path,
+            lambda rows: [ManifestEntry.from_json(row) for row in rows],
+            lines=True,
+            what="manifest",
+        )
+        assert tuple(entries) == manifest.entries
 
     def test_bucket_key_string_roundtrip(self):
         key = (Dataset.ORBENCH, "edge_cases")
