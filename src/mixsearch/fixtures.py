@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FixtureError
+from .errors import FixtureError, ReplayGapError
 from .pareto import ParetoArchive
 from .profiles import MetricVector
 from .records import read_json
@@ -62,17 +62,11 @@ class ReplayFixture:
             if row.round_index == round_index:
                 return row
         label = "base" if round_index == -1 else str(round_index)
-        raise _gap_error(label)
+        raise ReplayGapError(f"replay fixture has no row for round {label!r}")
 
     @property
     def round_count(self) -> int:
         return sum(1 for row in self.rows if row.label != "base")
-
-
-def _gap_error(label: str):
-    from .errors import ReplayGapError
-
-    return ReplayGapError(f"replay fixture has no row for round {label!r}")
 
 
 def load_replay_fixture(path: Path | str) -> ReplayFixture:

@@ -1,9 +1,10 @@
 """Closed-loop driver: evaluate the base point, then run fixed-budget
 rounds of act, draw, evaluate, profile, archive.
 
-Every round is written to its own directory before the round cursor
-advances, so a killed process leaves completed rounds readable and a
-rerun with the same output directory continues instead of starting
+Each point (the base or a round) is written to ``<name>.tmp/`` and
+renamed into place, so its committed directory, the run's only record
+of progress, is whole: a killed process leaves completed points readable
+and a rerun with the same output directory continues instead of starting
 over.  All randomness flows from one master seed through named child
 seeds, and no artifact except ``run_meta.json`` contains a timestamp,
 so two runs with the same config and seed are byte-identical.
@@ -13,9 +14,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
+import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -190,19 +193,22 @@ class RunDirectory:
         return read_json(self.path / name, build, lines=lines, what="run artifact")
 
     def round_indices(self) -> list[int]:
+        """Indices of the committed ``round-NNN/`` directories, the
+        completed rounds; a gap in them is a ``DataError``."""
         if not self.path.is_dir():
             raise DataError(f"run directory {self.path} does not exist")
         indices = []
-        for entry in sorted(self.path.iterdir()):
+        for entry in self.path.iterdir():
             if entry.is_dir() and entry.name.startswith("round-"):
                 try:
                     indices.append(int(entry.name.split("-", 1)[1]))
                 except ValueError:
-                    continue
-        return sorted(indices)
-
-    def completed_rounds(self) -> int:
-        return self.read("cursor.json", lambda cursor: int(cursor["next_round"]))
+                    continue  # not a committed round, e.g. round-002.tmp
+        indices.sort()
+        for expected, index in enumerate(indices):
+            if index != expected:
+                raise DataError(f"run directory {self.path} lacks {round_dir_name(expected)}/")
+        return indices
 
     def load_round_metric(self, index: int) -> MetricVector:
         return self.read(f"{round_dir_name(index)}/metric.json", MetricVector.from_json)
@@ -265,14 +271,6 @@ def _final_frontier(rows: list[dict]) -> list[tuple[str, MetricVector]]:
 
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
-def _write_cursor(path: Path, cursor: dict) -> None:
-    """Write the cursor to a temp file and rename it into place, so a
-    kill mid-write leaves the previous cursor whole."""
-    temp = path.with_name(path.name + ".tmp")
-    _write_json(temp, cursor)
-    os.replace(temp, path)
 
 
 def _digest_file(path: Path) -> str:
@@ -361,31 +359,38 @@ def _evaluate(
     directory: Path,
     request: BackendRequest,
     seeds: dict[str, int],
+    action_json: dict | None = None,
 ) -> tuple[MetricVector, list[FailureProfile], InsertVerdict]:
-    """Evaluate one point (the base or a round) and write its artifacts.
+    """Evaluate one point (the base or a round) and commit its directory.
 
     Runs the backend, profiles the records, inserts the point into the
     archive, then writes the request's manifest and summary (when it has
-    a manifest), the records, metric, profiles and archive snapshot.
+    a manifest), the records, metric, profiles and ``action_json`` (for a
+    round) into a fresh ``<directory>.tmp/`` and renames it to ``directory``.
     """
     records = runtime.backend.run_round(request)
     metric = metric_vector(records)
     profiles = build_failure_profiles(records, runtime.config.fail_threshold)
     verdict = archive.insert(label, metric)
-    directory.mkdir(parents=True, exist_ok=True)
+    temp = directory.with_name(directory.name + ".tmp")
+    if temp.exists():
+        shutil.rmtree(temp)
+    temp.mkdir()
     if request.manifest is not None:
-        write_manifest(directory / "manifest.jsonl", request.manifest)
+        write_manifest(temp / "manifest.jsonl", request.manifest)
         summary = request.manifest.summary()
-        summary["manifest_digest"] = _digest_file(directory / "manifest.jsonl")
-        _write_json(directory / "manifest_summary.json", summary)
-    write_records(directory / "records.jsonl", records)
+        summary["manifest_digest"] = _digest_file(temp / "manifest.jsonl")
+        _write_json(temp / "manifest_summary.json", summary)
+    write_records(temp / "records.jsonl", records)
     _write_json(
-        directory / "metric.json",
+        temp / "metric.json",
         dict(metric.to_json(), weighted=weighted_means(records), seeds=seeds,
              verdict=verdict.status, replaced=list(verdict.replaced)),
     )
-    dump_jsonl(directory / "profiles.jsonl", (profile.to_json() for profile in profiles))
-    dump_jsonl(directory / "archive.jsonl", archive.snapshot_rows())
+    dump_jsonl(temp / "profiles.jsonl", (profile.to_json() for profile in profiles))
+    if action_json is not None:
+        _write_json(temp / "action.json", action_json)
+    os.replace(temp, directory)
     return metric, profiles, verdict
 
 
@@ -403,12 +408,12 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     draws = runtime.pool is not None and runtime.fixture is None
 
     normalized = config.normalized()
-    cursor_path = out / "cursor.json"
     archive = ParetoArchive()
     history = RoundHistory(bucket_slices=runtime.bucket_slices)
     run_dir = RunDirectory(out)
+    completed = run_dir.round_indices()
 
-    if cursor_path.exists():
+    if (out / BASE_LABEL).is_dir():
         ours, theirs = dict(normalized), run_dir.read("config.json", dict)
         ours.pop("rounds"), theirs.pop("rounds", None)
         if ours != theirs:
@@ -416,10 +421,9 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 f"run directory {out} was produced by a different config; "
                 "refusing to mix trajectories"
             )
-        next_round = run_dir.completed_rounds()
         history.base_metric = run_dir.load_base_metric()
         archive.insert(BASE_LABEL, history.base_metric)
-        for index in range(next_round):
+        for index in completed:
             if draws:
                 run_dir.check_manifest(index)
             action, _, _ = run_dir.load_round_action(index)
@@ -428,7 +432,9 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
             history.append(
                 RoundRecord(index, action, metric, tuple(run_dir.load_round_profiles(index)))
             )
-        log.info("resuming run at round %d", next_round)
+        log.info("resuming run at round %d", len(completed))
+    elif completed:
+        raise DataError(f"run directory {out} has round directories but no {BASE_LABEL}/")
     else:
         _write_json(out / "config.json", normalized)
         _write_json(
@@ -453,11 +459,9 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
             ),
             {"backend": base_seed},
         )
-        next_round = 0
-        _write_cursor(cursor_path, {"next_round": 0, "completed": False})
         log.info("base point evaluated: %s", format(history.base_metric, ".4f"))
 
-    for index in range(next_round, rounds):
+    for index in range(len(completed), rounds):
         action, rationale, source = _round_action(runtime, history, index)
         draw_seed = child_seed(config.master_seed, "round", index, "draw")
         backend_seed = child_seed(config.master_seed, "round", index, "backend")
@@ -471,12 +475,11 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 draw_seed,
                 focus=action.focus_criteria,
             )
-        directory = out / round_dir_name(index)
         metric, profiles, verdict = _evaluate(
             runtime,
             archive,
             round_label(index),
-            directory,
+            out / round_dir_name(index),
             BackendRequest(
                 round_index=index,
                 action=action,
@@ -485,13 +488,9 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 seed=backend_seed,
             ),
             {"draw": draw_seed, "backend": backend_seed},
-        )
-        _write_json(
-            directory / "action.json",
             {"action": action.to_json(), "rationale": rationale, "source": source},
         )
         history.append(RoundRecord(index, action, metric, tuple(profiles)))
-        _write_cursor(cursor_path, {"next_round": index + 1, "completed": index + 1 >= rounds})
         log.info(
             "round %d (%s): metric %s, archive verdict %s",
             index,
@@ -542,26 +541,16 @@ def _micro_flags(actions: list[tuple[int, DataAction]]) -> tuple[set[int], list[
     weights or focus criteria changed, grouped for the report."""
     flagged: set[int] = set()
     lines: list[str] = []
-    position = 0
-    while position < len(actions):
-        group = [actions[position]]
-        while (
-            position + len(group) < len(actions)
-            and _mixture_signature(actions[position + len(group)][1])
-            == _mixture_signature(group[0][1])
-        ):
-            group.append(actions[position + len(group)])
-        if len(group) > 1:
-            signatures = {_micro_signature(action) for _, action in group}
-            if len(signatures) > 1:
-                indices = [index for index, _ in group]
-                flagged.update(indices)
-                lines.append(
-                    f"rounds {indices[0]}-{indices[-1]} share mixture "
-                    f"{_mixture_text(group[0][1])} but differ in bucket weights or focus "
-                    "criteria (micro-only changes)"
-                )
-        position += len(group)
+    for _, grouped in itertools.groupby(actions, key=lambda item: _mixture_signature(item[1])):
+        group = list(grouped)
+        if len({_micro_signature(action) for _, action in group}) > 1:
+            indices = [index for index, _ in group]
+            flagged.update(indices)
+            lines.append(
+                f"rounds {indices[0]}-{indices[-1]} share mixture "
+                f"{_mixture_text(group[0][1])} but differ in bucket weights or focus "
+                "criteria (micro-only changes)"
+            )
     return flagged, lines
 
 

@@ -397,12 +397,33 @@ class SliceTaxonomy:
     and an optional per-slice weight map.
     """
 
+    # The level axes ``slice_fields`` grades each dataset on.
+    _AXES = {
+        Dataset.XGUARD: ("pressure", "concealment"),
+        Dataset.ORBENCH: ("proximity",),
+        Dataset.IF: ("complexity",),
+    }
+
     def __init__(self, spec: dict) -> None:
         for dataset in Dataset:
             if dataset.value not in spec:
                 raise SchemaError(f"taxonomy missing dataset {dataset.value}")
-            if not isinstance(spec[dataset.value], dict):
+            section = spec[dataset.value]
+            if not isinstance(section, dict):
                 raise SchemaError(f"taxonomy section {dataset.value} is not an object")
+            levels = section.get("levels", {})
+            lists = {k: section.get(k, []) for k in ("required_tags", "categories", "families")}
+            lists.update((f"levels.{axis}", levels.get(axis)) for axis in self._AXES[dataset])
+            for key, value in lists.items():
+                if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+                    raise SchemaError(f"taxonomy {dataset.value}.{key} is not a list of strings")
+            default = section.get("default_weight", 1)
+            for key, value in [*section.get("weights", {}).items(), ("default_weight", default)]:
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                    raise SchemaError(f"taxonomy {dataset.value} weight {key} is not a number > 0")
+            # A sample's complexity is the pressure level at the higher of its two grades.
+            if dataset is Dataset.XGUARD and len(levels["pressure"]) != len(levels["concealment"]):
+                raise SchemaError("taxonomy XGUARD pressure and concealment differ in length")
         self._spec = spec
 
     @staticmethod

@@ -34,13 +34,6 @@ def bucket_key_str(key: BucketKey) -> str:
     return f"{key[0].value}/{key[1]}"
 
 
-def parse_bucket_key(text: str) -> BucketKey:
-    dataset, sep, bucket = text.partition("/")
-    if not sep:
-        raise ValueError(f"malformed bucket key {text!r}")
-    return (Dataset(dataset), bucket)
-
-
 @dataclass(frozen=True)
 class TagTest:
     """One predicate clause over a window's tags."""

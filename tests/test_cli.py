@@ -119,7 +119,9 @@ DAMAGE = {
         ["report", "--in"],
         lambda run: _truncate(run / "round-001" / "metric.json"),
     ),
-    "truncated-cursor": (["replay", "--out"], lambda run: _truncate(run / "cursor.json")),
+    "truncated-config": (["replay", "--out"], lambda run: _truncate(run / "config.json")),
+    "missing-base": (["replay", "--out"], lambda run: shutil.rmtree(run / "base")),
+    "round-gap": (["report", "--in"], lambda run: shutil.rmtree(run / "round-002")),
     "non-json-archive": (
         ["pareto", "--in"],
         lambda run: (run / "archive.jsonl").write_text("not json\n", encoding="utf-8"),
@@ -237,6 +239,61 @@ FAULTS = {
     "taxonomy-list": ("run", "taxonomy.json", _edit_document(lambda obj: list(obj)), 3),
     "taxonomy-section-list": (
         "run", "taxonomy.json", _edit_document(lambda obj: _set(obj, "IF", value=[])), 3
+    ),
+    "taxonomy-level-number": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "XGUARD", "levels", "pressure", value=5)),
+        3,
+    ),
+    "taxonomy-missing-axis": (
+        "run",
+        "taxonomy.json",
+        _edit_document(
+            lambda obj: _set(obj, "XGUARD", "levels", value={"pressure": ["LOW", "MED", "HIGH"]})
+        ),
+        3,
+    ),
+    "taxonomy-concealment-longer-than-pressure": (
+        "run",
+        "taxonomy.json",
+        _edit_document(
+            lambda obj: _set(
+                obj,
+                "XGUARD",
+                "levels",
+                "concealment",
+                value=["CLEAR", "NONE", "OBFUSCATED", "NESTED"],
+            )
+        ),
+        3,
+    ),
+    "taxonomy-required-tags-number": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "IF", "required_tags", value=5)),
+        3,
+    ),
+    "taxonomy-families-number": (
+        "run", "taxonomy.json", _edit_document(lambda obj: _set(obj, "IF", "families", value=5)), 3
+    ),
+    "taxonomy-weight-string": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "XGUARD", "weights", "complexity=HIGH", value="x")),
+        3,
+    ),
+    "taxonomy-default-weight-string": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "IF", "default_weight", value="x")),
+        3,
+    ),
+    "taxonomy-weight-zero": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "IF", "default_weight", value=0)),
+        3,
     ),
     "fixture-directory": ("replay", "fixture.jsonl", _make_directory, 3),
     "fixture-not-utf8": ("replay", "fixture.jsonl", _not_utf8, 3),

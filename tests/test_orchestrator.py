@@ -1,13 +1,22 @@
 """Closed-loop orchestrator: runs, resume, artifacts, and reports."""
+import builtins
 import dataclasses
+import io
 import json
+import os
 
 import pytest
 
 from mixsearch.errors import ConfigError, DataError
-from mixsearch.fixtures import default_fixture_path
-from mixsearch import orchestrator
-from mixsearch.orchestrator import LoopConfig, RunDirectory, report, run
+from mixsearch.fixtures import demo_config_path
+from mixsearch.orchestrator import (
+    BASE_LABEL,
+    LoopConfig,
+    RunDirectory,
+    report,
+    round_dir_name,
+    run,
+)
 
 from conftest import (
     REPLAY_FRONTIER,
@@ -139,8 +148,10 @@ class TestReplayRun:
             report(run_dir, fmt="pdf")
 
     def test_cursor_marks_completion(self, run_dir):
-        cursor = json.loads((run_dir.path / "cursor.json").read_text("utf-8"))
-        assert cursor == {"next_round": 5, "completed": True}
+        # The committed round directories are the run's only record of progress.
+        assert not (run_dir.path / "cursor.json").exists()
+        assert not list(run_dir.path.rglob("*.tmp"))
+        assert run_dir.round_indices() == [0, 1, 2, 3, 4]
 
     def test_round_directories_zero_padded(self, run_dir):
         names = sorted(p.name for p in run_dir.path.iterdir() if p.name.startswith("round-"))
@@ -167,9 +178,9 @@ class TestSimulateRun:
             "records.jsonl",
             "metric.json",
             "profiles.jsonl",
-            "archive.jsonl",
         ):
             assert (round_dir / name).exists(), name
+        assert not (round_dir / "archive.jsonl").exists()
         summary = json.loads((round_dir / "manifest_summary.json").read_text("utf-8"))
         assert summary["total_tokens"] <= config.budget_tokens
         assert summary["manifest_digest"]
@@ -202,8 +213,7 @@ class TestSimulateRun:
         # Stop after two rounds, then rerun asking for four.
         partial = simulate_config(tmp_path / "in", rounds=2, seed=3)
         out = tmp_path / "out"
-        run(partial, out)
-        assert json.loads((out / "cursor.json").read_text("utf-8"))["next_round"] == 2
+        assert run(partial, out).round_indices() == [0, 1]
 
         full_config = simulate_config(tmp_path / "in2", rounds=4, seed=3)
         resumed = run(dataclasses.replace(partial, rounds=4), out)
@@ -211,36 +221,6 @@ class TestSimulateRun:
         resumed_tree = tree_bytes(resumed.path, exclude=("run_meta.json", "config.json"))
         fresh_tree = tree_bytes(fresh.path, exclude=("run_meta.json", "config.json"))
         assert resumed_tree == fresh_tree
-
-    @pytest.mark.parametrize("killed_write", [0, 2])
-    def test_resume_after_a_kill_mid_cursor_write(self, tmp_path, monkeypatch, killed_write):
-        """A kill partway through writing the cursor loses at most the
-        point being recorded: the resumed run has the uninterrupted bytes."""
-
-        class Killed(BaseException):
-            pass
-
-        config = simulate_config(tmp_path / "in", rounds=3, seed=3)
-        fresh = run(config, tmp_path / "fresh")
-        cursor_writes = []
-        write_json = orchestrator._write_json
-
-        def killed_mid_write(path, obj):
-            if path.name.startswith("cursor"):
-                cursor_writes.append(path)
-                if len(cursor_writes) == killed_write + 1:
-                    text = json.dumps(obj, indent=2) + "\n"
-                    path.write_text(text[: len(text) // 2], encoding="utf-8")
-                    raise Killed
-            write_json(path, obj)
-
-        monkeypatch.setattr(orchestrator, "_write_json", killed_mid_write)
-        with pytest.raises(Killed):
-            run(config, tmp_path / "out")
-        monkeypatch.undo()
-        resumed = run(config, tmp_path / "out")
-        assert tree_bytes(resumed.path) == tree_bytes(fresh.path)
-        assert not list(resumed.path.glob("*.tmp"))
 
     def test_resume_rejects_a_different_config(self, tmp_path):
         config = simulate_config(tmp_path / "in", rounds=1, seed=3)
@@ -269,10 +249,113 @@ class TestSimulateRun:
             run(config, tmp_path / "out")
 
 
+class Killed(BaseException):
+    """Stands for a kill: no handler in the package catches it."""
+
+
+def _kill_at(monkeypatch, out, kill_at):
+    """Count the write points of a run into ``out``, each file opened for
+    writing and each rename, and kill the run at point ``kill_at`` (never
+    when it is None): that file is cut off halfway when it is closed, or
+    that rename is not made.  Returns the list of points passed."""
+    points = []
+    real_open, real_replace = io.open, os.replace
+
+    def reached(path):
+        points.append(str(path))
+        return len(points) - 1 == kill_at
+
+    class CutOff:
+        def __init__(self, handle, path):
+            self.handle, self.path = handle, path
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.close()
+
+        def close(self):
+            self.handle.close()
+            with real_open(self.path, "r+b") as handle:
+                handle.truncate(os.path.getsize(self.path) // 2)
+            raise Killed
+
+    def open_(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and str(file).startswith(str(out)) and reached(file):
+            return CutOff(handle, file)
+        return handle
+
+    def replace(src, dst):
+        if reached(dst):
+            raise Killed
+        real_replace(src, dst)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
+    monkeypatch.setattr(os, "replace", replace)
+    return points
+
+
+# run -> its write points: the config, run_meta.json, each point's files and
+# rename, archive.jsonl and the four report files
+WRITE_POINTS = {"demo": 25, "replay": 36}
+
+
+def _kill_config(kind):
+    if kind == "demo":
+        return dataclasses.replace(LoopConfig.from_file(demo_config_path()), rounds=2)
+    return replay_config()
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    trees = {}
+    for kind, count in WRITE_POINTS.items():
+        out = tmp_path_factory.mktemp(f"uninterrupted-{kind}")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            points = _kill_at(monkeypatch, out, None)
+            run(_kill_config(kind), out)
+        assert len(points) == count, points
+        trees[kind] = tree_bytes(out)
+    return trees
+
+
+@pytest.mark.parametrize(
+    "kind,kill_at", [(kind, k) for kind, count in WRITE_POINTS.items() for k in range(count)]
+)
+def test_resume_after_a_kill_at_any_write_point(
+    kind, kill_at, uninterrupted, tmp_path, monkeypatch
+):
+    """A kill at any write point leaves only whole committed points, and
+    the resumed run has the bytes of an uninterrupted one."""
+    config, out = _kill_config(kind), tmp_path / "out"
+    _kill_at(monkeypatch, out, kill_at)
+    with pytest.raises(Killed):
+        run(config, out)
+    monkeypatch.undo()
+
+    expected = uninterrupted[kind]
+    committed = [round_dir_name(index) for index in RunDirectory(out).round_indices()]
+    if (out / BASE_LABEL).is_dir():
+        committed.append(BASE_LABEL)
+    for name in committed:
+        files = {f"{name}/{key}": data for key, data in tree_bytes(out / name).items()}
+        assert files == {key: data for key, data in expected.items() if key.startswith(name + "/")}
+
+    run(config, out)
+    assert tree_bytes(out) == expected
+    assert not list(out.rglob("*.tmp"))
+
+
 class TestRunDirectory:
     def test_missing_artifacts_reported(self, tmp_path):
         empty = RunDirectory(tmp_path)
         with pytest.raises(DataError, match="archive.jsonl"):
             empty.frontier()
-        with pytest.raises(DataError, match="cursor.json"):
-            empty.completed_rounds()
+        with pytest.raises(DataError, match="base/metric.json"):
+            empty.load_base_metric()

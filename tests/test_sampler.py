@@ -17,8 +17,6 @@ from mixsearch.sampler import (
     draw_budgeted,
     effective_distribution,
     uniform_bucket_weights,
-    bucket_key_str,
-    parse_bucket_key,
     ManifestEntry,
     SampleManifest,
     write_manifest,
@@ -564,9 +562,3 @@ class TestManifest:
             what="manifest",
         )
         assert tuple(entries) == manifest.entries
-
-    def test_bucket_key_string_roundtrip(self):
-        key = (Dataset.ORBENCH, "edge_cases")
-        assert parse_bucket_key(bucket_key_str(key)) == key
-        with pytest.raises(ValueError):
-            parse_bucket_key("no-separator")
