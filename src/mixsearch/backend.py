@@ -11,14 +11,17 @@ fine-tuning driver and is interface-only here.
 Synthesized records are scored like real ones: the backend picks a
 check vector whose layer-1 score is the target score, and the rubric
 assigns the state and the score from those checks.  A score of exactly
-1 always carries a floor state and a floor-check failure.
+1 always carries a floor state and a floor-check failure.  Within one
+round each distinct (dimension, score, validity) is scored once, and
+the samples that share it get copies of that record with their own
+fields.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol
 
 from .errors import BackendError, ConfigError
 from .fixtures import FixtureRow, ReplayFixture, validate_fixture
@@ -116,6 +119,56 @@ def synthetic_checks(dimension: Dimension, score: float) -> AtomicCheckVector:
         _failed(failing, 5 * SCALE - ticks),
     )
     return AtomicCheckVector(dimension, checks[:-2] + soft)
+
+
+def _record_builder() -> Callable[..., SampleRecord]:
+    """A record maker for one ``run_round`` call.
+
+    Each distinct ``(dimension, score, valid)`` is scored once, by
+    ``scored_record(synthetic_checks(dimension, score), ...)``; every
+    later sample with that key gets a copy of that record carrying its
+    own id, slice, weight and invalid reason.  The cache lives only as
+    long as the maker, so no call can reuse another's work.
+    """
+    templates: dict[tuple[Dimension, float, bool], SampleRecord] = {}
+
+    def record(
+        dimension: Dimension,
+        score: float,
+        *,
+        sample_id: str,
+        valid: bool,
+        slice_label: str,
+        weight: float,
+        invalid_reason: str | None = None,
+    ) -> SampleRecord:
+        key = (dimension, score, valid)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = scored_record(
+                synthetic_checks(dimension, score),
+                sample_id=sample_id,
+                valid=valid,
+                slice_label=slice_label,
+                weight=weight,
+                invalid_reason=invalid_reason,
+                synthetic=True,
+            )
+            return template
+        return SampleRecord(
+            sample_id=sample_id,
+            dimension=dimension,
+            valid=valid,
+            slice_label=slice_label,
+            weight=weight,
+            checks=template.checks,
+            l2_state=template.l2_state,
+            score=template.score,
+            invalid_reason=invalid_reason,
+            synthetic=True,
+        )
+
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +307,7 @@ class SimulatorBackend:
         )
         means = self.dimension_means(shares)
         sigma = self.params.noise_sigma
+        record = _record_builder()
         records = []
         for dimension in DIMENSION_ORDER:
             slice_noise: dict[str, float] = {}  # one draw per slice per round
@@ -267,16 +321,15 @@ class SimulatorBackend:
                     child_seed(request.seed, "sample", dimension.value, annotation.sample_id)
                 )
                 raw = means[dimension] + noise + sample_rng.gauss(0.0, sigma)
-                score = round(_clip(raw), 4)
                 records.append(
-                    scored_record(
-                        synthetic_checks(dimension, score),
+                    record(
+                        dimension,
+                        round(_clip(raw), 4),
                         sample_id=annotation.sample_id,
                         valid=annotation.valid,
                         slice_label=annotation.slice_label,
                         weight=annotation.weight,
                         invalid_reason=annotation.reason,
-                        synthetic=True,
                     )
                 )
         return records
@@ -334,6 +387,7 @@ class ReplayBackend:
         return self._records_for(row)
 
     def _records_for(self, row: FixtureRow) -> list[SampleRecord]:
+        record = _record_builder()
         records = []
         for dimension in DIMENSION_ORDER:
             mean = row.metrics.get(dimension)
@@ -341,13 +395,13 @@ class ReplayBackend:
             scores = _spread_scores(mean, REPLAY_SAMPLES_PER_DIMENSION)
             for index, score in enumerate(scores):
                 records.append(
-                    scored_record(
-                        synthetic_checks(dimension, score),
+                    record(
+                        dimension,
+                        score,
                         sample_id=f"replay-{row.label}-{dimension.value}-{index:03d}",
                         valid=True,
                         slice_label=slices[index % len(slices)],
                         weight=1.0,
-                        synthetic=True,
                     )
                 )
         return records

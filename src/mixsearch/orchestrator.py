@@ -7,11 +7,23 @@ of progress, is whole: a killed process leaves completed points readable
 and a rerun with the same output directory continues instead of starting
 over.  All randomness flows from one master seed through named child
 seeds, and no artifact except ``run_meta.json`` contains a timestamp,
-so two runs with the same config and seed are byte-identical.
+so two runs with the same config and seed are byte-identical.  A run
+with a point left to evaluate removes the archive and report files
+first, so they never describe fewer points than are committed.
+
+The inputs ``run`` loads (the pool's windows and the annotated eval
+sets, some 200k objects at scale) are read-only for the whole run, so
+it moves them into the GC's permanent generation with ``gc.freeze()``:
+each full collection a round's allocations trigger then skips them
+instead of rescanning them.  ``run`` unfreezes the heap however it
+ends, so the objects become collectable again once the caller drops
+them, and a process that runs many commands does not pile frozen heap
+up across them.
 """
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -396,8 +408,21 @@ def _evaluate(
 
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     """Execute (or resume) a full search run into ``out_dir``."""
-    out = Path(out_dir)
     runtime = _load_runtime(config)
+    # Freeze the loaded inputs (see the module docstring), unless a caller
+    # already froze its heap: unfreezing would thaw that too.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _run(runtime, Path(out_dir))
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _run(runtime: _Runtime, out: Path) -> RunDirectory:
+    config = runtime.config
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -413,7 +438,8 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     run_dir = RunDirectory(out)
     completed = run_dir.round_indices()
 
-    if (out / BASE_LABEL).is_dir():
+    resumed = (out / BASE_LABEL).is_dir()
+    if resumed:
         ours, theirs = dict(normalized), run_dir.read("config.json", dict)
         ours.pop("rounds"), theirs.pop("rounds", None)
         if ours != theirs:
@@ -435,7 +461,13 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
         log.info("resuming run at round %d", len(completed))
     elif completed:
         raise DataError(f"run directory {out} has round directories but no {BASE_LABEL}/")
-    else:
+    if not resumed or len(completed) < rounds:
+        # A point is left to evaluate: the archive and reports of the run
+        # so far go before it is committed, so a kill cannot leave them
+        # describing fewer points than are committed.
+        for name in _RUN_SUMMARY_FILES:
+            (out / name).unlink(missing_ok=True)
+    if not resumed:
         _write_json(out / "config.json", normalized)
         _write_json(
             out / "run_meta.json",
@@ -596,6 +628,8 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 
 REPORT_FORMATS = {"text": "report.txt", "csv": "trajectory.csv"}
+# What ``run()`` writes after its last point: the archive log and ``report(fmt=None)``'s files.
+_RUN_SUMMARY_FILES = ("archive.jsonl", "report.txt", "trajectory.csv", "archive.csv", "slices.csv")
 
 
 def report(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -213,8 +214,67 @@ def dump_jsonl(path: Path, rows: Iterable[dict]) -> None:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+# What ``json.dumps(..., ensure_ascii=False)`` encodes each string with.
+_encode_str = json.encoder.encode_basestring
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _record_lines(records: Iterable[SampleRecord]) -> Iterable[str]:
+    """``json.dumps(record.to_json(), ensure_ascii=False) + "\n"`` for each
+    record, byte for byte.
+
+    The part of a line that records with one score share (the dimension,
+    the checks, the state, the score and the constant keys) is encoded
+    once per checks tuple, state, score, dimension and ``synthetic``;
+    each record's own id, validity, slice, weight and invalid reason are
+    spliced into it.  A record with a value outside that fast path (a
+    non-finite or non-float weight, a non-float score, a string field
+    that is not a ``str``, a flag that is not a ``bool``) is encoded by
+    ``json.dumps`` itself.  ``test_records.py`` holds the property test
+    of the byte identity.
+    """
+    parts: dict[tuple, tuple] = {}
+    for record in records:
+        weight, reason = record.weight, record.invalid_reason
+        if not (
+            type(weight) is float
+            and math.isfinite(weight)
+            and type(record.score) is float
+            and type(record.sample_id) is str
+            and type(record.slice_label) is str
+            and (reason is None or type(reason) is str)
+            and type(record.valid) is bool
+            and type(record.synthetic) is bool
+        ):
+            yield json.dumps(record.to_json(), ensure_ascii=False) + "\n"
+            continue
+        # The checks tuple is held in the value, so its id is not reused
+        # while the key is cached.
+        key = (id(record.checks), record.l2_state, record.score, record.dimension,
+               record.synthetic)
+        cached = parts.get(key)
+        if cached is None:
+            obj = record.to_json()
+            cached = parts[key] = (
+                record.checks,
+                f', "dimension": {_encode_str(obj["dimension"])}, "valid": ',
+                f', "checks": {json.dumps(obj["checks"], ensure_ascii=False)}, '
+                f'"l2_state": {_encode_str(obj["l2_state"])}, "score": {obj["score"]!r}, '
+                '"invalid_reason": ',
+                f', "synthetic": {_JSON_BOOL[record.synthetic]}}}\n',
+            )
+        _, dimension, middle, tail = cached
+        yield "".join((
+            '{"sample_id": ', _encode_str(record.sample_id), dimension,
+            _JSON_BOOL[record.valid], ', "slice": ', _encode_str(record.slice_label),
+            ', "weight": ', repr(weight), middle,
+            "null" if reason is None else _encode_str(reason), tail,
+        ))
+
+
 def write_records(path: Path, records: Iterable[SampleRecord]) -> None:
-    dump_jsonl(path, (record.to_json() for record in records))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_record_lines(records))
 
 
 def read_json(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mixsearch.backend as backend_module
 from mixsearch.backend import (
     BackendRequest,
     ReplayBackend,
@@ -16,7 +17,7 @@ from mixsearch.backend import (
 from mixsearch.errors import BackendError, ConfigError, ReplayGapError
 from mixsearch.fixtures import default_fixture_path, load_replay_fixture
 from mixsearch.profiles import metric_vector
-from mixsearch.records import Dataset, Dimension, L2State
+from mixsearch.records import DIMENSION_FOR_DATASET, Dataset, Dimension, L2State
 from mixsearch.rubric import (
     AtomicCheckVector,
     PromptAnnotation,
@@ -266,6 +267,63 @@ class TestSynthesizedRecords:
         record = synthetic_record(dimension, 5.0)
         assert record.failed_check_ids() == ()
         assert record.synthetic
+
+
+def _unmemoized_builder():
+    """What ``_record_builder`` stands for: every record scored on its own."""
+
+    def record(dimension, score, **fields):
+        return scored_record(synthetic_checks(dimension, score), synthetic=True, **fields)
+
+    return record
+
+
+def _memoized_and_plain(monkeypatch, run_round):
+    memoized = run_round()
+    monkeypatch.setattr(backend_module, "_record_builder", _unmemoized_builder)
+    return memoized, run_round()
+
+
+class TestRecordTemplates:
+    """One scored template per (dimension, score, valid) gives the records
+    that scoring every sample on its own gives."""
+
+    def test_simulated_round_matches_unmemoized_records(self, monkeypatch):
+        sets = {
+            DIMENSION_FOR_DATASET[dataset]: tuple(
+                PromptAnnotation(
+                    sample_id=f"{dataset.value.lower()}-{index}",
+                    dataset=dataset,
+                    valid=index % 3 != 0,
+                    slice_label=f"tier={'abc'[index % 3]}",
+                    weight=(1.0, 2.5)[index % 2],
+                    reason=None if index % 3 else f"unanswerable-{index}",
+                )
+                for index in range(60)
+            )
+            for dataset in Dataset
+        }
+        # Bases on both bounds and narrow noise: scores clip to 1 and 5, and
+        # the unclipped ones repeat.
+        backend = SimulatorBackend(
+            flat_surface(base={"SAFE": 1.0, "BENIGN": 5.0, "IF": 3.0}, noise_sigma=0.0005)
+        )
+        request = request_for(seed=11, sets=sets)
+        memoized, plain = _memoized_and_plain(monkeypatch, lambda: backend.run_round(request))
+        assert len(memoized) == len(plain) == 180
+        for got, want in zip(memoized, plain):
+            assert got == want
+        assert {1.0, 5.0} <= {record.score for record in plain}
+        assert {record.valid for record in plain} == {True, False}
+        assert len({id(r.checks) for r in memoized}) < len({id(r.checks) for r in plain})
+
+    def test_replay_round_matches_unmemoized_records(self, monkeypatch, fixture):
+        backend = ReplayBackend(fixture)
+        request = BackendRequest(round_index=2, action=None, manifest=None, eval_sets={}, seed=0)
+        memoized, plain = _memoized_and_plain(monkeypatch, lambda: backend.run_round(request))
+        assert len(memoized) == len(plain) == 3 * 30
+        for got, want in zip(memoized, plain):
+            assert got == want
 
 
 @pytest.fixture(scope="module")

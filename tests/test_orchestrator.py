@@ -1,13 +1,16 @@
 """Closed-loop orchestrator: runs, resume, artifacts, and reports."""
 import builtins
 import dataclasses
+import gc
 import io
 import json
 import os
 
 import pytest
 
-from mixsearch.errors import ConfigError, DataError
+from mixsearch.backend import ReplayBackend
+from mixsearch.cli import main
+from mixsearch.errors import BackendError, ConfigError, DataError
 from mixsearch.fixtures import demo_config_path
 from mixsearch.orchestrator import (
     BASE_LABEL,
@@ -350,6 +353,89 @@ def test_resume_after_a_kill_at_any_write_point(
     run(config, out)
     assert tree_bytes(out) == expected
     assert not list(out.rglob("*.tmp"))
+
+
+def test_a_killed_extension_leaves_no_stale_archive(tmp_path, monkeypatch, capsys):
+    """Extending a finished run removes its archive and reports before the
+    first new round is committed, so a kill cannot leave a report of the
+    shorter run; the next resume finishes the bytes of an uninterrupted run."""
+    config, out = LoopConfig.from_file(demo_config_path()), tmp_path / "out"
+    run(dataclasses.replace(config, rounds=2), out)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        if os.path.basename(dst) == round_dir_name(2):
+            raise Killed
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(Killed):
+        run(config, out)
+    monkeypatch.undo()
+
+    assert RunDirectory(out).round_indices() == [0, 1, 2]
+    for command in ("report", "pareto"):
+        assert main([command, "--in", str(out)]) == 3
+        assert "archive.jsonl" in capsys.readouterr().err
+    run(config, out)
+    fresh = run(config, tmp_path / "fresh")
+    exclude = ("run_meta.json", "config.json")
+    assert tree_bytes(out, exclude=exclude) == tree_bytes(fresh.path, exclude=exclude)
+
+
+def test_resuming_a_finished_run_removes_nothing(tmp_path, monkeypatch):
+    out = run(replay_config(rounds=2), tmp_path / "out").path
+    before = tree_bytes(out)
+    removed = []
+    monkeypatch.setattr(os, "unlink", lambda path, *a, **k: removed.append(path))
+    run(replay_config(rounds=2), out)
+    assert removed == []
+    assert tree_bytes(out) == before
+
+
+class TestFrozenInputs:
+    """``run`` freezes the loaded inputs out of the cyclic GC and restores
+    the caller's freeze count however it ends."""
+
+    def test_freeze_count_restored_after_a_run(self, tmp_path, monkeypatch):
+        # Nothing in this process freezes the heap but run(), so a count
+        # above 0 here means an earlier run left it frozen.
+        entry, during = gc.get_freeze_count(), []
+        assert entry == 0
+        real_run_round = ReplayBackend.run_round
+
+        def run_round(self, request):
+            during.append(gc.get_freeze_count())
+            return real_run_round(self, request)
+
+        monkeypatch.setattr(ReplayBackend, "run_round", run_round)
+        run(replay_config(rounds=2), tmp_path / "out")
+        assert gc.get_freeze_count() == entry
+        assert during and min(during) > 0
+
+    def test_freeze_count_restored_after_a_failed_round(self, tmp_path, monkeypatch):
+        entry = gc.get_freeze_count()
+        real_run_round = ReplayBackend.run_round
+
+        def run_round(self, request):
+            if request.round_index == 1:
+                raise BackendError("round 1 failed")
+            return real_run_round(self, request)
+
+        monkeypatch.setattr(ReplayBackend, "run_round", run_round)
+        with pytest.raises(BackendError, match="round 1"):
+            run(replay_config(), tmp_path / "out")
+        assert gc.get_freeze_count() == entry
+        assert RunDirectory(tmp_path / "out").round_indices() == [0]
+
+    def test_a_callers_frozen_heap_stays_frozen(self, tmp_path):
+        gc.freeze()
+        try:
+            entry = gc.get_freeze_count()
+            run(replay_config(rounds=1), tmp_path / "out")
+            assert gc.get_freeze_count() == entry
+        finally:
+            gc.unfreeze()
 
 
 class TestRunDirectory:

@@ -1,18 +1,25 @@
 """Record vocabulary: slice labels, seed derivation, sample records."""
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mixsearch.records import (
     CheckResult,
     Dimension,
     L2State,
+    STATES_FOR_DIMENSION,
     SampleRecord,
     child_seed,
     DATASET_FOR_DIMENSION,
     DIMENSION_FOR_DATASET,
     parse_slice_key,
     slice_key,
+    write_records,
 )
 
 
@@ -135,3 +142,72 @@ class TestSampleRecord:
         obj = _record().to_json()
         assert obj["slice"] == "complexity=1|family=FORMAT"
         assert obj["checks"][0]["id"] == "c1"
+
+
+# Strings with the characters JSON escapes or passes through unescaped;
+# no lone surrogates, which a UTF-8 file cannot hold.
+_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\n\t\x00\x1f\x7fé漢\u2028🙂'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+_checks = st.lists(
+    st.builds(
+        CheckResult,
+        check_id=_text.filter(bool),
+        passed=st.booleans(),
+        family=st.none() | _text,
+        hard=st.booleans(),
+        weight=st.sampled_from([1.0, 0.5, 2, 1e-05]),
+    ),
+    min_size=1,
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def _records(draw):
+    """Records that share a few checks tuples, some through equal copies."""
+    shared = draw(st.lists(_checks, min_size=1, max_size=3))
+    records = []
+    for _ in range(draw(st.integers(1, 12))):
+        dimension = draw(st.sampled_from(list(Dimension)))
+        checks = draw(st.sampled_from(shared))
+        records.append(
+            SampleRecord(
+                sample_id=draw(_text),
+                dimension=dimension,
+                valid=draw(st.booleans()),
+                slice_label=draw(_text),
+                weight=draw(
+                    st.sampled_from([0.1, 1e-05, 1e16, math.inf, 1, 1.0, 2.5])
+                    | st.floats(min_value=1e-300, allow_infinity=False)
+                ),
+                checks=tuple(list(checks)) if draw(st.booleans()) else checks,
+                l2_state=draw(st.sampled_from(STATES_FOR_DIMENSION[dimension])),
+                score=draw(st.sampled_from([1.0, 3.25, 5.0, 2]) | st.floats(1.0, 5.0)),
+                invalid_reason=draw(st.none() | _text),
+                synthetic=draw(st.booleans()),
+            )
+        )
+    return records
+
+
+_SHARED_CHECKS = (CheckResult("c1", True, family="FORMAT", hard=True),)
+
+
+class TestWriteRecords:
+    @given(_records())
+    @example([  # scores that compare equal, encoded differently
+        _record(checks=_SHARED_CHECKS, score=2.0, l2_state=L2State.PARTIAL),
+        _record(checks=_SHARED_CHECKS, score=2, l2_state=L2State.PARTIAL),
+    ])
+    def test_lines_are_json_dumps_of_to_json(self, records):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "records.jsonl"
+            write_records(path, records)
+            written = path.read_bytes()
+        expected = "".join(json.dumps(r.to_json(), ensure_ascii=False) + "\n" for r in records)
+        assert written == expected.encode("utf-8")
