@@ -25,7 +25,6 @@ from typing import Callable, Protocol
 
 from .errors import BackendError, ConfigError
 from .fixtures import FixtureRow, ReplayFixture, validate_fixture
-from .profiles import SCALE
 from .records import (
     DIMENSION_FOR_DATASET,
     DIMENSION_ORDER,
@@ -33,8 +32,8 @@ from .records import (
     Dataset,
     Dimension,
     SampleRecord,
+    SCALE,
     child_seed,
-    parse_slice_key,
 )
 from .rubric import (
     BENIGN_CHECKS,
@@ -43,7 +42,7 @@ from .rubric import (
     PromptAnnotation,
     scored_record,
 )
-from .sampler import DataAction, FocusCriterion, SampleManifest, TagTest
+from .sampler import DataAction, FocusCriterion, SampleManifest, slice_tests
 
 
 @dataclass(frozen=True)
@@ -414,13 +413,9 @@ def replay_action(row: FixtureRow) -> DataAction:
         raise BackendError(f"fixture row {row.label!r} has no mixture to act on")
     criteria = []
     for descriptor in row.focus:
-        tests = tuple(
-            TagTest(tag=tag, op="eq", value=value)
-            for tag, value in sorted(parse_slice_key(descriptor["slice"]).items())
-        )
         criteria.append(
             FocusCriterion(
-                tests=tests,
+                tests=slice_tests(descriptor["slice"]),
                 boost=float(descriptor.get("boost", 2.0)),
                 cap_fraction=float(descriptor.get("cap_fraction", 0.25)),
                 label=(

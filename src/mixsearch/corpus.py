@@ -1,26 +1,26 @@
 """Training pools: manifest loading, document windowing, bucket indexing.
 
 A pool manifest is one JSON config naming the datasets, their record
-files, the per-dataset bucket catalogs, and the shared window geometry.
+files, the per-dataset bucket lists, and the shared window geometry.
 Record files hold one JSON object per line with fields
 ``{id, dataset, bucket, tags, text | token_count}``; records may carry
-raw text (counted with the pluggable tokenizer) or a precomputed token
+raw text (counted as whitespace-delimited words) or a precomputed token
 count for metadata-only pools.
 
 Long documents split into fixed-length windows whose starts advance by
 ``stride`` (default: the window length, i.e. no overlap); the final
-window may be shorter.  Windows inherit their bucket's slice fields as
-tags, so focus predicates can address slice axes uniformly.  Windows
-with equal tags share one tag mapping, and the pool lists each bucket's
-distinct mappings, so predicates can be evaluated per mapping instead of
-per window.
+window may be shorter.  A window keeps only what a draw reads: its id,
+its token count and its tags.  Windows inherit their bucket's slice
+fields as tags, so focus predicates can address slice axes uniformly.
+Windows with equal tags share one tag mapping, and the pool lists each
+bucket's distinct mappings, so predicates can be evaluated per mapping
+instead of per window.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .errors import ConfigError, SchemaError
 from .records import Dataset, read_json, slice_key
@@ -29,11 +29,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_WINDOW_LENGTH = 4096
 
-Tokenizer = Callable[[str], int]
-
 
 def whitespace_token_count(text: str) -> int:
-    """Default tokenizer: whitespace-delimited token count."""
+    """Token count of a text record: its whitespace-delimited words."""
     return len(text.split())
 
 
@@ -66,11 +64,8 @@ class TrainingWindow:
     """One sampleable unit of training data."""
 
     window_id: str
-    dataset_id: Dataset
-    bucket_id: str
     token_count: int
-    text_ref: str | None = None
-    tags: dict[str, str] = field(default_factory=dict)
+    tags: dict[str, str]
 
     def __post_init__(self) -> None:
         if self.token_count < 1:
@@ -88,46 +83,24 @@ class Bucket:
 
 
 @dataclass(frozen=True)
-class BucketCatalog:
-    """Ordered bucket list for one dataset."""
-
-    dataset_id: Dataset
-    buckets: tuple[Bucket, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for bucket in self.buckets:
-            if bucket.bucket_id in seen:
-                raise SchemaError(
-                    f"dataset {self.dataset_id.value}: duplicate bucket id {bucket.bucket_id!r}"
-                )
-            seen.add(bucket.bucket_id)
-
-    def bucket_ids(self) -> tuple[str, ...]:
-        return tuple(bucket.bucket_id for bucket in self.buckets)
-
-
-@dataclass(frozen=True)
 class DatasetSpec:
     dataset_id: Dataset
     path: Path
-    catalog: BucketCatalog
-    enumerations: dict[str, tuple[str, ...]]
+    buckets: tuple[Bucket, ...]
 
 
 @dataclass(frozen=True)
 class PoolManifest:
     datasets: tuple[DatasetSpec, ...]
-    window_length: int = DEFAULT_WINDOW_LENGTH
-    stride: int | None = None  # None means window_length: adjacent, non-overlapping
+    window_length: int
+    stride: int  # a manifest without one gets window_length: adjacent, non-overlapping
 
     def __post_init__(self) -> None:
         if self.window_length < 1:
             raise ConfigError(f"window_length must be >= 1, got {self.window_length}")
-        stride = self.effective_stride
-        if not 1 <= stride <= self.window_length:
+        if not 1 <= self.stride <= self.window_length:
             raise ConfigError(
-                f"stride must satisfy 1 <= stride <= window_length, got {stride}"
+                f"stride must satisfy 1 <= stride <= window_length, got {self.stride}"
             )
         if not self.datasets:
             raise ConfigError("pool manifest declares no datasets")
@@ -136,10 +109,6 @@ class PoolManifest:
             if spec.dataset_id in seen:
                 raise ConfigError(f"dataset {spec.dataset_id.value} declared twice")
             seen.add(spec.dataset_id)
-
-    @property
-    def effective_stride(self) -> int:
-        return self.window_length if self.stride is None else self.stride
 
     @staticmethod
     def from_file(path: Path | str) -> "PoolManifest":
@@ -162,7 +131,7 @@ def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
             key: tuple(str(v) for v in values)
             for key, values in entry.get("enumerations", {}).items()
         }
-        buckets = []
+        buckets: dict[str, Bucket] = {}
         for bucket_entry in entry.get("buckets", []):
             slice_fields = {str(k): str(v) for k, v in bucket_entry["slice"].items()}
             for fld, value in slice_fields.items():
@@ -172,21 +141,24 @@ def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
                         f"dataset {dataset_id.value} bucket {bucket_entry['id']!r}: slice "
                         f"field {fld}={value!r} not in declared enumerations"
                     )
-            buckets.append(Bucket(bucket_id=str(bucket_entry["id"]), slice_fields=slice_fields))
+            bucket_id = str(bucket_entry["id"])
+            if bucket_id in buckets:
+                raise SchemaError(f"dataset {dataset_id.value}: duplicate bucket id {bucket_id!r}")
+            buckets[bucket_id] = Bucket(bucket_id=bucket_id, slice_fields=slice_fields)
         if not buckets:
             raise SchemaError(f"dataset {dataset_id.value} declares no buckets")
         specs.append(
             DatasetSpec(
                 dataset_id=dataset_id,
                 path=base_dir / entry["path"],
-                catalog=BucketCatalog(dataset_id=dataset_id, buckets=tuple(buckets)),
-                enumerations=enumerations,
+                buckets=tuple(buckets.values()),
             )
         )
+    window_length = int(raw.get("window_length", DEFAULT_WINDOW_LENGTH))
     return PoolManifest(
         datasets=tuple(specs),
-        window_length=int(raw.get("window_length", DEFAULT_WINDOW_LENGTH)),
-        stride=int(raw["stride"]) if "stride" in raw else None,
+        window_length=window_length,
+        stride=int(raw.get("stride", window_length)),
     )
 
 
@@ -199,23 +171,23 @@ class Pool:
 
     def __init__(
         self,
-        manifest: PoolManifest,
+        buckets: dict[Dataset, tuple[Bucket, ...]],
         windows_by_bucket: dict[tuple[Dataset, str], tuple[TrainingWindow, ...]],
     ) -> None:
-        self.manifest = manifest
+        self._buckets = buckets
         self._windows_by_bucket = windows_by_bucket
-        self._catalogs = {spec.dataset_id: spec.catalog for spec in manifest.datasets}
         self._tag_groups: dict[tuple[Dataset, str], tuple[tuple[dict[str, str], int], ...]] = {}
 
-    def catalog(self, dataset_id: Dataset) -> BucketCatalog:
+    def bucket_ids(self, dataset_id: Dataset) -> tuple[str, ...]:
         try:
-            return self._catalogs[dataset_id]
+            buckets = self._buckets[dataset_id]
         except KeyError:
             raise ConfigError(f"pool has no dataset {dataset_id.value}") from None
+        return tuple(bucket.bucket_id for bucket in buckets)
 
     @property
     def datasets(self) -> tuple[Dataset, ...]:
-        return tuple(spec.dataset_id for spec in self.manifest.datasets)
+        return tuple(self._buckets)
 
     def windows(self, dataset_id: Dataset, bucket_id: str) -> tuple[TrainingWindow, ...]:
         return self._windows_by_bucket.get((dataset_id, bucket_id), ())
@@ -251,34 +223,30 @@ class Pool:
     def bucket_slices(self) -> dict[Dataset, dict[str, str]]:
         """bucket_id -> slice label map per dataset, for policy plumbing."""
         return {
-            dataset_id: {
-                bucket.bucket_id: bucket.slice_label for bucket in catalog.buckets
-            }
-            for dataset_id, catalog in self._catalogs.items()
+            dataset_id: {bucket.bucket_id: bucket.slice_label for bucket in buckets}
+            for dataset_id, buckets in self._buckets.items()
         }
 
 
-def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Pool:
+def load_pool(manifest: PoolManifest) -> Pool:
     """Load every dataset's record file and window its documents.
 
     Each file's rows become windows inside ``read_json``, so an
     unreadable file or a malformed row is a ``DataError`` naming the
     file, and one file's parsed rows are freed before the next is read.
     """
-    tokenizer = tokenizer or whitespace_token_count
-    stride = manifest.effective_stride
     windows_by_bucket: dict[tuple[Dataset, str], list[TrainingWindow]] = {}
     window_ids: set[str] = set()
     shared_tags: dict[tuple[tuple[str, str], ...], dict[str, str]] = {}
     for spec in manifest.datasets:
-        for bucket in spec.catalog.buckets:
+        for bucket in spec.buckets:
             windows_by_bucket[(spec.dataset_id, bucket.bucket_id)] = []
         # The tags of a record without its own: its bucket's slice fields.
         bucket_tags = {
             bucket.bucket_id: shared_tags.setdefault(
                 tuple(bucket.slice_fields.items()), dict(bucket.slice_fields)
             )
-            for bucket in spec.catalog.buckets
+            for bucket in spec.buckets
         }
 
         def add_windows(rows: list[dict]) -> None:
@@ -308,7 +276,7 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
                 else:
                     tags = bucket_tags[bucket_id]
                 if "text" in row:
-                    token_count = tokenizer(row["text"])
+                    token_count = whitespace_token_count(row["text"])
                     if token_count < 1:
                         raise SchemaError(f"record {record_id!r} has empty text")
                 elif "token_count" in row:
@@ -319,21 +287,14 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
                         )
                 else:
                     raise SchemaError(f"record {record_id!r} has neither text nor token_count")
-                parts = split_windows(token_count, manifest.window_length, stride)
-                for index, (start, length) in enumerate(parts):
+                parts = split_windows(token_count, manifest.window_length, manifest.stride)
+                for index, (_, length) in enumerate(parts):
                     window_id = record_id if len(parts) == 1 else f"{record_id}:w{index}"
                     if window_id in window_ids:
                         raise SchemaError(f"duplicate window id {window_id!r}")
                     window_ids.add(window_id)
                     windows_by_bucket[(spec.dataset_id, bucket_id)].append(
-                        TrainingWindow(
-                            window_id=window_id,
-                            dataset_id=spec.dataset_id,
-                            bucket_id=bucket_id,
-                            token_count=length,
-                            text_ref=f"{record_id}@{start}+{length}" if "text" in row else None,
-                            tags=tags,
-                        )
+                        TrainingWindow(window_id=window_id, token_count=length, tags=tags)
                     )
 
         read_json(
@@ -343,7 +304,7 @@ def load_pool(manifest: PoolManifest, tokenizer: Tokenizer | None = None) -> Poo
             what=f"dataset {spec.dataset_id.value} record file",
         )
     pool = Pool(
-        manifest,
+        {spec.dataset_id: spec.buckets for spec in manifest.datasets},
         {key: tuple(windows) for key, windows in windows_by_bucket.items()},
     )
     for dataset_id in pool.datasets:

@@ -60,7 +60,6 @@ from .proposer import PolicyConfig, RoundHistory, RoundRecord, propose_explained
 from .records import (
     DIMENSION_ORDER,
     Dimension,
-    SampleRecord,
     child_seed,
     dump_jsonl,
     read_json,
@@ -237,13 +236,6 @@ class RunDirectory:
         return self.read(
             f"{round_dir_name(index)}/profiles.jsonl",
             lambda rows: [FailureProfile.from_json(obj) for obj in rows],
-            lines=True,
-        )
-
-    def load_round_records(self, index: int) -> list[SampleRecord]:
-        return self.read(
-            f"{round_dir_name(index)}/records.jsonl",
-            lambda rows: [SampleRecord.from_json(obj) for obj in rows],
             lines=True,
         )
 

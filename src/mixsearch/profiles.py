@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import UndefinedMetricError
-from .records import DIMENSION_ORDER, Dimension, SampleRecord
+from .records import DIMENSION_ORDER, SCALE, Dimension, SampleRecord
 
 DEFAULT_FAIL_THRESHOLD = 3.0
-SCALE = 10_000  # 4-decimal fixed-point factor shared with the archive
 
 
 @dataclass(frozen=True)

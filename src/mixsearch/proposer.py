@@ -37,9 +37,8 @@ from .records import (
     Dataset,
     Dimension,
     MIXTURE_ORDER,
-    parse_slice_key,
 )
-from .sampler import DataAction, FocusCriterion, TagTest
+from .sampler import DataAction, FocusCriterion, slice_tests
 
 DEFAULT_TARGET = 4.5
 FOCUS_BOOST = 2.0
@@ -242,13 +241,12 @@ def _focus_criteria(
                 "dimension regressed"
             )
             continue
-        tests = tuple(
-            TagTest(tag=tag, op="eq", value=value)
-            for tag, value in sorted(parse_slice_key(worst.slice_label).items())
-        )
         criteria.append(
             FocusCriterion(
-                tests=tests, boost=FOCUS_BOOST, cap_fraction=config.focus_cap, label=label
+                tests=slice_tests(worst.slice_label),
+                boost=FOCUS_BOOST,
+                cap_fraction=config.focus_cap,
+                label=label,
             )
         )
         notes.append(

@@ -43,6 +43,11 @@ DATASET_FOR_DIMENSION: dict[Dimension, Dataset] = {
     dim: ds for ds, dim in DIMENSION_FOR_DATASET.items()
 }
 
+# Scores resolve to 4 decimals; SCALE is the matching fixed-point factor,
+# shared by the archive's exact comparisons and the synthetic checks.
+SCORE_DECIMALS = 4
+SCALE = 10 ** SCORE_DECIMALS
+
 
 class L2State(str, Enum):
     # SAFE
@@ -277,6 +282,21 @@ def write_records(path: Path, records: Iterable[SampleRecord]) -> None:
         handle.writelines(_record_lines(records))
 
 
+def _no_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"number {literal} is out of range")
+    return value
+
+
+# RFC 8259 JSON has no NaN or Infinity, which Python's json accepts.
+_DECODER = json.JSONDecoder(parse_constant=_no_constant, parse_float=_finite_float)
+
+
 def read_json(
     path: Path | str,
     build: Callable | None = None,
@@ -292,22 +312,24 @@ def read_json(
     This is the one place the package reads a JSON input or artifact.
     Every failure raises ``error`` with a message naming the file and
     the ``what`` it was read as: the file cannot be opened, is not
-    UTF-8, is not JSON (lines give their number), or ``build`` rejects
-    what it parsed.  An ``error`` raised by ``build`` keeps its class,
-    and gains the file's name when its message lacks it.
+    UTF-8, is not JSON (lines give their number; ``NaN``, ``Infinity``,
+    a number that overflows a float and an integer too long to convert
+    are not JSON), or ``build`` rejects what it parsed.  An ``error``
+    raised by ``build`` keeps its class, and gains the file's name when
+    its message lacks it.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             if not lines:
-                parsed = json.load(handle)
+                parsed = _DECODER.decode(handle.read())
             else:
                 parsed = []
                 for number, line in enumerate(handle, start=1):
                     if line.strip():
                         try:
-                            parsed.append(json.loads(line))
-                        except json.JSONDecodeError as exc:
+                            parsed.append(_DECODER.decode(line))
+                        except ValueError as exc:
                             raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
     except FileNotFoundError as exc:
         raise error(f"{what} not found: {path}") from exc
@@ -315,7 +337,7 @@ def read_json(
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if build is None:
         return parsed

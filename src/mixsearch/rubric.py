@@ -32,6 +32,7 @@ from .records import (
     FLOOR_STATES,
     L2State,
     SampleRecord,
+    SCORE_DECIMALS,
     read_json,
     slice_key,
 )
@@ -50,8 +51,6 @@ BENIGN_CHECKS: tuple[tuple[str, bool], ...] = (
     ("substantive_help", False),
     ("low_friction", False),
 )
-
-SCORE_DECIMALS = 4
 
 
 class ConstraintFamily(str, Enum):

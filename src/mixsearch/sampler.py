@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Pool, TrainingWindow
 from .errors import ConfigError
-from .records import Dataset, MIXTURE_ORDER, dump_jsonl
+from .records import Dataset, MIXTURE_ORDER, dump_jsonl, parse_slice_key
 
 SIMPLEX_TOLERANCE = 1e-9
 SUMMARY_REJECTIONS = 10  # rejections a manifest summary lists, in draw order
@@ -65,6 +65,14 @@ class TagTest:
     @staticmethod
     def from_json(obj: dict) -> "TagTest":
         return TagTest(tag=obj["tag"], op=obj["op"], value=obj["value"])
+
+
+def slice_tests(label: str) -> tuple[TagTest, ...]:
+    """One ``eq`` test per field of a slice label, in field order."""
+    return tuple(
+        TagTest(tag=tag, op="eq", value=value)
+        for tag, value in sorted(parse_slice_key(label).items())
+    )
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,7 @@ class DataAction:
         for dataset, weights in self.bucket_weights.items():
             if dataset not in pool.datasets:
                 continue
-            known = set(pool.catalog(dataset).bucket_ids())
+            known = set(pool.bucket_ids(dataset))
             unknown = sorted(set(weights) - known)
             if unknown:
                 raise ConfigError(
@@ -186,7 +194,7 @@ class DataAction:
 def uniform_bucket_weights(pool: Pool) -> dict[Dataset, dict[str, float]]:
     weights = {}
     for dataset in pool.datasets:
-        bucket_ids = pool.catalog(dataset).bucket_ids()
+        bucket_ids = pool.bucket_ids(dataset)
         weights[dataset] = {bucket_id: 1.0 / len(bucket_ids) for bucket_id in bucket_ids}
     return weights
 
@@ -214,7 +222,7 @@ def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, fl
                 "for it"
             )
         dataset_mass = 0.0
-        for bucket_id in pool.catalog(dataset).bucket_ids():
+        for bucket_id in pool.bucket_ids(dataset):
             weight = weights.get(bucket_id, 0.0)
             if weight <= 0:
                 continue
@@ -413,8 +421,8 @@ def draw_budgeted(
         entries.append(
             ManifestEntry(
                 window_id=window.window_id,
-                dataset=window.dataset_id,
-                bucket_id=window.bucket_id,
+                dataset=key[0],
+                bucket_id=key[1],
                 token_count=window.token_count,
             )
         )

@@ -17,7 +17,7 @@ import pytest
 
 from mixsearch.backend import SurfaceParams
 from mixsearch.oracles.naive_checker import naive_verdict
-from mixsearch.orchestrator import LoopConfig, run
+from mixsearch.orchestrator import LoopConfig, round_dir_name, run
 from mixsearch.pareto import ParetoArchive, dominates
 from mixsearch.profiles import build_failure_profiles
 from mixsearch.proposer import PolicyConfig
@@ -132,7 +132,7 @@ def test_criterion_4_budget_discipline(tmp_path):
     token_of = {
         window.window_id: window.token_count
         for dataset in pool.datasets
-        for bucket in pool.catalog(dataset).bucket_ids()
+        for bucket in pool.bucket_ids(dataset)
         for window in pool.windows(dataset, bucket)
     }
     weights = uniform_bucket_weights(pool)
@@ -427,7 +427,7 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
     evaluations = [
         (
             "base",
-            _base_records(run_dir),
+            _records(run_dir, "base"),
             run_dir.load_base_metric(),
             None,
         )
@@ -436,7 +436,7 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
         evaluations.append(
             (
                 f"round {index}",
-                run_dir.load_round_records(index),
+                _records(run_dir, round_dir_name(index)),
                 run_dir.load_round_metric(index),
                 run_dir.load_round_profiles(index),
             )
@@ -472,16 +472,18 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
 # Every record a run writes is scored by layer 1 from its own checks.
 
 
-def _base_records(run_dir):
+def _records(run_dir, point):
     return run_dir.read(
-        "base/records.jsonl", lambda rows: [SampleRecord.from_json(row) for row in rows], lines=True
+        f"{point}/records.jsonl",
+        lambda rows: [SampleRecord.from_json(row) for row in rows],
+        lines=True,
     )
 
 
 def _run_records(run_dir):
-    yield from _base_records(run_dir)
+    yield from _records(run_dir, "base")
     for index in run_dir.round_indices():
-        yield from run_dir.load_round_records(index)
+        yield from _records(run_dir, round_dir_name(index))
 
 
 def test_every_written_record_is_scored_from_its_own_checks(simulated_run, tmp_path):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and output."""
 import hashlib
 import json
+import math
 import shutil
 
 import pytest
@@ -165,6 +166,17 @@ def _edit_line(index, edit):
     return damage
 
 
+def _overflowing(damage):
+    """``damage``, with each infinity it writes spelled ``1e999``: a
+    number literal that overflows a float."""
+
+    def overflow(path):
+        damage(path)
+        path.write_text(path.read_text("utf-8").replace("Infinity", "1e999"), encoding="utf-8")
+
+    return overflow
+
+
 def _set(obj, *keys, value):
     """``obj`` with the value at the key path ``keys`` replaced."""
     target = obj
@@ -194,6 +206,12 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "eval_sets", value=[None, "eval_if.jsonl"])),
         2,
     ),
+    "config-budget-overflow": (
+        "run",
+        "config.json",
+        _overflowing(_edit_document(lambda obj: _set(obj, "budget_tokens", value=math.inf))),
+        2,
+    ),
     "config-unknown-target": (
         "run",
         "config.json",
@@ -220,6 +238,12 @@ FAULTS = {
     "records-row-list": ("run", "xguard.jsonl", _edit_line(0, lambda row: [row]), 3),
     "records-token-count-string": (
         "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "token_count", value="x")), 3
+    ),
+    "records-token-count-overflow": (
+        "run",
+        "xguard.jsonl",
+        _overflowing(_edit_line(0, lambda row: _set(row, "token_count", value=math.inf))),
+        3,
     ),
     "eval-set-directory": ("run", "eval_if.jsonl", _make_directory, 3),
     "eval-set-not-json": (
@@ -293,6 +317,12 @@ FAULTS = {
         "run",
         "taxonomy.json",
         _edit_document(lambda obj: _set(obj, "IF", "default_weight", value=0)),
+        3,
+    ),
+    "taxonomy-weight-infinite": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "ORBENCH", "default_weight", value=math.inf)),
         3,
     ),
     "fixture-directory": ("replay", "fixture.jsonl", _make_directory, 3),

@@ -130,7 +130,6 @@ class TestLoadPool:
         pool = load_pool(PoolManifest.from_file(manifest_path))
         (window,) = pool.windows(Dataset.IF, "b1")
         assert window.token_count == 5
-        assert window.text_ref == "t1@0+5"
 
     def test_missing_record_file_names_path(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"
@@ -204,7 +203,7 @@ class TestSharedTags:
     def test_tag_groups_cover_windows_with_true_shortest(self, tmp_path):
         pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
         for dataset in pool.datasets:
-            for bucket_id in pool.catalog(dataset).bucket_ids():
+            for bucket_id in pool.bucket_ids(dataset):
                 windows = pool.windows(dataset, bucket_id)
                 groups = pool.tag_groups(dataset, bucket_id)
                 shortest = {}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mixsearch.errors import DataError
 from mixsearch.records import (
     CheckResult,
     Dimension,
@@ -15,6 +16,7 @@ from mixsearch.records import (
     STATES_FOR_DIMENSION,
     SampleRecord,
     child_seed,
+    read_json,
     DATASET_FOR_DIMENSION,
     DIMENSION_FOR_DATASET,
     parse_slice_key,
@@ -211,3 +213,29 @@ class TestWriteRecords:
             written = path.read_bytes()
         expected = "".join(json.dumps(r.to_json(), ensure_ascii=False) + "\n" for r in records)
         assert written == expected.encode("utf-8")
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("lines", [False, True])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "NaN",
+            "-Infinity",
+            '{"a": Infinity}',
+            "1e999",
+            "[1, -1e400]",
+            pytest.param("1" * 5000, id="integer-past-the-digit-limit"),
+        ],
+    )
+    def test_numbers_python_cannot_hold_are_not_json(self, tmp_path, text, lines):
+        path = tmp_path / "document.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="is not valid JSON") as caught:
+            read_json(path, lines=lines, what="document")
+        assert str(path) in str(caught.value)
+
+    def test_finite_numbers_parse(self, tmp_path):
+        path = tmp_path / "document.json"
+        path.write_text('{"a": 1.5e300, "b": -2.5, "c": 1e-400, "d": 12}', encoding="utf-8")
+        assert read_json(path, what="document") == {"a": 1.5e300, "b": -2.5, "c": 0.0, "d": 12}
