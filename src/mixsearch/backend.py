@@ -5,8 +5,7 @@ saturating-gain-plus-interference response surface, then emits
 per-sample records with seeded per-slice and per-sample noise.  The
 replay backend re-emits a recorded trajectory from a fixture.  Both are
 stateless: identical requests produce identical records no matter the
-call order.  A third backend name, ``external``, is reserved for a real
-fine-tuning driver and is interface-only here.
+call order.
 
 Synthesized records are scored like real ones: the backend picks a
 check vector whose layer-1 score is the target score, and the rubric
@@ -33,7 +32,9 @@ from .records import (
     Dimension,
     SampleRecord,
     SCALE,
+    SCORE_DECIMALS,
     child_seed,
+    config_fields,
 )
 from .rubric import (
     BENIGN_CHECKS,
@@ -50,7 +51,6 @@ class BackendRequest:
     """Everything a backend may condition on for one round."""
 
     round_index: int  # -1 denotes the untuned base evaluation
-    action: DataAction | None
     manifest: SampleManifest | None
     eval_sets: dict[Dimension, tuple[PromptAnnotation, ...]]
     seed: int
@@ -174,9 +174,15 @@ def _record_builder() -> Callable[..., SampleRecord]:
 # Simulator
 
 
-def _overlay(base_map: dict[Dimension, float], obj: dict | None) -> dict[Dimension, float]:
+_DIMENSION_KEYS = tuple(dimension.value for dimension in DIMENSION_ORDER)
+
+
+def _overlay(
+    base_map: dict[Dimension, float], obj: dict | None, section: str
+) -> dict[Dimension, float]:
     result = dict(base_map)
-    for key, value in (obj or {}).items():
+    fields = dict.fromkeys(_DIMENSION_KEYS, float)
+    for key, value in config_fields(obj or {}, section, fields).items():
         result[Dimension(key)] = float(value)
     return result
 
@@ -236,19 +242,24 @@ class SurfaceParams:
 
     @staticmethod
     def from_json(obj: dict) -> "SurfaceParams":
+        section = "backend.surface"
+        maps = ("base", "gain", "saturation", "interference")
+        config_fields(obj, section, {**dict.fromkeys(maps, dict), "noise_sigma": float})
         defaults = SurfaceParams()
+        interference = defaults.interference
+        if "interference" in obj:
+            where = f"{section}.interference"
+            rows = config_fields(obj["interference"], where, dict.fromkeys(_DIMENSION_KEYS, dict))
+            interference = {
+                Dimension(d): _overlay({}, row, f"{where}.{d}") for d, row in rows.items()
+            }
         return SurfaceParams(
-            base=_overlay(defaults.base, obj.get("base")),
-            gain=_overlay(defaults.gain, obj.get("gain")),
-            saturation=_overlay(defaults.saturation, obj.get("saturation")),
-            interference=(
-                {
-                    Dimension(d): {Dimension(e): float(v) for e, v in row.items()}
-                    for d, row in obj["interference"].items()
-                }
-                if "interference" in obj
-                else defaults.interference
+            base=_overlay(defaults.base, obj.get("base"), f"{section}.base"),
+            gain=_overlay(defaults.gain, obj.get("gain"), f"{section}.gain"),
+            saturation=_overlay(
+                defaults.saturation, obj.get("saturation"), f"{section}.saturation"
             ),
+            interference=interference,
             noise_sigma=float(obj.get("noise_sigma", defaults.noise_sigma)),
         )
 
@@ -323,7 +334,7 @@ class SimulatorBackend:
                 records.append(
                     record(
                         dimension,
-                        round(_clip(raw), 4),
+                        round(_clip(raw), SCORE_DECIMALS),
                         sample_id=annotation.sample_id,
                         valid=annotation.valid,
                         slice_label=annotation.slice_label,

@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fixture", type=Path, default=None, help="fixture JSONL (default: shipped)"
     )
     replay_p.add_argument("--out", type=Path, default=None, help="run output directory")
-    replay_p.add_argument("--seed", type=int, default=0, help="master seed")
     replay_p.add_argument(
         "--validate-only",
         action="store_true",
@@ -107,7 +106,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     config = LoopConfig(
         backend_kind="replay",
         fixture_path=Path(os.path.abspath(fixture_path)),
-        master_seed=args.seed,
     )
     run_dir = run(config, args.out)
     print(f"replay complete: {run_dir.path}")
@@ -116,7 +114,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    print(report(RunDirectory(args.run_dir), args.format), end="")
+    name = "report.txt" if args.format == "text" else "trajectory.csv"
+    print(report(RunDirectory(args.run_dir))[name], end="")
     return 0
 
 

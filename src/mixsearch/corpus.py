@@ -154,12 +154,19 @@ def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
                 buckets=tuple(buckets.values()),
             )
         )
-    window_length = int(raw.get("window_length", DEFAULT_WINDOW_LENGTH))
+    window_length = _json_int(raw.get("window_length", DEFAULT_WINDOW_LENGTH), "window_length")
     return PoolManifest(
         datasets=tuple(specs),
         window_length=window_length,
-        stride=int(raw.get("stride", window_length)),
+        stride=_json_int(raw.get("stride", window_length), "stride"),
     )
+
+
+def _json_int(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer; ``int()`` would truncate 10.9 and take true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 class Pool:
@@ -280,7 +287,9 @@ def load_pool(manifest: PoolManifest) -> Pool:
                     if token_count < 1:
                         raise SchemaError(f"record {record_id!r} has empty text")
                 elif "token_count" in row:
-                    token_count = int(row["token_count"])
+                    token_count = _json_int(
+                        row["token_count"], f"record {record_id!r} token_count"
+                    )
                     if token_count < 1:
                         raise SchemaError(
                             f"record {record_id!r} has non-positive token_count {token_count}"

@@ -46,7 +46,6 @@ class FixtureRow:
 
 @dataclass(frozen=True)
 class FixtureVerdict:
-    ok: bool
     row_count: int
     frontier: tuple[str, ...]
 
@@ -151,7 +150,7 @@ def validate_fixture(fixture: ReplayFixture) -> FixtureVerdict:
             f"fixture frontier mismatch: declared {list(declared_frontier)}, "
             f"recomputed {list(recomputed)}{where}"
         )
-    return FixtureVerdict(ok=True, row_count=len(fixture.rows), frontier=recomputed)
+    return FixtureVerdict(row_count=len(fixture.rows), frontier=recomputed)
 
 
 def data_path(*parts: str) -> Path:

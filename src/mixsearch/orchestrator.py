@@ -44,7 +44,7 @@ from .backend import (
     replay_action,
 )
 from .corpus import Pool, PoolManifest, load_pool
-from .errors import BackendError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .fixtures import ReplayFixture, default_fixture_path, load_replay_fixture
 from .pareto import InsertVerdict, ParetoArchive
 from .profiles import (
@@ -61,6 +61,7 @@ from .records import (
     DIMENSION_ORDER,
     Dimension,
     child_seed,
+    config_fields,
     dump_jsonl,
     read_json,
     write_records,
@@ -118,9 +119,7 @@ class LoopConfig:
                 raise ConfigError("simulate runs need a pool_manifest path")
             if not self.eval_set_paths:
                 raise ConfigError("simulate runs need eval_sets paths")
-        elif self.backend_kind == "replay":
-            pass  # fixture_path defaults to the shipped fixture
-        elif self.backend_kind != "external":
+        elif self.backend_kind != "replay":  # replay's fixture_path defaults to the shipped one
             raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
 
     @staticmethod
@@ -143,26 +142,38 @@ class LoopConfig:
             p = Path(value)
             return p if p.is_absolute() else (base_dir / p)
 
-        backend = raw.get("backend", {})
+        path = (str, None)  # null names no file
+        fields = {
+            "budget_tokens": int,
+            "rounds": int,
+            "master_seed": int,
+            "backend": dict,
+            "pool_manifest": path,
+            "eval_sets": [str],
+            "taxonomy": path,
+            "initial_mixture": [float],
+            "policy": dict,
+            "fail_threshold": float,
+        }
+        config_fields(raw, "config", fields)
+        backend_fields = {"kind": str, "surface": (dict, None), "fixture": path}
+        backend = config_fields(raw.get("backend", {}), "backend", backend_fields)
         kind = backend.get("kind", "simulate")
         surface = (
             SurfaceParams.from_json(backend.get("surface", {})) if kind == "simulate" else None
         )
-        eval_sets = raw.get("eval_sets", [])
-        if not isinstance(eval_sets, list) or not all(isinstance(p, str) for p in eval_sets):
-            raise ConfigError(f"eval_sets must be a list of paths, got {eval_sets!r}")
         mixture = raw.get("initial_mixture", list(DEFAULT_INITIAL_MIXTURE))
         if len(mixture) != 3:
             raise ConfigError(f"initial_mixture needs 3 entries, got {mixture!r}")
         return LoopConfig(
-            budget_tokens=int(raw.get("budget_tokens", DEFAULT_BUDGET_TOKENS)),
-            rounds=int(raw.get("rounds", DEFAULT_ROUNDS)),
-            master_seed=int(raw.get("master_seed", 0)),
+            budget_tokens=raw.get("budget_tokens", DEFAULT_BUDGET_TOKENS),
+            rounds=raw.get("rounds", DEFAULT_ROUNDS),
+            master_seed=raw.get("master_seed", 0),
             backend_kind=kind,
             surface=surface,
             fixture_path=_resolve(backend.get("fixture")),
             pool_manifest_path=_resolve(raw.get("pool_manifest")),
-            eval_set_paths=tuple(_resolve(p) for p in eval_sets),
+            eval_set_paths=tuple(_resolve(p) for p in raw.get("eval_sets", [])),
             taxonomy_path=_resolve(raw.get("taxonomy")),
             initial_mixture=tuple(float(v) for v in mixture),  # type: ignore[arg-type]
             policy=PolicyConfig.from_json(raw.get("policy", {})),
@@ -287,60 +298,46 @@ class _Runtime:
 
     config: LoopConfig
     backend: Backend
-    pool: Pool | None
-    fixture: ReplayFixture | None
+    pool: Pool | None  # None for a replay, which draws nothing
+    fixture: ReplayFixture | None  # None for a simulation
     eval_sets: dict[Dimension, tuple[PromptAnnotation, ...]]
-    bucket_slices: dict
 
 
 def _load_runtime(config: LoopConfig) -> _Runtime:
+    """Load and check every input the config's backend reads, and nothing else.
+
+    A replay reads only its fixture; any pool, eval sets or taxonomy its
+    config names are kept in ``config.json`` but never opened.  A
+    simulation reads the taxonomy, the pool manifest and its record
+    files, then the eval sets.
+    """
+    if config.backend_kind == "replay":
+        fixture = load_replay_fixture(config.fixture_path or default_fixture_path())
+        return _Runtime(config, ReplayBackend(fixture), pool=None, fixture=fixture, eval_sets={})
     taxonomy = (
         SliceTaxonomy.from_file(config.taxonomy_path)
         if config.taxonomy_path
         else SliceTaxonomy.default()
     )
-    pool = None
-    fixture = None
-    eval_sets: dict[Dimension, tuple[PromptAnnotation, ...]] = {}
-    if config.backend_kind == "replay":
-        fixture = load_replay_fixture(config.fixture_path or default_fixture_path())
-        backend: Backend = ReplayBackend(fixture)
-    elif config.backend_kind == "simulate":
-        backend = SimulatorBackend(config.surface)
-    else:
-        raise BackendError(
-            "backend 'external' is interface-only: wire a real fine-tuning driver "
-            "to the Backend protocol to use it"
-        )
-    if config.pool_manifest_path is not None:
-        pool = load_pool(PoolManifest.from_file(config.pool_manifest_path))
-    if config.eval_set_paths:
-        annotations: dict[Dimension, list[PromptAnnotation]] = {
-            dim: [] for dim in DIMENSION_ORDER
-        }
-        for path in config.eval_set_paths:
-            for sample in load_eval_set(path):
-                annotation = annotate_prompt(sample, taxonomy)
-                annotations[annotation.dimension].append(annotation)
-        for dimension in DIMENSION_ORDER:
-            if not any(a.valid for a in annotations[dimension]):
-                raise DataError(
-                    f"eval sets contain no valid samples for dimension {dimension.value}"
-                )
-        eval_sets = {dim: tuple(annotations[dim]) for dim in DIMENSION_ORDER}
+    pool = load_pool(PoolManifest.from_file(config.pool_manifest_path))
+    annotations: dict[Dimension, list[PromptAnnotation]] = {dim: [] for dim in DIMENSION_ORDER}
+    for path in config.eval_set_paths:
+        for sample in load_eval_set(path):
+            annotation = annotate_prompt(sample, taxonomy)
+            annotations[annotation.dimension].append(annotation)
+    for dimension in DIMENSION_ORDER:
+        if not any(a.valid for a in annotations[dimension]):
+            raise DataError(f"eval sets contain no valid samples for dimension {dimension.value}")
+    eval_sets = {dim: tuple(annotations[dim]) for dim in DIMENSION_ORDER}
     return _Runtime(
-        config=config,
-        backend=backend,
-        pool=pool,
-        fixture=fixture,
-        eval_sets=eval_sets,
-        bucket_slices=pool.bucket_slices() if pool else {},
+        config, SimulatorBackend(config.surface), pool=pool, fixture=None, eval_sets=eval_sets
     )
 
 
-def _initial_action(config: LoopConfig, pool: Pool | None) -> DataAction:
-    weights = uniform_bucket_weights(pool) if pool else {}
-    return DataAction(dataset_mixture=config.initial_mixture, bucket_weights=weights)
+def _initial_action(config: LoopConfig, pool: Pool) -> DataAction:
+    return DataAction(
+        dataset_mixture=config.initial_mixture, bucket_weights=uniform_bucket_weights(pool)
+    )
 
 
 def _round_action(
@@ -422,11 +419,11 @@ def _run(runtime: _Runtime, out: Path) -> RunDirectory:
     rounds = config.rounds
     if runtime.fixture is not None:
         rounds = min(rounds, runtime.fixture.round_count)
-    draws = runtime.pool is not None and runtime.fixture is None
+    draws = runtime.fixture is None
 
     normalized = config.normalized()
     archive = ParetoArchive()
-    history = RoundHistory(bucket_slices=runtime.bucket_slices)
+    history = RoundHistory(bucket_slices=runtime.pool.bucket_slices() if draws else {})
     run_dir = RunDirectory(out)
     completed = run_dir.round_indices()
 
@@ -476,7 +473,6 @@ def _run(runtime: _Runtime, out: Path) -> RunDirectory:
             out / BASE_LABEL,
             BackendRequest(
                 round_index=-1,
-                action=None,
                 manifest=None,
                 eval_sets=runtime.eval_sets,
                 seed=base_seed,
@@ -506,7 +502,6 @@ def _run(runtime: _Runtime, out: Path) -> RunDirectory:
             out / round_dir_name(index),
             BackendRequest(
                 round_index=index,
-                action=action,
                 manifest=manifest,
                 eval_sets=runtime.eval_sets,
                 seed=backend_seed,
@@ -524,7 +519,7 @@ def _run(runtime: _Runtime, out: Path) -> RunDirectory:
         )
 
     dump_jsonl(out / "archive.jsonl", archive.snapshot_rows())
-    for name, content in report(run_dir, None).items():
+    for name, content in report(run_dir).items():
         (out / name).write_text(content, encoding="utf-8")
     return run_dir
 
@@ -619,26 +614,20 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-REPORT_FORMATS = {"text": "report.txt", "csv": "trajectory.csv"}
-# What ``run()`` writes after its last point: the archive log and ``report(fmt=None)``'s files.
+# What ``run()`` writes after its last point: the archive log and ``report()``'s files.
 _RUN_SUMMARY_FILES = ("archive.jsonl", "report.txt", "trajectory.csv", "archive.csv", "slices.csv")
 
 
-def report(
-    run_dir: RunDirectory | Path | str, fmt: str | None = "text"
-) -> str | dict[str, str]:
+def report(run_dir: RunDirectory | Path | str) -> dict[str, str]:
     """Render the trajectory, archive, and worst slices of a run; read
     the run directory and write nothing.
 
-    ``fmt`` "text" returns the text report and "csv" the trajectory
-    table.  ``None`` returns every report file ``run()`` writes
-    (``REPORT_FORMATS``' files plus ``archive.csv`` and ``slices.csv``),
-    keyed by file name.
+    Returns every report file ``run()`` writes (``report.txt``,
+    ``trajectory.csv``, ``archive.csv`` and ``slices.csv``), keyed by
+    file name.
     """
     if not isinstance(run_dir, RunDirectory):
         run_dir = RunDirectory(run_dir)
-    if fmt is not None and fmt not in REPORT_FORMATS:
-        raise ConfigError(f"unknown report format {fmt!r}")
     rows, flag_lines = _trajectory(run_dir)
     frontier = run_dir.frontier()
     worst = _worst_slices(run_dir)
@@ -666,7 +655,7 @@ def report(
         lines.extend(["", "flags:"])
         lines.extend(f"  {line}" for line in flag_lines)
 
-    files = {
+    return {
         "report.txt": "\n".join(lines) + "\n",
         "trajectory.csv": _csv(
             ["round", "safe", "benign", "if", "mixture", "note"],
@@ -704,4 +693,3 @@ def report(
             ],
         ),
     }
-    return files if fmt is None else files[REPORT_FORMATS[fmt]]

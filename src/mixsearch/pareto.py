@@ -54,21 +54,8 @@ class ParetoArchive:
         self._events: list[dict] = []
         self._labels: set[str] = set()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> tuple[ArchiveEntry, ...]:
-        return tuple(self._entries)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(entry.label for entry in self._entries)
-
-    def get(self, label: str) -> MetricVector:
-        for entry in self._entries:
-            if entry.label == label:
-                return entry.metric
-        raise KeyError(label)
 
     def insert(self, label: str, metric: MetricVector) -> InsertVerdict:
         """Insert a labeled point, dropping whatever it dominates.

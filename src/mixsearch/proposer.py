@@ -37,6 +37,7 @@ from .records import (
     Dataset,
     Dimension,
     MIXTURE_ORDER,
+    config_fields,
 )
 from .sampler import DataAction, FocusCriterion, slice_tests
 
@@ -84,12 +85,14 @@ class PolicyConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "PolicyConfig":
-        kwargs: dict = {}
+        numbers = ("max_ratio_step", "dataset_floor", "focus_cap", "regression_guard")
+        config_fields(obj, "policy", {"targets": dict, **dict.fromkeys(numbers, float)})
+        kwargs: dict = {key: float(obj[key]) for key in numbers if key in obj}
         if "targets" in obj:
-            kwargs["targets"] = {Dimension(k): float(v) for k, v in obj["targets"].items()}
-        for key in ("max_ratio_step", "dataset_floor", "focus_cap", "regression_guard"):
-            if key in obj:
-                kwargs[key] = float(obj[key])
+            targets = config_fields(
+                obj["targets"], "policy.targets", {dim.value: float for dim in DIMENSION_ORDER}
+            )
+            kwargs["targets"] = {Dimension(k): float(v) for k, v in targets.items()}
         return PolicyConfig(**kwargs)
 
 

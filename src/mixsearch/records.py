@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import DataError, MixSearchError
+from .errors import ConfigError, DataError, MixSearchError
 
 
 class Dataset(str, Enum):
@@ -349,3 +349,55 @@ def read_json(
         raise
     except (LookupError, TypeError, ValueError, AttributeError, MixSearchError) as exc:
         raise error(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc
+
+
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    list: "a list",
+    None: "null",
+}
+
+
+def _has_type(value: object, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_has_type(value, option) for option in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(item, kind[0]) for item in value)
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_type_name(option) for option in kind)
+    if isinstance(kind, list):
+        return "a list of " + _type_name(kind[0]).split(" ", 1)[1] + "s"
+    return _TYPE_NAMES[kind]
+
+
+def config_fields(obj: object, section: str, fields: dict) -> dict:
+    """Return ``obj`` once it checks out as the config section ``section``.
+
+    Every config parser checks each of its sections here.  ``obj`` must
+    be a JSON object whose keys all appear in ``fields``, which maps each
+    key to the JSON type of its value: ``int`` (an integer), ``float``
+    (any number), ``str``, ``dict``, ``list`` or ``None`` (null), a tuple
+    of these for any one of them, or ``[t]`` for a list of ``t``.  A
+    boolean is never a number.  Anything else raises ``ConfigError``.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {obj!r:.60}")
+    for key, value in obj.items():
+        if key not in fields:
+            raise ConfigError(f"{section} has unknown key {key!r}")
+        if not _has_type(value, fields[key]):
+            raise ConfigError(
+                f"{section}.{key} must be {_type_name(fields[key])}, got {value!r:.60}"
+            )
+    return obj

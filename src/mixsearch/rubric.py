@@ -525,7 +525,6 @@ class EvalSample:
     sample_id: str
     dataset: Dataset
     tags: dict[str, str] = field(default_factory=dict)
-    prompt_ref: str | None = None
     response_text: str | None = None
     judge_verdicts: dict[str, bool] | None = None
     constraints: tuple[ConstraintSpec, ...] = ()
@@ -536,14 +535,13 @@ class EvalSample:
             dataset = Dataset(obj["dataset"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"eval sample has unknown dataset: {obj!r}") from exc
-        sample_id = str(obj.get("id") or obj.get("sample_id") or "")
+        sample_id = str(obj.get("id") or "")
         if not sample_id:
             raise SchemaError(f"eval sample without id: {obj!r}")
         return EvalSample(
             sample_id=sample_id,
             dataset=dataset,
             tags={str(k): str(v) for k, v in obj.get("tags", {}).items()},
-            prompt_ref=obj.get("prompt_ref"),
             response_text=obj.get("response_text"),
             judge_verdicts=(
                 {str(k): bool(v) for k, v in obj["judge_verdicts"].items()}

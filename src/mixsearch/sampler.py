@@ -260,15 +260,6 @@ class ManifestEntry:
             "token_count": self.token_count,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "ManifestEntry":
-        return ManifestEntry(
-            window_id=obj["window_id"],
-            dataset=Dataset(obj["dataset"]),
-            bucket_id=obj["bucket"],
-            token_count=obj["token_count"],
-        )
-
 
 @dataclass(frozen=True)
 class SampleManifest:

@@ -68,7 +68,7 @@ def request_for(shares=None, seed=0, sets=None):
         # where shares matter.  run_round tests pass manifest=None instead.
         raise AssertionError("use dimension_means for share-dependent tests")
     return BackendRequest(
-        round_index=-1, action=None, manifest=manifest, eval_sets=sets or eval_sets(), seed=seed
+        round_index=-1, manifest=manifest, eval_sets=sets or eval_sets(), seed=seed
     )
 
 
@@ -92,6 +92,20 @@ class TestSurfaceParams:
             SurfaceParams.from_json({"noise_sigma": -0.1})
         with pytest.raises(ConfigError, match="interference"):
             SurfaceParams.from_json({"interference": {"BENIGN": {"SAFE": -1.0}}})
+
+    @pytest.mark.parametrize(
+        "obj, where",
+        [
+            ({"base": {"SAFE": "3.1"}}, "backend.surface.base.SAFE"),
+            ({"gain": {"FOO": 1.0}}, "backend.surface.gain"),
+            ({"interference": {"BENIGN": {"SAFE": True}}}, "interference.BENIGN.SAFE"),
+            ({"interference": {"BENIGN": [2.0]}}, "interference.BENIGN"),
+            ({"noise_sigma": "0.1"}, "noise_sigma"),
+        ],
+    )
+    def test_wrong_json_types_and_unknown_keys(self, obj, where):
+        with pytest.raises(ConfigError, match=where):
+            SurfaceParams.from_json(obj)
 
 
 class TestSimulatorMeans:
@@ -163,7 +177,7 @@ class TestSimulatorRounds:
         )
         backend = SimulatorBackend()
         request = BackendRequest(
-            round_index=0, action=action, manifest=manifest, eval_sets=eval_sets(), seed=5
+            round_index=0, manifest=manifest, eval_sets=eval_sets(), seed=5
         )
         safe_scores = {
             record.score
@@ -319,7 +333,7 @@ class TestRecordTemplates:
 
     def test_replay_round_matches_unmemoized_records(self, monkeypatch, fixture):
         backend = ReplayBackend(fixture)
-        request = BackendRequest(round_index=2, action=None, manifest=None, eval_sets={}, seed=0)
+        request = BackendRequest(round_index=2, manifest=None, eval_sets={}, seed=0)
         memoized, plain = _memoized_and_plain(monkeypatch, lambda: backend.run_round(request))
         assert len(memoized) == len(plain) == 3 * 30
         for got, want in zip(memoized, plain):
@@ -337,7 +351,7 @@ class TestReplayBackend:
         backend = ReplayBackend(fixture)
         round_index = -1 if label == "base" else int(label)
         request = BackendRequest(
-            round_index=round_index, action=None, manifest=None, eval_sets={}, seed=0
+            round_index=round_index, manifest=None, eval_sets={}, seed=0
         )
         records = backend.run_round(request)
         metric = metric_vector(records)
@@ -347,7 +361,7 @@ class TestReplayBackend:
     def test_rounds_beyond_the_fixture_raise_gap_error(self, fixture):
         backend = ReplayBackend(fixture)
         request = BackendRequest(
-            round_index=5, action=None, manifest=None, eval_sets={}, seed=0
+            round_index=5, manifest=None, eval_sets={}, seed=0
         )
         with pytest.raises(ReplayGapError, match="5"):
             backend.run_round(request)
@@ -368,7 +382,7 @@ class TestReplayBackend:
         backend = ReplayBackend(fixture)
         for round_index in (-1, 0, 1, 2, 3, 4):
             request = BackendRequest(
-                round_index=round_index, action=None, manifest=None, eval_sets={}, seed=0
+                round_index=round_index, manifest=None, eval_sets={}, seed=0
             )
             for record in backend.run_round(request):
                 assert 1.0 <= record.score <= 5.0

@@ -6,8 +6,10 @@ import shutil
 
 import pytest
 
+import mixsearch.orchestrator as orchestrator
 from mixsearch.cli import main
 from mixsearch.fixtures import default_fixture_path, default_taxonomy_path, demo_config_path
+from mixsearch.rubric import SliceTaxonomy
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
 
@@ -212,6 +214,42 @@ FAULTS = {
         _overflowing(_edit_document(lambda obj: _set(obj, "budget_tokens", value=math.inf))),
         2,
     ),
+    "config-budget-fraction": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "budget_tokens", value=1000.7)),
+        2,
+    ),
+    "config-seed-fraction": (
+        "run", "config.json", _edit_document(lambda obj: _set(obj, "master_seed", value=1.5)), 2
+    ),
+    "config-rounds-bool": (
+        "run", "config.json", _edit_document(lambda obj: _set(obj, "rounds", value=True)), 2
+    ),
+    "config-mixture-strings": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "initial_mixture", value=["0.5", "0.3", "0.2"])),
+        2,
+    ),
+    "config-policy-list": (
+        "run", "config.json", _edit_document(lambda obj: _set(obj, "policy", value=[1])), 2
+    ),
+    "config-unknown-key": (
+        "run", "config.json", _edit_document(lambda obj: _set(obj, "budget_tokenz", value=1000)), 2
+    ),
+    "config-policy-unknown-key": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "policy", "focus_capp", value=0.1)),
+        2,
+    ),
+    "config-surface-unknown-key": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "backend", "surface", value={"noise_sigmaa": 0.1})),
+        2,
+    ),
     "config-unknown-target": (
         "run",
         "config.json",
@@ -233,11 +271,26 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "window_length", value="wide")),
         3,
     ),
+    "manifest-stride-fraction": (
+        "run", "pool_manifest.json", _edit_document(lambda obj: _set(obj, "stride", value=100.5)), 3
+    ),
+    "manifest-window-length-fraction": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "window_length", value=512.9)),
+        3,
+    ),
     "records-directory": ("run", "xguard.jsonl", _make_directory, 3),
     "records-not-utf8": ("run", "xguard.jsonl", _not_utf8, 3),
     "records-row-list": ("run", "xguard.jsonl", _edit_line(0, lambda row: [row]), 3),
     "records-token-count-string": (
         "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "token_count", value="x")), 3
+    ),
+    "records-token-count-fraction": (
+        "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "token_count", value=10.9)), 3
+    ),
+    "records-token-count-bool": (
+        "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "token_count", value=True)), 3
     ),
     "records-token-count-overflow": (
         "run",
@@ -395,11 +448,36 @@ def demo_inputs(tmp_path):
 
 
 class TestRun:
-    def test_external_backend_exits_four(self, tmp_path, capsys):
+    def test_external_backend_is_an_unknown_kind(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"backend": {"kind": "external"}}), encoding="utf-8")
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 4
-        assert "external" in capsys.readouterr().err
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert str(config_path) in err and "unknown backend kind 'external'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_replay_config_loads_only_its_fixture(self, demo_inputs, tmp_path, monkeypatch):
+        config_path = tmp_path / "config.json"
+        demo = json.loads((demo_inputs / "config.json").read_text("utf-8"))
+        config = {
+            "backend": {"kind": "replay", "fixture": str(default_fixture_path())},
+            "pool_manifest": str(demo_inputs / demo["pool_manifest"]),
+            "eval_sets": [str(demo_inputs / path) for path in demo["eval_sets"]],
+            "taxonomy": str(default_taxonomy_path()),
+        }
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a replay loaded an input it does not read")
+
+        monkeypatch.setattr(orchestrator, "load_pool", unexpected)
+        monkeypatch.setattr(orchestrator, "load_eval_set", unexpected)
+        monkeypatch.setattr(SliceTaxonomy, "from_file", unexpected)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+        assert main(["replay", "--out", str(tmp_path / "replay")]) == 0
+        skip = ("run_meta.json", "config.json")
+        assert tree_bytes(tmp_path / "run", skip) == tree_bytes(tmp_path / "replay", skip)
 
     def test_resume_accepts_another_spelling_of_the_config(
         self, demo_inputs, tmp_path, monkeypatch, capsys
@@ -470,6 +548,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["report"])
         assert excinfo.value.code == 2
+
+    def test_unknown_report_format(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--in", str(tmp_path), "--format", "pdf"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestLogging:

@@ -89,6 +89,13 @@ class TestLoopConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             LoopConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("budget_tokens", 1000.0), ("rounds", True), ("master_seed", False)]
+    )
+    def test_integer_fields_take_only_json_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"config.{key} must be an integer"):
+            LoopConfig.from_json({"backend": {"kind": "replay"}, key: value})
+
     def test_initial_mixture_arity(self):
         with pytest.raises(ConfigError, match="initial_mixture"):
             LoopConfig.from_json({"backend": {"kind": "replay"}, "initial_mixture": [0.5, 0.5]})
@@ -130,7 +137,7 @@ class TestReplayRun:
         assert run_directory.round_indices() == [0, 1, 2, 3, 4]
 
     def test_report_flags_micro_only_rounds(self, run_dir):
-        text = report(run_dir)
+        text = report(run_dir)["report.txt"]
         assert "rounds 2-4 share mixture 0.35 / 0.45 / 0.20" in text
         noted = [line for line in text.splitlines() if line.endswith("micro-only change")]
         assert [line.split()[0] for line in noted] == ["2", "3", "4"]
@@ -140,15 +147,11 @@ class TestReplayRun:
         for name in ("trajectory.csv", "archive.csv", "slices.csv"):
             assert (run_dir.path / name).exists(), name
         before = tree_bytes(run_dir.path)
-        out = report(run_dir, fmt="csv")
+        out = report(run_dir)["trajectory.csv"]
         assert out.splitlines()[0] == "round,safe,benign,if,mixture,note"
         assert out == (run_dir.path / "trajectory.csv").read_text("utf-8")
         assert tree_bytes(run_dir.path) == before
         assert not (run_dir.path / "report.csv").exists()
-
-    def test_unknown_report_format(self, run_dir):
-        with pytest.raises(ConfigError, match="format"):
-            report(run_dir, fmt="pdf")
 
     def test_cursor_marks_completion(self, run_dir):
         # The committed round directories are the run's only record of progress.

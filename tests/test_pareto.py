@@ -72,10 +72,10 @@ class TestArchive:
     def test_dominated_insert_leaves_archive_unchanged(self):
         archive = ParetoArchive()
         archive.insert("1", trajectory_vector("1"))
-        before = archive.entries
+        before = archive.labels()
         verdict = archive.insert("0", trajectory_vector("0"))
         assert verdict.status == "DOMINATED"
-        assert archive.entries == before
+        assert archive.labels() == before
 
     def test_replacement_reports_displaced_labels(self):
         archive = ParetoArchive()
@@ -108,7 +108,7 @@ class TestArchive:
         archive = ParetoArchive()
         for index, vector in enumerate(vs):
             archive.insert(str(index), vector)
-        kept = {tuple(archive.get(label).as_tuple()) for label in archive.labels()}
+        kept = {vs[int(label)].as_tuple() for label in archive.labels()}
         oracle_labels = non_dominated(
             {str(index): v.as_tuple() for index, v in enumerate(vs)}
         )
@@ -120,9 +120,8 @@ class TestArchive:
         archive = ParetoArchive()
         for index, vector in enumerate(vs):
             archive.insert(str(index), vector)
-        entries = archive.entries
-        for a, b in itertools.permutations(entries, 2):
-            assert not dominates(a.metric, b.metric)
+        for a, b in itertools.permutations(archive.labels(), 2):
+            assert not dominates(vs[int(a)], vs[int(b)])
 
     def test_snapshot_rows_carry_events_and_frontier(self):
         archive = ParetoArchive()

@@ -110,6 +110,18 @@ class TestPolicyConfig:
         assert config.max_ratio_step == 0.05
         assert config.dataset_floor == 0.10  # untouched default
 
+    @pytest.mark.parametrize(
+        "obj, where",
+        [
+            ({"focus_cap": "0.3"}, "policy.focus_cap"),
+            ({"targets": {"SAFE": True}}, "policy.targets.SAFE"),
+            ({"targets": [4.5]}, "policy.targets"),
+        ],
+    )
+    def test_from_json_rejects_wrong_json_types(self, obj, where):
+        with pytest.raises(ConfigError, match=where):
+            PolicyConfig.from_json(obj)
+
     def test_json_roundtrip(self):
         config = PolicyConfig(max_ratio_step=0.08, focus_cap=0.3)
         assert PolicyConfig.from_json(config.to_json()) == config

@@ -555,10 +555,5 @@ class TestManifest:
         manifest = draw_budgeted(distribution, flat_pool, budget_tokens=100, seed=2)
         path = tmp_path / "manifest.jsonl"
         write_manifest(path, manifest)
-        entries = read_json(
-            path,
-            lambda rows: [ManifestEntry.from_json(row) for row in rows],
-            lines=True,
-            what="manifest",
-        )
-        assert tuple(entries) == manifest.entries
+        rows = read_json(path, lines=True, what="manifest")
+        assert rows == [entry.to_json() for entry in manifest.entries]
