@@ -43,7 +43,7 @@ from .rubric import (
     PromptAnnotation,
     scored_record,
 )
-from .sampler import DataAction, FocusCriterion, SampleManifest, slice_tests
+from .sampler import DataAction, FocusCriterion, SampleManifest, slice_pairs
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,7 @@ def replay_action(row: FixtureRow) -> DataAction:
     for descriptor in row.focus:
         criteria.append(
             FocusCriterion(
-                tests=slice_tests(descriptor["slice"]),
+                pairs=slice_pairs(descriptor["slice"]),
                 boost=float(descriptor.get("boost", 2.0)),
                 cap_fraction=float(descriptor.get("cap_fraction", 0.25)),
                 label=(

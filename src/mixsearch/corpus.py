@@ -10,11 +10,12 @@ count for metadata-only pools.
 Long documents split into fixed-length windows whose starts advance by
 ``stride`` (default: the window length, i.e. no overlap); the final
 window may be shorter.  A window keeps only what a draw reads: its id,
-its token count and its tags.  Windows inherit their bucket's slice
-fields as tags, so focus predicates can address slice axes uniformly.
-Windows with equal tags share one tag mapping, and the pool lists each
-bucket's distinct mappings, so predicates can be evaluated per mapping
-instead of per window.
+its token count and its tags.  Tag values are JSON strings, checked,
+not coerced.  Windows inherit their bucket's slice fields as tags, so a
+focus criterion, equality on one slice label's fields, addresses slice
+axes uniformly.  Windows with equal tags share one tag mapping, and the
+pool lists each bucket's distinct mappings, so criteria can be evaluated
+per mapping instead of per window.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, SchemaError
-from .records import Dataset, read_json, slice_key
+from .records import Dataset, config_fields, read_json, slice_key
 
 log = logging.getLogger(__name__)
 
@@ -119,29 +120,33 @@ class PoolManifest:
 
 
 def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
-    if not isinstance(raw, dict) or "datasets" not in raw:
+    fields = {"datasets": [dict], "window_length": int, "stride": int}
+    if "datasets" not in config_fields(raw, "pool manifest", fields):
         raise SchemaError("pool manifest must be an object with a 'datasets' list")
     specs = []
     for entry in raw["datasets"]:
+        fields = {"id": str, "path": str, "enumerations": dict, "buckets": [dict]}
+        config_fields(entry, "pool manifest dataset entry", fields)
         try:
             dataset_id = Dataset(entry["id"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"pool manifest dataset entry has unknown id: {entry!r}") from exc
-        enumerations = {
-            key: tuple(str(v) for v in values)
-            for key, values in entry.get("enumerations", {}).items()
-        }
+        enumerations = entry.get("enumerations", {})
+        section = f"dataset {dataset_id.value} enumerations"
+        config_fields(enumerations, section, dict.fromkeys(enumerations, [str]))
         buckets: dict[str, Bucket] = {}
         for bucket_entry in entry.get("buckets", []):
-            slice_fields = {str(k): str(v) for k, v in bucket_entry["slice"].items()}
+            section = f"dataset {dataset_id.value} bucket"
+            config_fields(bucket_entry, section, {"id": str, "slice": dict})
+            bucket_id = bucket_entry["id"]
+            slice_fields = bucket_entry["slice"]
             for fld, value in slice_fields.items():
                 allowed = enumerations.get(fld)
                 if allowed is None or value not in allowed:
                     raise SchemaError(
-                        f"dataset {dataset_id.value} bucket {bucket_entry['id']!r}: slice "
+                        f"dataset {dataset_id.value} bucket {bucket_id!r}: slice "
                         f"field {fld}={value!r} not in declared enumerations"
                     )
-            bucket_id = str(bucket_entry["id"])
             if bucket_id in buckets:
                 raise SchemaError(f"dataset {dataset_id.value}: duplicate bucket id {bucket_id!r}")
             buckets[bucket_id] = Bucket(bucket_id=bucket_id, slice_fields=slice_fields)
@@ -154,19 +159,12 @@ def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
                 buckets=tuple(buckets.values()),
             )
         )
-    window_length = _json_int(raw.get("window_length", DEFAULT_WINDOW_LENGTH), "window_length")
+    window_length = raw.get("window_length", DEFAULT_WINDOW_LENGTH)
     return PoolManifest(
         datasets=tuple(specs),
         window_length=window_length,
-        stride=_json_int(raw.get("stride", window_length), "stride"),
+        stride=raw.get("stride", window_length),
     )
-
-
-def _json_int(value: object, what: str) -> int:
-    """``value`` if it is a JSON integer; ``int()`` would truncate 10.9 and take true as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be a JSON integer, got {value!r}")
-    return value
 
 
 class Pool:
@@ -207,7 +205,7 @@ class Pool:
 
         Windows are grouped by mapping object; ``load_pool`` gives equal
         tags one shared mapping, so each group is one distinct mapping
-        and predicates can run once per group instead of once per window.
+        and criteria can run once per group instead of once per window.
         """
         key = (dataset_id, bucket_id)
         groups = self._tag_groups.get(key)
@@ -258,10 +256,11 @@ def load_pool(manifest: PoolManifest) -> Pool:
 
         def add_windows(rows: list[dict]) -> None:
             for row in rows:
-                record_id = str(row.get("id", ""))
-                if not record_id:
+                record_id = row.get("id")
+                if not isinstance(record_id, str) or not record_id:
                     raise SchemaError(
-                        f"dataset {spec.dataset_id.value}: record without id: {row!r}"
+                        f"dataset {spec.dataset_id.value}: record id is not a non-empty "
+                        f"string: {row!r}"
                     )
                 declared = row.get("dataset")
                 if declared is not None and declared != spec.dataset_id.value:
@@ -269,30 +268,31 @@ def load_pool(manifest: PoolManifest) -> Pool:
                         f"record {record_id!r}: dataset field {declared!r} does not match "
                         f"file's dataset {spec.dataset_id.value}"
                     )
-                bucket_id = str(row.get("bucket", ""))
+                bucket_id = row.get("bucket")
                 if bucket_id not in bucket_tags:
                     raise SchemaError(
                         f"record {record_id!r} references undeclared bucket {bucket_id!r} "
                         f"in dataset {spec.dataset_id.value}"
                     )
-                if row.get("tags"):
-                    tags = {str(k): str(v) for k, v in row["tags"].items()}
+                tags = row.get("tags")
+                if tags is None:
+                    tags = bucket_tags[bucket_id]
+                else:
+                    config_fields(tags, f"record {record_id!r} tags", dict.fromkeys(tags, str))
                     for fld, value in bucket_tags[bucket_id].items():
                         tags.setdefault(fld, value)
                     tags = shared_tags.setdefault(tuple(tags.items()), tags)
-                else:
-                    tags = bucket_tags[bucket_id]
                 if "text" in row:
                     token_count = whitespace_token_count(row["text"])
                     if token_count < 1:
                         raise SchemaError(f"record {record_id!r} has empty text")
                 elif "token_count" in row:
-                    token_count = _json_int(
-                        row["token_count"], f"record {record_id!r} token_count"
-                    )
-                    if token_count < 1:
+                    token_count = row["token_count"]
+                    # type(), not isinstance(): a JSON true is not the integer 1.
+                    if type(token_count) is not int or token_count < 1:
                         raise SchemaError(
-                            f"record {record_id!r} has non-positive token_count {token_count}"
+                            f"record {record_id!r}: token_count {token_count!r} is not a "
+                            "positive JSON integer"
                         )
                 else:
                     raise SchemaError(f"record {record_id!r} has neither text nor token_count")

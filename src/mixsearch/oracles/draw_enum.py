@@ -31,21 +31,9 @@ import sys
 
 
 def tag_test_holds(tags: dict, test: dict) -> bool:
-    if test["tag"] not in tags:
-        return False
-    actual = tags[test["tag"]]
-    if test["op"] == "eq":
-        return actual == str(test["value"])
-    try:
-        have = float(actual)
-        want = float(test["value"])
-    except (TypeError, ValueError):
-        return False
-    if test["op"] == "ge":
-        return have >= want
-    if test["op"] == "le":
-        return have <= want
-    raise ValueError(f"unknown op {test['op']!r}")
+    if test["op"] != "eq":
+        raise ValueError(f"unknown op {test['op']!r}")
+    return test["tag"] in tags and tags[test["tag"]] == test["value"]
 
 
 def criterion_holds(tags: dict, criterion: dict) -> bool:

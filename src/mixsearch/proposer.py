@@ -39,7 +39,7 @@ from .records import (
     MIXTURE_ORDER,
     config_fields,
 )
-from .sampler import DataAction, FocusCriterion, slice_tests
+from .sampler import DataAction, FocusCriterion, slice_pairs
 
 DEFAULT_TARGET = 4.5
 FOCUS_BOOST = 2.0
@@ -246,7 +246,7 @@ def _focus_criteria(
             continue
         criteria.append(
             FocusCriterion(
-                tests=slice_tests(worst.slice_label),
+                pairs=slice_pairs(worst.slice_label),
                 boost=FOCUS_BOOST,
                 cap_fraction=config.focus_cap,
                 label=label,

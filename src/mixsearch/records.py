@@ -89,7 +89,7 @@ def slice_key(parts: dict[str, str]) -> str:
     if not parts:
         raise ValueError("slice descriptor must have at least one field")
     for key, value in parts.items():
-        if "=" in key or "|" in key or "=" in str(value) or "|" in str(value):
+        if "=" in key or "|" in key or "=" in value or "|" in value:
             raise ValueError(f"slice field {key!r}={value!r} contains a reserved character")
     return "|".join(f"{key}={parts[key]}" for key in sorted(parts))
 
@@ -355,6 +355,7 @@ _TYPE_NAMES = {
     int: "an integer",
     float: "a number",
     str: "a string",
+    bool: "a boolean",
     dict: "an object",
     list: "a list",
     None: "null",
@@ -369,7 +370,7 @@ def _has_type(value: object, kind) -> bool:
     if kind is None:
         return value is None
     if isinstance(value, bool):  # JSON true and false are not numbers
-        return False
+        return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -384,12 +385,16 @@ def _type_name(kind) -> str:
 def config_fields(obj: object, section: str, fields: dict) -> dict:
     """Return ``obj`` once it checks out as the config section ``section``.
 
-    Every config parser checks each of its sections here.  ``obj`` must
-    be a JSON object whose keys all appear in ``fields``, which maps each
-    key to the JSON type of its value: ``int`` (an integer), ``float``
-    (any number), ``str``, ``dict``, ``list`` or ``None`` (null), a tuple
-    of these for any one of them, or ``[t]`` for a list of ``t``.  A
-    boolean is never a number.  Anything else raises ``ConfigError``.
+    Every config parser checks each of its sections here, and so do the
+    readers of the pool manifest, of tag mappings and of judge verdicts
+    (``dict.fromkeys(obj, str)`` asks for an object of strings).  ``obj``
+    must be a JSON object whose keys all appear in ``fields``, which maps
+    each key to the JSON type of its value: ``int`` (an integer),
+    ``float`` (any number), ``str``, ``bool``, ``dict``, ``list`` or
+    ``None`` (null), a tuple of these for any one of them, or ``[t]`` for
+    a list of ``t``.  A boolean is never a number.  Anything else raises
+    ``ConfigError``, which ``read_json`` reports as a data file's
+    ``DataError``.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{section} must be a JSON object, got {obj!r:.60}")

@@ -33,6 +33,7 @@ from .records import (
     L2State,
     SampleRecord,
     SCORE_DECIMALS,
+    config_fields,
     read_json,
     slice_key,
 )
@@ -96,10 +97,13 @@ class ConstraintSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstraintSpec":
+        parameters, hard = obj.get("parameters", {}), obj.get("hard", False)
+        if not isinstance(parameters, dict) or type(hard) is not bool:
+            raise SchemaError(
+                f"constraint parameters must be an object and hard a boolean: {obj!r}"
+            )
         return ConstraintSpec(
-            family=ConstraintFamily(obj["family"]),
-            parameters=dict(obj.get("parameters", {})),
-            hard=bool(obj.get("hard", False)),
+            family=ConstraintFamily(obj["family"]), parameters=parameters, hard=hard
         )
 
     def to_json(self) -> dict:
@@ -535,19 +539,20 @@ class EvalSample:
             dataset = Dataset(obj["dataset"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"eval sample has unknown dataset: {obj!r}") from exc
-        sample_id = str(obj.get("id") or "")
-        if not sample_id:
-            raise SchemaError(f"eval sample without id: {obj!r}")
+        sample_id = obj.get("id")
+        if not isinstance(sample_id, str) or not sample_id:
+            raise SchemaError(f"eval sample id is not a non-empty string: {obj!r}")
+        tags, verdicts = obj.get("tags", {}), obj.get("judge_verdicts")
+        config_fields(tags, f"eval sample {sample_id!r} tags", dict.fromkeys(tags, str))
+        if verdicts is not None:
+            section = f"eval sample {sample_id!r} judge_verdicts"
+            config_fields(verdicts, section, dict.fromkeys(verdicts, bool))
         return EvalSample(
             sample_id=sample_id,
             dataset=dataset,
-            tags={str(k): str(v) for k, v in obj.get("tags", {}).items()},
+            tags=tags,
             response_text=obj.get("response_text"),
-            judge_verdicts=(
-                {str(k): bool(v) for k, v in obj["judge_verdicts"].items()}
-                if obj.get("judge_verdicts") is not None
-                else None
-            ),
+            judge_verdicts=verdicts,
             constraints=tuple(
                 ConstraintSpec.from_json(c) for c in obj.get("constraints", [])
             ),

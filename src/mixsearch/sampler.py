@@ -1,10 +1,11 @@
 """Data actions and token-budgeted sampling.
 
 An action is a dataset mixture over (XGUARD, ORBENCH, IF), per-dataset
-bucket weights, and optional focus criteria.  The effective bucket
-distribution multiplies mixture share by bucket weight, applies focus
-boosts to buckets whose windows all satisfy a criterion, and
-renormalizes.  Drawing is i.i.d. with replacement: pick a bucket from
+bucket weights, and optional focus criteria; a focus criterion matches
+the windows whose tags equal every field of one slice label.  The
+effective bucket distribution multiplies mixture share by bucket
+weight, applies focus boosts to buckets whose windows all satisfy a
+criterion, and renormalizes.  Drawing is i.i.d. with replacement: pick a bucket from
 the distribution, pick a window uniformly inside it, and stop the first
 time a drawn window would overflow the token budget, discarding that
 draw.  Focus criteria additionally cap the share of the budget their
@@ -34,71 +35,35 @@ def bucket_key_str(key: BucketKey) -> str:
     return f"{key[0].value}/{key[1]}"
 
 
-@dataclass(frozen=True)
-class TagTest:
-    """One predicate clause over a window's tags."""
-
-    tag: str
-    op: str  # "eq" | "ge" | "le"
-    value: str | float
-
-    def __post_init__(self) -> None:
-        if self.op not in ("eq", "ge", "le"):
-            raise ValueError(f"unknown tag test op {self.op!r}")
-
-    def matches(self, tags: Mapping[str, str]) -> bool:
-        actual = tags.get(self.tag)
-        if actual is None:
-            return False
-        if self.op == "eq":
-            return actual == str(self.value)
-        try:
-            have = float(actual)
-            want = float(self.value)
-        except (TypeError, ValueError):
-            return False
-        return have >= want if self.op == "ge" else have <= want
-
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "op": self.op, "value": self.value}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TagTest":
-        return TagTest(tag=obj["tag"], op=obj["op"], value=obj["value"])
-
-
-def slice_tests(label: str) -> tuple[TagTest, ...]:
-    """One ``eq`` test per field of a slice label, in field order."""
-    return tuple(
-        TagTest(tag=tag, op="eq", value=value)
-        for tag, value in sorted(parse_slice_key(label).items())
-    )
+def slice_pairs(label: str) -> tuple[tuple[str, str], ...]:
+    """The ``(tag, value)`` pairs of a slice label's fields, sorted by tag."""
+    return tuple(sorted(parse_slice_key(label).items()))
 
 
 @dataclass(frozen=True)
 class FocusCriterion:
-    """Conjunctive window predicate with an over-sampling boost and a
-    token-share cap."""
+    """The windows whose tags equal every ``(tag, value)`` pair of one
+    slice label, with an over-sampling boost and a token-share cap."""
 
-    tests: tuple[TagTest, ...]
+    pairs: tuple[tuple[str, str], ...]
     boost: float
     cap_fraction: float
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not self.tests:
-            raise ValueError("focus criterion needs at least one tag test")
+        if not self.pairs:
+            raise ValueError("focus criterion needs at least one (tag, value) pair")
         if self.boost < 1.0:
             raise ValueError(f"boost must be >= 1, got {self.boost}")
         if not 0.0 < self.cap_fraction <= 1.0:
             raise ValueError(f"cap_fraction must be in (0, 1], got {self.cap_fraction}")
 
     def matches(self, tags: Mapping[str, str]) -> bool:
-        return all(test.matches(tags) for test in self.tests)
+        return all(tags.get(tag) == value for tag, value in self.pairs)
 
     def to_json(self) -> dict:
         return {
-            "tests": [test.to_json() for test in self.tests],
+            "tests": [{"tag": tag, "op": "eq", "value": value} for tag, value in self.pairs],
             "boost": self.boost,
             "cap_fraction": self.cap_fraction,
             "label": self.label,
@@ -106,8 +71,16 @@ class FocusCriterion:
 
     @staticmethod
     def from_json(obj: dict) -> "FocusCriterion":
+        pairs = []
+        for test in obj["tests"]:
+            tag, value = test["tag"], test["value"]
+            if test["op"] != "eq" or not isinstance(tag, str) or not isinstance(value, str):
+                raise ValueError(
+                    f"focus test needs a string tag, op 'eq' and a string value: {test!r}"
+                )
+            pairs.append((tag, value))
         return FocusCriterion(
-            tests=tuple(TagTest.from_json(t) for t in obj["tests"]),
+            pairs=tuple(pairs),
             boost=obj["boost"],
             cap_fraction=obj["cap_fraction"],
             label=obj.get("label", ""),
@@ -182,7 +155,7 @@ class DataAction:
         return DataAction(
             dataset_mixture=tuple(obj["dataset_mixture"]),
             bucket_weights={
-                Dataset(dataset): {str(b): float(w) for b, w in weights.items()}
+                Dataset(dataset): {b: float(w) for b, w in weights.items()}
                 for dataset, weights in obj.get("bucket_weights", {}).items()
             },
             focus_criteria=tuple(

@@ -7,15 +7,19 @@ simulated and a replayed run write.
 Run ``pytest tests/test_acceptance.py -v`` for one verdict line per
 criterion (add ``-s`` to see the measurement lines as they print).
 """
+import hashlib
 import itertools
 import json
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from mixsearch.backend import SurfaceParams
+from mixsearch.cli import main
+from mixsearch.fixtures import demo_config_path
 from mixsearch.oracles.naive_checker import naive_verdict
 from mixsearch.orchestrator import LoopConfig, round_dir_name, run
 from mixsearch.pareto import ParetoArchive, dominates
@@ -42,7 +46,6 @@ from mixsearch.rubric import (
 from mixsearch.sampler import (
     DataAction,
     FocusCriterion,
-    TagTest,
     draw_budgeted,
     effective_distribution,
     uniform_bucket_weights,
@@ -137,7 +140,7 @@ def test_criterion_4_budget_discipline(tmp_path):
     }
     weights = uniform_bucket_weights(pool)
     hot = FocusCriterion(
-        tests=(TagTest(tag="tier", op="eq", value="a"),),
+        pairs=(("tier", "a"),),
         boost=2.0,
         cap_fraction=0.3,
         label="tier=a",
@@ -416,6 +419,31 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
         f"two identical runs match byte for byte across {len(left)} artifacts "
         "(only run_meta.json carries a timestamp)",
     )
+
+
+def test_artifact_bytes_match_the_committed_digests(tmp_path, capsys):
+    """The demo run and ``mixsearch replay`` write, file by file, the
+    bytes whose sha256 ``artifact_digests.json`` records.  ``config.json``
+    (it names the checkout's input paths) and ``run_meta.json`` (timings)
+    are left out.  A change that alters artifact bytes on purpose rewrites
+    the table with the digests computed here."""
+    demo, replay = tmp_path / "demo", tmp_path / "replay"
+    assert main(["run", "--config", str(demo_config_path()), "--out", str(demo)]) == 0
+    assert main(["replay", "--out", str(replay)]) == 0
+    capsys.readouterr()
+    actual = {
+        kind: {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in tree_bytes(path, exclude=("config.json", "run_meta.json")).items()
+        }
+        for kind, path in (("demo", demo), ("replay", replay))
+    }
+    table = Path(__file__).with_name("artifact_digests.json")
+    expected = json.loads(table.read_text(encoding="utf-8"))
+    for kind in ("demo", "replay"):
+        assert actual[kind].keys() == expected[kind].keys(), kind
+        changed = [name for name in expected[kind] if actual[kind][name] != expected[kind][name]]
+        assert not changed, f"{kind} artifacts differ from {table.name}: {changed}"
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,23 @@ DAMAGE = {
         ["pareto", "--in"],
         lambda run: (run / "archive.jsonl").write_text("not json\n", encoding="utf-8"),
     ),
+    # A focus test is a string tag "eq" a string value.
+    "action-focus-op-ge": (
+        ["replay", "--out"],
+        lambda run: _edit_focus_test(run, "op", "ge"),
+    ),
+    "action-focus-value-number": (
+        ["replay", "--out"],
+        lambda run: _edit_focus_test(run, "value", 2),
+    ),
 }
+
+
+def _edit_focus_test(run, key, value):
+    path = run / "round-001" / "action.json"
+    obj = json.loads(path.read_text("utf-8"))
+    obj["action"]["focus_criteria"][0]["tests"][0][key] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(DAMAGE))
@@ -280,6 +296,32 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "window_length", value=512.9)),
         3,
     ),
+    "manifest-unknown-key": (
+        "run", "pool_manifest.json", _edit_document(lambda obj: _set(obj, "strid", value=100)), 3
+    ),
+    "manifest-dataset-unknown-key": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "datasets", 0, "pathh", value="xguard.jsonl")),
+        3,
+    ),
+    "manifest-bucket-unknown-key": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "datasets", 0, "buckets", 0, "weight", value=1)),
+        3,
+    ),
+    "manifest-slice-number": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(
+            lambda obj: _set(
+                _set(obj, "datasets", 0, "enumerations", "complexity", value=[1, "MED", "HIGH"]),
+                "datasets", 0, "buckets", 0, "slice", "complexity", value=1,
+            )
+        ),
+        3,
+    ),
     "records-directory": ("run", "xguard.jsonl", _make_directory, 3),
     "records-not-utf8": ("run", "xguard.jsonl", _not_utf8, 3),
     "records-row-list": ("run", "xguard.jsonl", _edit_line(0, lambda row: [row]), 3),
@@ -291,6 +333,15 @@ FAULTS = {
     ),
     "records-token-count-bool": (
         "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "token_count", value=True)), 3
+    ),
+    "records-id-number": (
+        "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "id", value=5)), 3
+    ),
+    "records-tag-number": (
+        "run",
+        "xguard.jsonl",
+        _edit_line(0, lambda row: _set(row, "tags", value={"complexity": 1})),
+        3,
     ),
     "records-token-count-overflow": (
         "run",
@@ -305,6 +356,27 @@ FAULTS = {
     "eval-set-row-list": ("run", "eval_if.jsonl", _edit_line(0, lambda row: [row]), 3),
     "eval-set-tags-list": (
         "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "tags", value=["x"])), 3
+    ),
+    "eval-set-id-number": (
+        "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "id", value=5)), 3
+    ),
+    "eval-set-tag-number": (
+        "run",
+        "eval_if.jsonl",
+        _edit_line(0, lambda row: _set(row, "tags", "complexity", value=1)),
+        3,
+    ),
+    "eval-set-verdict-string": (
+        "run",
+        "eval_safe.jsonl",
+        _edit_line(0, lambda row: _set(row, "judge_verdicts", "refusal_quality", value="false")),
+        3,
+    ),
+    "eval-set-hard-string": (
+        "run",
+        "eval_if.jsonl",
+        _edit_line(0, lambda row: _set(row, "constraints", 0, "hard", value="false")),
+        3,
     ),
     "eval-set-unknown-constraint-family": (
         "run",

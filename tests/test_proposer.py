@@ -261,8 +261,7 @@ class TestFocusRefresh:
         assert criterion.label == "SAFE:tier=hot:HARD_NO"
         assert criterion.boost == 2.0
         assert criterion.cap_fraction == PolicyConfig().focus_cap
-        (test,) = criterion.tests
-        assert (test.tag, test.op, test.value) == ("tier", "eq", "hot")
+        assert criterion.pairs == (("tier", "hot"),)
 
     def test_multi_field_slice_becomes_conjunction(self):
         profiles = [
@@ -274,10 +273,7 @@ class TestFocusRefresh:
         )
         proposed, _ = propose_explained(built, PolicyConfig())
         (criterion,) = proposed.focus_criteria
-        assert [(t.tag, t.value) for t in criterion.tests] == [
-            ("category", "security"),
-            ("proximity", "EDGE"),
-        ]
+        assert criterion.pairs == (("category", "security"), ("proximity", "EDGE"))
 
     def test_at_target_dimension_gets_no_criterion(self):
         built = history(

@@ -13,12 +13,12 @@ from mixsearch.records import Dataset, read_json
 from mixsearch.sampler import (
     DataAction,
     FocusCriterion,
-    TagTest,
     draw_budgeted,
     effective_distribution,
     uniform_bucket_weights,
     ManifestEntry,
     SampleManifest,
+    slice_pairs,
     write_manifest,
 )
 
@@ -42,7 +42,7 @@ def flat_action(mixture=(0.35, 0.45, 0.20), focus=()):
 
 def tier_focus(tier, boost=2.0, cap_fraction=0.25, label=""):
     return FocusCriterion(
-        tests=(TagTest(tag="tier", op="eq", value=tier),),
+        pairs=(("tier", tier),),
         boost=boost,
         cap_fraction=cap_fraction,
         label=label,
@@ -50,38 +50,21 @@ def tier_focus(tier, boost=2.0, cap_fraction=0.25, label=""):
 
 
 # ---------------------------------------------------------------------------
-# TagTest / FocusCriterion / DataAction validation
-
-
-class TestTagTest:
-    def test_eq_matches_string(self):
-        assert TagTest("tier", "eq", "hot").matches({"tier": "hot"})
-        assert not TagTest("tier", "eq", "hot").matches({"tier": "cold"})
-
-    def test_missing_tag_never_matches(self):
-        assert not TagTest("tier", "eq", "hot").matches({})
-
-    def test_numeric_comparisons(self):
-        assert TagTest("difficulty", "ge", 2).matches({"difficulty": "3"})
-        assert not TagTest("difficulty", "ge", 2).matches({"difficulty": "1"})
-        assert TagTest("difficulty", "le", 2).matches({"difficulty": "2"})
-
-    def test_non_numeric_value_fails_ordered_ops(self):
-        assert not TagTest("difficulty", "ge", 2).matches({"difficulty": "hard"})
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="op"):
-            TagTest("tier", "gt", 2)
-
-    def test_json_roundtrip(self):
-        test = TagTest("tier", "eq", "hot")
-        assert TagTest.from_json(test.to_json()) == test
+# FocusCriterion / DataAction validation
 
 
 class TestFocusCriterion:
+    def test_eq_matches_string(self):
+        assert tier_focus("hot").matches({"tier": "hot"})
+        assert not tier_focus("hot").matches({"tier": "cold"})
+
+    def test_missing_tag_never_matches(self):
+        assert not tier_focus("hot").matches({})
+        assert not tier_focus("hot").matches({"grade": "hot"})
+
     def test_requires_tests(self):
-        with pytest.raises(ValueError):
-            FocusCriterion(tests=(), boost=2.0, cap_fraction=0.25)
+        with pytest.raises(ValueError, match="pair"):
+            FocusCriterion(pairs=(), boost=2.0, cap_fraction=0.25)
 
     def test_boost_below_one_rejected(self):
         with pytest.raises(ValueError, match="boost"):
@@ -94,16 +77,46 @@ class TestFocusCriterion:
 
     def test_conjunction_over_tests(self):
         criterion = FocusCriterion(
-            tests=(TagTest("tier", "eq", "a"), TagTest("grade", "eq", "x")),
-            boost=2.0,
-            cap_fraction=0.5,
+            pairs=(("grade", "x"), ("tier", "a")), boost=2.0, cap_fraction=0.5
         )
-        window_tags = {"tier": "a", "grade": "x"}
-        assert all(test.matches(window_tags) for test in criterion.tests)
+        assert criterion.matches({"tier": "a", "grade": "x", "topic": "y"})
+        assert not criterion.matches({"tier": "a", "grade": "y"})
+        assert not criterion.matches({"tier": "b", "grade": "x"})
+        assert not criterion.matches({"tier": "a"})
 
     def test_json_roundtrip(self):
         criterion = tier_focus("a", label="SAFE:tier=a:c1")
         assert FocusCriterion.from_json(criterion.to_json()) == criterion
+
+    def test_to_json_writes_eq_rows(self):
+        """The ``action.json`` rows of a focus criterion, as earlier
+        versions wrote them, so run directories on disk still resume."""
+        criterion = FocusCriterion(
+            pairs=slice_pairs("proximity=EDGE|category=medical"),
+            boost=2.0,
+            cap_fraction=0.25,
+            label="BENIGN:category=medical|proximity=EDGE:c1",
+        )
+        rows = {
+            "tests": [
+                {"tag": "category", "op": "eq", "value": "medical"},
+                {"tag": "proximity", "op": "eq", "value": "EDGE"},
+            ],
+            "boost": 2.0,
+            "cap_fraction": 0.25,
+            "label": "BENIGN:category=medical|proximity=EDGE:c1",
+        }
+        assert criterion.to_json() == rows
+        assert FocusCriterion.from_json(rows) == criterion
+
+    def test_from_json_takes_only_eq_on_strings(self):
+        for test in (
+            {"tag": "difficulty", "op": "ge", "value": "2"},
+            {"tag": "difficulty", "op": "eq", "value": 2},
+            {"tag": 5, "op": "eq", "value": "2"},
+        ):
+            with pytest.raises(ValueError, match="focus test"):
+                FocusCriterion.from_json({"tests": [test], "boost": 2.0, "cap_fraction": 0.5})
 
 
 class TestDataAction:
@@ -373,13 +386,13 @@ def random_tags(rng):
     return tags
 
 
-def random_test(rng):
+def random_pair(rng):
     kind = rng.randrange(4)
     if kind == 0:
-        return TagTest("tier", "eq", rng.choice("ab"))
+        return ("tier", rng.choice("ab"))
     if kind == 1:
-        return TagTest("topic", "eq", rng.choice("xy"))
-    return TagTest("difficulty", rng.choice(["ge", "le"]), rng.choice([1, 2, "2", 3.0]))
+        return ("topic", rng.choice("xy"))
+    return ("difficulty", rng.choice(["1", "2", "3", "hard"]))
 
 
 def random_draw_case(rng, root):
@@ -405,24 +418,24 @@ def random_draw_case(rng, root):
     }
     if not any(distribution.values()):
         distribution[next(iter(distribution))] = 1.0
-    focus_tests = [[random_test(rng)] for _ in range(rng.randint(0, 3))]
-    for tests in focus_tests[1:]:
+    focus_pairs = [[random_pair(rng)] for _ in range(rng.randint(0, 3))]
+    for pairs in focus_pairs[1:]:
         if rng.random() < 0.5:
-            tests.append(random_test(rng))  # a conjunction
-    if focus_tests and rng.random() < 0.6:
+            pairs.append(random_pair(rng))  # a conjunction
+    if focus_pairs and rng.random() < 0.6:
         # Focus one tier and draw only from buckets of that tier, so the
         # caps can cover the whole support.
         focused = rng.choice(sorted({key[1] for key in distribution}))
-        focus_tests[0] = [TagTest("tier", "eq", focused)]
+        focus_pairs[0] = [("tier", focused)]
         for key in distribution:
             distribution[key] = rng.random() + 0.01 if key[1] == focused else 0.0
     focus = [
         FocusCriterion(
-            tests=tuple(tests),
+            pairs=tuple(pairs),
             boost=2.0,
             cap_fraction=rng.choice([rng.uniform(0.05, 1.0), rng.randint(1, 20) / 20]),
         )
-        for tests in focus_tests
+        for pairs in focus_pairs
     ]
     return pool, distribution, budget, focus
 
@@ -474,14 +487,14 @@ class TestDrawOracle:
         """The slow shape: the capped bucket sorts first on the support,
         holds only full windows, and its cap binds after two windows, so
         most of the draw is cap rejections."""
-        original = TagTest.matches
+        original = FocusCriterion.matches
         calls = []
 
         def counting(self, tags):
             calls.append(1)
             return original(self, tags)
 
-        monkeypatch.setattr(TagTest, "matches", counting)
+        monkeypatch.setattr(FocusCriterion, "matches", counting)
         counts = {}
         for size in (40, 400):
             root = tmp_path / str(size)
