@@ -43,7 +43,7 @@ from .rubric import (
     PromptAnnotation,
     scored_record,
 )
-from .sampler import DataAction, FocusCriterion, SampleManifest, slice_pairs
+from .sampler import DataAction, SampleManifest
 
 
 @dataclass(frozen=True)
@@ -419,21 +419,7 @@ class ReplayBackend:
 
 def replay_action(row: FixtureRow) -> DataAction:
     """Reconstruct the action a fixture row records (macro mixture plus
-    any focus descriptors; bucket weights are not recorded)."""
+    any focus criteria; bucket weights are not recorded)."""
     if row.mixture is None:
         raise BackendError(f"fixture row {row.label!r} has no mixture to act on")
-    criteria = []
-    for descriptor in row.focus:
-        criteria.append(
-            FocusCriterion(
-                pairs=slice_pairs(descriptor["slice"]),
-                boost=float(descriptor.get("boost", 2.0)),
-                cap_fraction=float(descriptor.get("cap_fraction", 0.25)),
-                label=(
-                    f"{descriptor['dimension']}:{descriptor['slice']}:"
-                    f"{descriptor.get('mode', '')}"
-                ),
-            )
-        )
-    return DataAction(dataset_mixture=row.mixture, focus_criteria=tuple(criteria))
-
+    return DataAction(dataset_mixture=row.mixture, focus_criteria=row.focus)

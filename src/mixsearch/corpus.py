@@ -9,17 +9,21 @@ count for metadata-only pools.
 
 Long documents split into fixed-length windows whose starts advance by
 ``stride`` (default: the window length, i.e. no overlap); the final
-window may be shorter.  A window keeps only what a draw reads: its id,
-its token count and its tags.  Tag values are JSON strings, checked,
-not coerced.  Windows inherit their bucket's slice fields as tags, so a
-focus criterion, equality on one slice label's fields, addresses slice
-axes uniformly.  Windows with equal tags share one tag mapping, and the
-pool lists each bucket's distinct mappings, so criteria can be evaluated
-per mapping instead of per window.
+window may be shorter.  A window is only what a draw reads: its id, its
+token count and its tags.  Each bucket keeps them as three parallel
+columns in record-file order (ids, an ``array('I')`` of token counts,
+tag mappings), so a loaded pool holds a few objects per bucket instead
+of one per window.  Tag values are JSON strings, checked, not coerced.
+Windows inherit their bucket's slice fields as tags, so a focus
+criterion, equality on one slice label's fields, addresses slice axes
+uniformly.  Windows with equal tags share one tag mapping, and the pool
+lists each bucket's distinct mappings, so criteria can be evaluated per
+mapping instead of per window.
 """
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +33,10 @@ from .records import Dataset, config_fields, read_json, slice_key
 log = logging.getLogger(__name__)
 
 DEFAULT_WINDOW_LENGTH = 4096
+MAX_WINDOW_LENGTH = 2**32 - 1  # the largest token count an array('I') item holds
+
+# A bucket's windows in record-file order: ids, token counts, tag mappings.
+WindowColumns = tuple[list[str], array, list[dict[str, str]]]
 
 
 def whitespace_token_count(text: str) -> int:
@@ -61,19 +69,6 @@ def split_windows(token_count: int, window_length: int, stride: int) -> list[tup
 
 
 @dataclass(frozen=True)
-class TrainingWindow:
-    """One sampleable unit of training data."""
-
-    window_id: str
-    token_count: int
-    tags: dict[str, str]
-
-    def __post_init__(self) -> None:
-        if self.token_count < 1:
-            raise ValueError(f"window {self.window_id!r} has token_count {self.token_count}")
-
-
-@dataclass(frozen=True)
 class Bucket:
     bucket_id: str
     slice_fields: dict[str, str]
@@ -97,8 +92,10 @@ class PoolManifest:
     stride: int  # a manifest without one gets window_length: adjacent, non-overlapping
 
     def __post_init__(self) -> None:
-        if self.window_length < 1:
-            raise ConfigError(f"window_length must be >= 1, got {self.window_length}")
+        if not 1 <= self.window_length <= MAX_WINDOW_LENGTH:
+            raise ConfigError(
+                f"window_length must be in [1, {MAX_WINDOW_LENGTH}], got {self.window_length}"
+            )
         if not 1 <= self.stride <= self.window_length:
             raise ConfigError(
                 f"stride must satisfy 1 <= stride <= window_length, got {self.stride}"
@@ -170,17 +167,17 @@ def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
 class Pool:
     """Immutable window index keyed by (dataset, bucket).
 
-    Iteration order is the record-file order within each bucket, so two
+    Column order is the record-file order within each bucket, so two
     loads of identical manifest bytes produce identical pools.
     """
 
     def __init__(
         self,
         buckets: dict[Dataset, tuple[Bucket, ...]],
-        windows_by_bucket: dict[tuple[Dataset, str], tuple[TrainingWindow, ...]],
+        columns: dict[tuple[Dataset, str], WindowColumns],
     ) -> None:
         self._buckets = buckets
-        self._windows_by_bucket = windows_by_bucket
+        self._columns = columns
         self._tag_groups: dict[tuple[Dataset, str], tuple[tuple[dict[str, str], int], ...]] = {}
 
     def bucket_ids(self, dataset_id: Dataset) -> tuple[str, ...]:
@@ -194,8 +191,10 @@ class Pool:
     def datasets(self) -> tuple[Dataset, ...]:
         return tuple(self._buckets)
 
-    def windows(self, dataset_id: Dataset, bucket_id: str) -> tuple[TrainingWindow, ...]:
-        return self._windows_by_bucket.get((dataset_id, bucket_id), ())
+    def windows(self, dataset_id: Dataset, bucket_id: str) -> WindowColumns:
+        """The bucket's window ids, token counts and tag mappings: parallel
+        columns in record-file order, empty for an unknown bucket."""
+        return self._columns.get((dataset_id, bucket_id), ([], array("I"), []))
 
     def tag_groups(
         self, dataset_id: Dataset, bucket_id: str
@@ -211,19 +210,16 @@ class Pool:
         groups = self._tag_groups.get(key)
         if groups is None:
             shortest: dict[int, tuple[dict[str, str], int]] = {}
-            for window in self.windows(dataset_id, bucket_id):
-                seen = shortest.get(id(window.tags))
-                if seen is None or window.token_count < seen[1]:
-                    shortest[id(window.tags)] = (window.tags, window.token_count)
+            _, lengths, tags_column = self.windows(dataset_id, bucket_id)
+            for tags, length in zip(tags_column, lengths):
+                seen = shortest.get(id(tags))
+                if seen is None or length < seen[1]:
+                    shortest[id(tags)] = (tags, length)
             groups = self._tag_groups[key] = tuple(shortest.values())
         return groups
 
     def window_count(self, dataset_id: Dataset) -> int:
-        return sum(
-            len(windows)
-            for (ds, _), windows in self._windows_by_bucket.items()
-            if ds == dataset_id
-        )
+        return sum(len(ids) for (ds, _), (ids, _, _) in self._columns.items() if ds == dataset_id)
 
     def bucket_slices(self) -> dict[Dataset, dict[str, str]]:
         """bucket_id -> slice label map per dataset, for policy plumbing."""
@@ -240,12 +236,12 @@ def load_pool(manifest: PoolManifest) -> Pool:
     unreadable file or a malformed row is a ``DataError`` naming the
     file, and one file's parsed rows are freed before the next is read.
     """
-    windows_by_bucket: dict[tuple[Dataset, str], list[TrainingWindow]] = {}
+    columns: dict[tuple[Dataset, str], WindowColumns] = {}
     window_ids: set[str] = set()
     shared_tags: dict[tuple[tuple[str, str], ...], dict[str, str]] = {}
     for spec in manifest.datasets:
         for bucket in spec.buckets:
-            windows_by_bucket[(spec.dataset_id, bucket.bucket_id)] = []
+            columns[(spec.dataset_id, bucket.bucket_id)] = ([], array("I"), [])
         # The tags of a record without its own: its bucket's slice fields.
         bucket_tags = {
             bucket.bucket_id: shared_tags.setdefault(
@@ -297,14 +293,15 @@ def load_pool(manifest: PoolManifest) -> Pool:
                 else:
                     raise SchemaError(f"record {record_id!r} has neither text nor token_count")
                 parts = split_windows(token_count, manifest.window_length, manifest.stride)
+                ids, lengths, tags_column = columns[(spec.dataset_id, bucket_id)]
                 for index, (_, length) in enumerate(parts):
                     window_id = record_id if len(parts) == 1 else f"{record_id}:w{index}"
                     if window_id in window_ids:
                         raise SchemaError(f"duplicate window id {window_id!r}")
                     window_ids.add(window_id)
-                    windows_by_bucket[(spec.dataset_id, bucket_id)].append(
-                        TrainingWindow(window_id=window_id, token_count=length, tags=tags)
-                    )
+                    ids.append(window_id)
+                    lengths.append(length)
+                    tags_column.append(tags)
 
         read_json(
             spec.path,
@@ -312,10 +309,7 @@ def load_pool(manifest: PoolManifest) -> Pool:
             lines=True,
             what=f"dataset {spec.dataset_id.value} record file",
         )
-    pool = Pool(
-        {spec.dataset_id: spec.buckets for spec in manifest.datasets},
-        {key: tuple(windows) for key, windows in windows_by_bucket.items()},
-    )
+    pool = Pool({spec.dataset_id: spec.buckets for spec in manifest.datasets}, columns)
     for dataset_id in pool.datasets:
         log.info("pool dataset %s: %d windows", dataset_id.value, pool.window_count(dataset_id))
     return pool

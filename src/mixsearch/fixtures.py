@@ -6,7 +6,11 @@ plus contiguous numbered rounds), each row carrying the three dimension
 means, the mixture that produced them, optional focus descriptors, and
 a self-check digest.  A trailing ``frontier`` row declares which rounds
 the non-dominated set must contain, so validation recomputes dominance
-rather than trusting the file.
+rather than trusting the file.  Rows, focus descriptors and the frontier
+take only their own keys, each of its JSON type: a string ``"3"`` is not
+a boost, nor ``true`` a cap fraction.  Each focus descriptor becomes a
+focus criterion as the file is read, so one that cannot be (an
+unparseable slice, a boost below 1) fails the load, not a round.
 """
 from __future__ import annotations
 
@@ -19,9 +23,20 @@ from pathlib import Path
 from .errors import FixtureError, ReplayGapError
 from .pareto import ParetoArchive
 from .profiles import MetricVector
-from .records import read_json
+from .records import config_fields, read_json
+from .sampler import FocusCriterion, slice_pairs
 
 CHECK_DIGEST_CHARS = 8
+ROW_FIELDS = {
+    "round": (str, int),
+    "safe": float,
+    "benign": float,
+    "if": float,
+    "mixture": [float],
+    "focus": [dict],
+    "check": str,
+}
+FOCUS_FIELDS = {"dimension": str, "slice": str, "mode": str, "boost": float, "cap_fraction": float}
 
 
 def row_check(row: dict) -> str:
@@ -36,7 +51,7 @@ class FixtureRow:
     label: str  # "base" or the round index as a string
     metrics: MetricVector
     mixture: tuple[float, float, float] | None
-    focus: tuple[dict, ...]
+    focus: tuple[FocusCriterion, ...]
     raw: dict
 
     @property
@@ -87,13 +102,18 @@ def _fixture_from_rows(raw_rows: list[dict], path: Path) -> ReplayFixture:
     rows = []
     frontier: tuple[str, ...] | None = None
     for raw in raw_rows:
-        if "frontier" in raw:
-            frontier = tuple(str(label) for label in raw["frontier"])
+        if isinstance(raw, dict) and "frontier" in raw:
+            config_fields(raw, "replay fixture frontier row", {"frontier": [str]})
+            frontier = tuple(raw["frontier"])
             continue
+        config_fields(raw, "replay fixture row", ROW_FIELDS)
         try:
             label = str(raw["round"])
+            if label != "base" and not label.isdecimal():
+                raise ValueError(f"round {raw['round']!r} is neither 'base' nor a round index")
             metrics = MetricVector(safe=raw["safe"], benign=raw["benign"], if_score=raw["if"])
             mixture = tuple(float(v) for v in raw["mixture"]) if raw.get("mixture") else None
+            focus = tuple(_focus_criterion(descriptor) for descriptor in raw.get("focus", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureError(f"replay fixture {path}: malformed row {raw!r}: {exc}") from exc
         rows.append(
@@ -101,13 +121,24 @@ def _fixture_from_rows(raw_rows: list[dict], path: Path) -> ReplayFixture:
                 label=label,
                 metrics=metrics,
                 mixture=mixture,  # type: ignore[arg-type]
-                focus=tuple(raw.get("focus", [])),
+                focus=focus,
                 raw=raw,
             )
         )
     if frontier is None:
         raise FixtureError(f"replay fixture {path} lacks a frontier row")
     return ReplayFixture(rows=tuple(rows), declared_frontier=frontier, path=path)
+
+
+def _focus_criterion(descriptor: dict) -> FocusCriterion:
+    """The focus criterion a fixture row's focus descriptor records."""
+    config_fields(descriptor, "replay fixture focus descriptor", FOCUS_FIELDS)
+    return FocusCriterion(
+        pairs=slice_pairs(descriptor["slice"]),
+        boost=float(descriptor.get("boost", 2.0)),
+        cap_fraction=float(descriptor.get("cap_fraction", 0.25)),
+        label=f"{descriptor['dimension']}:{descriptor['slice']}:{descriptor.get('mode', '')}",
+    )
 
 
 def validate_fixture(fixture: ReplayFixture) -> FixtureVerdict:

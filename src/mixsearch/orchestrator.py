@@ -10,20 +10,10 @@ seeds, and no artifact except ``run_meta.json`` contains a timestamp,
 so two runs with the same config and seed are byte-identical.  A run
 with a point left to evaluate removes the archive and report files
 first, so they never describe fewer points than are committed.
-
-The inputs ``run`` loads (the pool's windows and the annotated eval
-sets, some 200k objects at scale) are read-only for the whole run, so
-it moves them into the GC's permanent generation with ``gc.freeze()``:
-each full collection a round's allocations trigger then skips them
-instead of rescanning them.  ``run`` unfreezes the heap however it
-ends, so the objects become collectable again once the caller drops
-them, and a process that runs many commands does not pile frozen heap
-up across them.
 """
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 import itertools
@@ -398,20 +388,7 @@ def _evaluate(
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     """Execute (or resume) a full search run into ``out_dir``."""
     runtime = _load_runtime(config)
-    # Freeze the loaded inputs (see the module docstring), unless a caller
-    # already froze its heap: unfreezing would thaw that too.
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    try:
-        return _run(runtime, Path(out_dir))
-    finally:
-        if freeze:
-            gc.unfreeze()
-
-
-def _run(runtime: _Runtime, out: Path) -> RunDirectory:
-    config = runtime.config
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

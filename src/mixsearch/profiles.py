@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import UndefinedMetricError
-from .records import DIMENSION_ORDER, SCALE, Dimension, SampleRecord
+from .records import DIMENSION_ORDER, SCALE, Dimension, SampleRecord, config_fields
 
 DEFAULT_FAIL_THRESHOLD = 3.0
 
@@ -140,12 +140,24 @@ class FailureProfile:
 
     @staticmethod
     def from_json(obj: dict) -> "FailureProfile":
+        fields = {
+            "dimension": str,
+            "slice": str,
+            "mean_score": float,
+            "fail_rate": float,
+            "breakdown": dict,
+            "sample_count": int,
+            "weight_mass": float,
+        }
+        config_fields(obj, "failure profile", fields)
+        breakdown = obj["breakdown"]
+        config_fields(breakdown, "failure profile breakdown", dict.fromkeys(breakdown, int))
         return FailureProfile(
             dimension=Dimension(obj["dimension"]),
             slice_label=obj["slice"],
             mean_score=obj["mean_score"],
             fail_rate=obj["fail_rate"],
-            breakdown={str(k): int(v) for k, v in obj["breakdown"].items()},
+            breakdown=breakdown,
             sample_count=obj["sample_count"],
             weight_mass=obj["weight_mass"],
         )

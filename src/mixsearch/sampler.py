@@ -13,7 +13,6 @@ matching windows may occupy; cap rejections do not stop the draw.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -21,9 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Pool, TrainingWindow
+from .corpus import Pool, WindowColumns
 from .errors import ConfigError
-from .records import Dataset, MIXTURE_ORDER, dump_jsonl, parse_slice_key
+from .records import Dataset, MIXTURE_ORDER, config_fields, dump_jsonl, parse_slice_key
 
 SIMPLEX_TOLERANCE = 1e-9
 SUMMARY_REJECTIONS = 10  # rejections a manifest summary lists, in draw order
@@ -71,8 +70,9 @@ class FocusCriterion:
 
     @staticmethod
     def from_json(obj: dict) -> "FocusCriterion":
+        fields = {"tests": [dict], "boost": float, "cap_fraction": float, "label": str}
         pairs = []
-        for test in obj["tests"]:
+        for test in config_fields(obj, "focus criterion", fields)["tests"]:
             tag, value = test["tag"], test["value"]
             if test["op"] != "eq" or not isinstance(tag, str) or not isinstance(value, str):
                 raise ValueError(
@@ -152,11 +152,16 @@ class DataAction:
 
     @staticmethod
     def from_json(obj: dict) -> "DataAction":
+        fields = {"dataset_mixture": [float], "bucket_weights": dict, "focus_criteria": [dict]}
+        config_fields(obj, "action", fields)
+        bucket_weights = obj.get("bucket_weights", {})
+        for dataset, weights in bucket_weights.items():
+            config_fields(weights, f"{dataset} bucket weights", dict.fromkeys(weights, float))
         return DataAction(
             dataset_mixture=tuple(obj["dataset_mixture"]),
             bucket_weights={
                 Dataset(dataset): {b: float(w) for b, w in weights.items()}
-                for dataset, weights in obj.get("bucket_weights", {}).items()
+                for dataset, weights in bucket_weights.items()
             },
             focus_criteria=tuple(
                 FocusCriterion.from_json(c) for c in obj.get("focus_criteria", [])
@@ -199,12 +204,11 @@ def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, fl
             weight = weights.get(bucket_id, 0.0)
             if weight <= 0:
                 continue
-            windows = pool.windows(dataset, bucket_id)
-            if not windows:
+            groups = pool.tag_groups(dataset, bucket_id)
+            if not groups:
                 continue
             probability = share * weight
             for criterion in action.focus_criteria:
-                groups = pool.tag_groups(dataset, bucket_id)
                 if all(criterion.matches(tags) for tags, _ in groups):
                     probability *= criterion.boost
             raw[(dataset, bucket_id)] = probability
@@ -260,15 +264,6 @@ class SampleManifest:
             return {dataset: 0.0 for dataset in Dataset}
         return {dataset: count / self.total_tokens for dataset, count in totals.items()}
 
-    def bucket_token_shares(self) -> dict[str, float]:
-        totals: dict[str, int] = {}
-        for entry in self.entries:
-            key = bucket_key_str((entry.dataset, entry.bucket_id))
-            totals[key] = totals.get(key, 0) + entry.token_count
-        if self.total_tokens == 0:
-            return {}
-        return {key: count / self.total_tokens for key, count in totals.items()}
-
     def summary(self) -> dict:
         return {
             "budget_tokens": self.budget_tokens,
@@ -305,7 +300,7 @@ def draw_budgeted(
     if not distribution:
         raise ConfigError("draw_budgeted needs a non-empty distribution")
     keys = sorted(distribution, key=lambda key: (key[0].value, key[1]))
-    support: list[tuple[BucketKey, tuple[TrainingWindow, ...]]] = []
+    support: list[tuple[BucketKey, WindowColumns]] = []
     cumulative: list[float] = []
     running = 0.0
     for key in keys:
@@ -314,10 +309,10 @@ def draw_budgeted(
             raise ConfigError(f"negative probability for bucket {bucket_key_str(key)}")
         if probability == 0:
             continue
-        windows = pool.windows(*key)
-        if not windows:
+        columns = pool.windows(*key)
+        if not columns[0]:
             raise ConfigError(f"distribution references empty bucket {bucket_key_str(key)}")
-        support.append((key, windows))
+        support.append((key, columns))
         running += probability
         cumulative.append(running)
     if not support:
@@ -370,29 +365,27 @@ def draw_budgeted(
     while True:
         position = bisect_right(cumulative, rng.random() * running)
         position = min(position, len(support) - 1)
-        key, windows = support[position]
-        window = windows[rng.randrange(len(windows))]
-        if total + window.token_count > budget_tokens:
-            rejections.append((window.window_id, "budget"))
+        key, (ids, lengths, tags) = support[position]
+        drawn = rng.randrange(len(ids))
+        length = lengths[drawn]
+        if total + length > budget_tokens:
+            rejections.append((ids[drawn], "budget"))
             break
-        matched = signature(window.tags)
-        if cap_blocked(matched, window.token_count):
-            rejections.append((window.window_id, "cap"))
+        matched = signature(tags[drawn])
+        if cap_blocked(matched, length):
+            rejections.append((ids[drawn], "cap"))
             if not any_acceptable(budget_tokens - total):
                 stop_reason = "cap_exhausted"
                 break
             continue
         entries.append(
             ManifestEntry(
-                window_id=window.window_id,
-                dataset=key[0],
-                bucket_id=key[1],
-                token_count=window.token_count,
+                window_id=ids[drawn], dataset=key[0], bucket_id=key[1], token_count=length
             )
         )
-        total += window.token_count
+        total += length
         for index in matched:
-            focus_tokens[index] += window.token_count
+            focus_tokens[index] += length
     return SampleManifest(
         entries=tuple(entries),
         total_tokens=total,

@@ -133,10 +133,10 @@ def test_criterion_4_budget_discipline(tmp_path):
     (tmp_path / "mixed").mkdir()
     pool = make_pool(tmp_path / "mixed", layout, window_length=64)
     token_of = {
-        window.window_id: window.token_count
+        window_id: length
         for dataset in pool.datasets
         for bucket in pool.bucket_ids(dataset)
-        for window in pool.windows(dataset, bucket)
+        for window_id, length, _ in zip(*pool.windows(dataset, bucket))
     }
     weights = uniform_bucket_weights(pool)
     hot = FocusCriterion(

@@ -8,7 +8,12 @@ import pytest
 
 import mixsearch.orchestrator as orchestrator
 from mixsearch.cli import main
-from mixsearch.fixtures import default_fixture_path, default_taxonomy_path, demo_config_path
+from mixsearch.fixtures import (
+    default_fixture_path,
+    default_taxonomy_path,
+    demo_config_path,
+    row_check,
+)
 from mixsearch.rubric import SliceTaxonomy
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
@@ -18,6 +23,14 @@ from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
 def replay_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-replay")
     assert main(["replay", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def demo_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-demo")
+    config = str(demo_config_path())
+    assert main(["run", "--config", config, "--rounds", "2", "--out", str(out)]) == 0
     return out
 
 
@@ -112,7 +125,9 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
-# case -> (command up to the run directory argument, damage done to a finished run)
+# case -> (command up to the run directory argument, damage done to a finished run).
+# A "run" command resumes a 2-round demo run to 3 rounds; every other command
+# reads a finished replay run.
 DAMAGE = {
     "missing-metric": (
         ["report", "--in"],
@@ -132,27 +147,44 @@ DAMAGE = {
     # A focus test is a string tag "eq" a string value.
     "action-focus-op-ge": (
         ["replay", "--out"],
-        lambda run: _edit_focus_test(run, "op", "ge"),
+        lambda run: _edit_action(run, "focus_criteria", 0, "tests", 0, "op", value="ge"),
     ),
     "action-focus-value-number": (
         ["replay", "--out"],
-        lambda run: _edit_focus_test(run, "value", 2),
+        lambda run: _edit_action(run, "focus_criteria", 0, "tests", 0, "value", value=2),
+    ),
+    # Numbers and counts in artifacts are checked, not coerced.
+    "action-focus-boost-bool": (
+        ["replay", "--out"],
+        lambda run: _edit_action(run, "focus_criteria", 0, "boost", value=True),
+    ),
+    "action-bucket-weight-string": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _edit_action(run, "bucket_weights", "ORBENCH", "or_legal_far", value="0.25"),
+    ),
+    "profiles-breakdown-string": (
+        ["replay", "--out"],
+        lambda run: _edit_line(0, lambda row: _set(row, "breakdown", value={"c1": "3"}))(
+            run / "round-001" / "profiles.jsonl"
+        ),
     ),
 }
 
 
-def _edit_focus_test(run, key, value):
+def _edit_action(run, *keys, value):
+    """Replace the value at the key path ``keys`` in round 1's action."""
     path = run / "round-001" / "action.json"
     obj = json.loads(path.read_text("utf-8"))
-    obj["action"]["focus_criteria"][0]["tests"][0][key] = value
+    _set(obj["action"], *keys, value=value)
     path.write_text(json.dumps(obj), encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(DAMAGE))
-def test_damaged_run_directory_exits_three(case, replay_out, tmp_path, capsys):
+def test_damaged_run_directory_exits_three(case, request, tmp_path, capsys):
     command, damage = DAMAGE[case]
     damaged = tmp_path / "run"
-    shutil.copytree(replay_out, damaged)
+    source = "demo_out" if command[0] == "run" else "replay_out"
+    shutil.copytree(request.getfixturevalue(source), damaged)
     damage(damaged)
     assert main(command + [str(damaged)]) == 3
     assert capsys.readouterr().err.startswith("error:")
@@ -202,6 +234,18 @@ def _set(obj, *keys, value):
         target = target[key]
     target[keys[-1]] = value
     return obj
+
+
+def _sealed(edit):
+    """``edit`` of a replay fixture row, with the row's ``check`` digest
+    recomputed, so the self-check passes and only the edit is wrong."""
+
+    def seal(row):
+        row = edit(row)
+        row["check"] = row_check(row)
+        return row
+
+    return seal
 
 
 # case -> (command, damaged file relative to the inputs or the run, damage, exit code).
@@ -296,6 +340,12 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "window_length", value=512.9)),
         3,
     ),
+    "manifest-window-length-too-large": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "window_length", value=2**32)),
+        3,
+    ),
     "manifest-unknown-key": (
         "run", "pool_manifest.json", _edit_document(lambda obj: _set(obj, "strid", value=100)), 3
     ),
@@ -342,6 +392,14 @@ FAULTS = {
         "xguard.jsonl",
         _edit_line(0, lambda row: _set(row, "tags", value={"complexity": 1})),
         3,
+    ),
+    # With 512-token windows, xg-001 (943 tokens) has the window ids xg-001:w0
+    # and xg-001:w1, and xg-003 (404) and xg-004 (238) one window each.
+    "records-duplicate-id": (
+        "run", "xguard.jsonl", _edit_line(3, lambda row: _set(row, "id", value="xg-003")), 3
+    ),
+    "records-id-is-a-window-id": (
+        "run", "xguard.jsonl", _edit_line(2, lambda row: _set(row, "id", value="xg-001:w1")), 3
     ),
     "records-token-count-overflow": (
         "run",
@@ -457,6 +515,43 @@ FAULTS = {
         "validate",
         "fixture.jsonl",
         _edit_line(-1, lambda row: _set(row, "frontier", value=5)),
+        3,
+    ),
+    # Line 1 is round 0, line 2 round 1 with one focus descriptor.
+    "fixture-mixture-strings": (
+        "replay",
+        "fixture.jsonl",
+        _edit_line(1, _sealed(lambda row: _set(row, "mixture", value=["0.5", "0.3", "0.2"]))),
+        3,
+    ),
+    "fixture-boost-string": (
+        "replay",
+        "fixture.jsonl",
+        _edit_line(2, _sealed(lambda row: _set(row, "focus", 0, "boost", value="3"))),
+        3,
+    ),
+    "fixture-cap-fraction-bool": (
+        "replay",
+        "fixture.jsonl",
+        _edit_line(2, _sealed(lambda row: _set(row, "focus", 0, "cap_fraction", value=True))),
+        3,
+    ),
+    "fixture-boost-below-one": (
+        "replay",
+        "fixture.jsonl",
+        _edit_line(2, _sealed(lambda row: _set(row, "focus", 0, "boost", value=0.5))),
+        3,
+    ),
+    "fixture-focus-slice-malformed": (
+        "replay",
+        "fixture.jsonl",
+        _edit_line(2, _sealed(lambda row: _set(row, "focus", 0, "slice", value="garbage"))),
+        3,
+    ),
+    "fixture-round-word": (
+        "validate",
+        "fixture.jsonl",
+        _edit_line(2, _sealed(lambda row: _set(row, "round", value="one"))),
         3,
     ),
     "artifact-directory": ("report", "round-001/metric.json", _make_directory, 3),

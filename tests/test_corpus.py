@@ -1,4 +1,5 @@
 """Windowing and pool loading, cross-checked against the window oracle."""
+import gc
 import json
 
 import pytest
@@ -58,9 +59,9 @@ class TestSplitWindows:
 class TestLoadPool:
     def test_single_short_document(self, tmp_path):
         pool = make_pool(tmp_path, {"XGUARD": {"b1": [100]}})
-        windows = pool.windows(Dataset.XGUARD, "b1")
-        assert len(windows) == 1
-        assert windows[0].token_count == 100
+        ids, lengths, tags = pool.windows(Dataset.XGUARD, "b1")
+        assert len(ids) == len(lengths) == len(tags) == 1
+        assert lengths[0] == 100
 
     def test_synthetic_three_dataset_counts(self, tmp_path):
         # 10 / 20 / 30 short documents -> the pool window counts match.
@@ -100,14 +101,14 @@ class TestLoadPool:
 
     def test_long_document_splits_with_ids(self, tmp_path):
         pool = make_pool(tmp_path, {"IF": {"b1": [900]}}, window_length=400)
-        windows = pool.windows(Dataset.IF, "b1")
-        assert [w.window_id for w in windows] == ["if-b1-0:w0", "if-b1-0:w1", "if-b1-0:w2"]
-        assert [w.token_count for w in windows] == [400, 400, 100]
+        ids, lengths, _ = pool.windows(Dataset.IF, "b1")
+        assert ids == ["if-b1-0:w0", "if-b1-0:w1", "if-b1-0:w2"]
+        assert list(lengths) == [400, 400, 100]
 
     def test_windows_inherit_bucket_slice_tags(self, tmp_path):
         pool = make_pool(tmp_path, {"ORBENCH": {"edge": [10]}})
-        (window,) = pool.windows(Dataset.ORBENCH, "edge")
-        assert window.tags["tier"] == "edge"
+        _, _, (tags,) = pool.windows(Dataset.ORBENCH, "edge")
+        assert tags["tier"] == "edge"
 
     def test_text_records_tokenized(self, tmp_path):
         records = tmp_path / "if.jsonl"
@@ -128,8 +129,8 @@ class TestLoadPool:
             )
         )
         pool = load_pool(PoolManifest.from_file(manifest_path))
-        (window,) = pool.windows(Dataset.IF, "b1")
-        assert window.token_count == 5
+        _, (length,), _ = pool.windows(Dataset.IF, "b1")
+        assert length == 5
 
     def test_missing_record_file_names_path(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"
@@ -152,14 +153,26 @@ class TestLoadPool:
         with pytest.raises(DataError, match="absent.jsonl"):
             load_pool(PoolManifest.from_file(manifest_path))
 
+    def test_loaded_windows_add_objects_per_bucket_not_per_window(self, tmp_path):
+        layout = {"XGUARD": {"a": [50] * 5000, "b": [9000] * 500}, "IF": {"a": [10] * 5000}}
+        make_pool(tmp_path, layout)  # writes the record files and the manifest
+        manifest = PoolManifest.from_file(tmp_path / "manifest.json")
+        gc.collect()
+        before = len(gc.get_objects())
+        pool = load_pool(manifest)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert sum(pool.window_count(dataset) for dataset in pool.datasets) == 11_500
+        assert added <= 10 * 3  # three buckets
+
     def test_deterministic_iteration_order(self, tmp_path):
         layout = {"XGUARD": {"b1": [10, 20, 30], "b2": [40, 50]}}
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         pool_a = make_pool(tmp_path / "a", layout)
         pool_b = make_pool(tmp_path / "b", layout)
-        ids_a = [w.window_id for w in pool_a.windows(Dataset.XGUARD, "b1")]
-        ids_b = [w.window_id for w in pool_b.windows(Dataset.XGUARD, "b1")]
+        ids_a, _, _ = pool_a.windows(Dataset.XGUARD, "b1")
+        ids_b, _, _ = pool_b.windows(Dataset.XGUARD, "b1")
         assert ids_a == ids_b
 
 
@@ -174,28 +187,28 @@ class TestSharedTags:
 
     def test_equal_tags_share_one_mapping(self, tmp_path):
         pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
-        hot = pool.windows(Dataset.XGUARD, "hot")
-        cold = pool.windows(Dataset.XGUARD, "cold")
-        (if_hot, if_tagged) = pool.windows(Dataset.IF, "hot")
+        _, _, hot = pool.windows(Dataset.XGUARD, "hot")
+        _, _, cold = pool.windows(Dataset.XGUARD, "cold")
+        _, _, (if_hot, if_tagged) = pool.windows(Dataset.IF, "hot")
         # Three plain documents, and a tagged one split into three windows
         # plus a second document with the same tags.
-        assert hot[0].tags is hot[1].tags is hot[2].tags
-        assert all(w.tags is hot[3].tags for w in hot[3:])
-        assert hot[0].tags is not hot[3].tags
+        assert hot[0] is hot[1] is hot[2]
+        assert all(tags is hot[3] for tags in hot[3:])
+        assert hot[0] is not hot[3]
         # Equal tags from another dataset's record file share too.
-        assert if_hot.tags is hot[0].tags
-        assert if_tagged.tags is hot[3].tags
+        assert if_hot is hot[0]
+        assert if_tagged is hot[3]
         # A cold record tagged tier=hot has exactly the hot mapping.
-        assert cold[1].tags is hot[0].tags
-        assert cold[0].tags is not hot[0].tags
+        assert cold[1] is hot[0]
+        assert cold[0] is not hot[0]
 
     def test_records_keep_their_own_tags(self, tmp_path):
         pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
-        cold = pool.windows(Dataset.XGUARD, "cold")
-        assert cold[0].tags == {"tier": "cold"}
-        assert cold[1].tags == {"tier": "hot"}  # the record's own tier wins
-        assert cold[2].tags == {"difficulty": "1", "tier": "cold"}
-        assert pool.windows(Dataset.XGUARD, "hot")[3].tags == {
+        _, _, cold = pool.windows(Dataset.XGUARD, "cold")
+        assert cold[0] == {"tier": "cold"}
+        assert cold[1] == {"tier": "hot"}  # the record's own tier wins
+        assert cold[2] == {"difficulty": "1", "tier": "cold"}
+        assert pool.windows(Dataset.XGUARD, "hot")[2][3] == {
             "difficulty": "3",
             "tier": "hot",
         }
@@ -204,12 +217,12 @@ class TestSharedTags:
         pool = make_pool(tmp_path, self.LAYOUT, window_length=32)
         for dataset in pool.datasets:
             for bucket_id in pool.bucket_ids(dataset):
-                windows = pool.windows(dataset, bucket_id)
+                _, lengths, tags_column = pool.windows(dataset, bucket_id)
                 groups = pool.tag_groups(dataset, bucket_id)
                 shortest = {}
-                for window in windows:
-                    key = tuple(sorted(window.tags.items()))
-                    shortest[key] = min(shortest.get(key, window.token_count), window.token_count)
+                for tags, length in zip(tags_column, lengths):
+                    key = tuple(sorted(tags.items()))
+                    shortest[key] = min(shortest.get(key, length), length)
                 assert {tuple(sorted(tags.items())): length for tags, length in groups} == shortest
                 assert len(groups) == len(shortest)
         # XGUARD/hot: plain documents (30, 5, 12) and difficulty=3 ones (32, 32, 6, 9).

@@ -1,7 +1,6 @@
 """Closed-loop orchestrator: runs, resume, artifacts, and reports."""
 import builtins
 import dataclasses
-import gc
 import io
 import json
 import os
@@ -396,49 +395,18 @@ def test_resuming_a_finished_run_removes_nothing(tmp_path, monkeypatch):
     assert tree_bytes(out) == before
 
 
-class TestFrozenInputs:
-    """``run`` freezes the loaded inputs out of the cyclic GC and restores
-    the caller's freeze count however it ends."""
+def test_a_failed_round_keeps_the_rounds_before_it(tmp_path, monkeypatch):
+    real_run_round = ReplayBackend.run_round
 
-    def test_freeze_count_restored_after_a_run(self, tmp_path, monkeypatch):
-        # Nothing in this process freezes the heap but run(), so a count
-        # above 0 here means an earlier run left it frozen.
-        entry, during = gc.get_freeze_count(), []
-        assert entry == 0
-        real_run_round = ReplayBackend.run_round
+    def run_round(self, request):
+        if request.round_index == 1:
+            raise BackendError("round 1 failed")
+        return real_run_round(self, request)
 
-        def run_round(self, request):
-            during.append(gc.get_freeze_count())
-            return real_run_round(self, request)
-
-        monkeypatch.setattr(ReplayBackend, "run_round", run_round)
-        run(replay_config(rounds=2), tmp_path / "out")
-        assert gc.get_freeze_count() == entry
-        assert during and min(during) > 0
-
-    def test_freeze_count_restored_after_a_failed_round(self, tmp_path, monkeypatch):
-        entry = gc.get_freeze_count()
-        real_run_round = ReplayBackend.run_round
-
-        def run_round(self, request):
-            if request.round_index == 1:
-                raise BackendError("round 1 failed")
-            return real_run_round(self, request)
-
-        monkeypatch.setattr(ReplayBackend, "run_round", run_round)
-        with pytest.raises(BackendError, match="round 1"):
-            run(replay_config(), tmp_path / "out")
-        assert gc.get_freeze_count() == entry
-        assert RunDirectory(tmp_path / "out").round_indices() == [0]
-
-    def test_a_callers_frozen_heap_stays_frozen(self, tmp_path):
-        gc.freeze()
-        try:
-            entry = gc.get_freeze_count()
-            run(replay_config(rounds=1), tmp_path / "out")
-            assert gc.get_freeze_count() == entry
-        finally:
-            gc.unfreeze()
+    monkeypatch.setattr(ReplayBackend, "run_round", run_round)
+    with pytest.raises(BackendError, match="round 1"):
+        run(replay_config(), tmp_path / "out")
+    assert RunDirectory(tmp_path / "out").round_indices() == [0]
 
 
 class TestRunDirectory:

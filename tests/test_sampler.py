@@ -450,8 +450,8 @@ def as_plain_data(pool, distribution, budget, seed, focus):
                 "bucket": bucket_id,
                 "probability": probability,
                 "windows": [
-                    {"window_id": w.window_id, "token_count": w.token_count, "tags": dict(w.tags)}
-                    for w in pool.windows(dataset, bucket_id)
+                    {"window_id": window_id, "token_count": length, "tags": dict(tags)}
+                    for window_id, length, tags in zip(*pool.windows(dataset, bucket_id))
                 ],
             }
             for (dataset, bucket_id), probability in distribution.items()
