@@ -10,6 +10,12 @@ seeds, and no artifact except ``run_meta.json`` contains a timestamp,
 so two runs with the same config and seed are byte-identical.  A run
 with a point left to evaluate removes the archive and report files
 first, so they never describe fewer points than are committed.
+
+``config.json`` records the config and the sha256 of every input file
+the backend reads, keyed by role.  A resume compares both before it
+reads anything else, so a changed input cannot mix two trajectories,
+and loads the inputs only when a point is left to evaluate (a replay
+always loads its fixture, which holds the round count).
 """
 from __future__ import annotations
 
@@ -35,7 +41,12 @@ from .backend import (
 )
 from .corpus import Pool, PoolManifest, load_pool
 from .errors import ConfigError, DataError
-from .fixtures import ReplayFixture, default_fixture_path, load_replay_fixture
+from .fixtures import (
+    ReplayFixture,
+    default_fixture_path,
+    default_taxonomy_path,
+    load_replay_fixture,
+)
 from .pareto import InsertVerdict, ParetoArchive
 from .profiles import (
     DEFAULT_FAIL_THRESHOLD,
@@ -279,7 +290,82 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # In chunks, so hashing a record file adds nothing to a run's peak memory.
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _input_files(config: LoopConfig):
+    """Yield ``(role, path)`` for every file the config's backend reads.
+
+    A replay reads its fixture.  A simulation reads the pool manifest,
+    each record file it names (``records.<DATASET>``), the eval sets
+    (``eval_sets[i]``) and the taxonomy, the packaged one when the
+    config names none.  The manifest is parsed only once its own
+    ``(role, path)`` has been taken, so a caller can check its digest
+    before the record paths are read out of it.
+    """
+    if config.backend_kind == "replay":
+        yield "fixture", config.fixture_path or default_fixture_path()
+        return
+    yield "pool_manifest", config.pool_manifest_path
+    for spec in PoolManifest.from_file(config.pool_manifest_path).datasets:
+        yield f"records.{spec.dataset_id.value}", spec.path
+    for index, path in enumerate(config.eval_set_paths):
+        yield f"eval_sets[{index}]", path
+    yield "taxonomy", config.taxonomy_path or default_taxonomy_path()
+
+
+def _recorded_config(raw: object) -> tuple[dict, dict | None]:
+    """``config.json`` split into the normalized config and its input
+    digests (None when it records none)."""
+    if not isinstance(raw, dict):
+        raise DataError("is not a JSON object")
+    recorded = dict(raw)
+    inputs = recorded.pop("inputs", None)
+    if inputs is not None and not (
+        isinstance(inputs, dict) and all(isinstance(v, str) for v in inputs.values())
+    ):
+        raise DataError("inputs is not an object of digest strings")
+    return recorded, inputs
+
+
+def _check_resume(config: LoopConfig, run_dir: RunDirectory) -> None:
+    """Raise ``ConfigError`` unless ``run_dir``'s ``config.json`` records
+    ``config`` (its round count aside) and the digest of every input the
+    config's backend reads, and no other input."""
+    path = run_dir.path / "config.json"
+    recorded, inputs = run_dir.read("config.json", _recorded_config)
+    ours = config.normalized()
+    ours.pop("rounds"), recorded.pop("rounds", None)
+    if ours != recorded:
+        raise ConfigError(
+            f"run directory {run_dir.path} was produced by a different config; "
+            "refusing to mix trajectories"
+        )
+    if inputs is None:
+        raise ConfigError(
+            f"{path} records no input digests (it predates them); "
+            "the run cannot be resumed, start a new run directory"
+        )
+    for role, input_path in _input_files(config):
+        try:
+            digest = _digest_file(input_path)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read input {input_path} ({role}) to compare it with {path}: "
+                f"{exc.strerror or exc}"
+            ) from exc
+        if inputs.pop(role, None) != digest:
+            raise ConfigError(
+                f"input {input_path} ({role}) differs from the one recorded in {path}; "
+                "refusing to mix trajectories"
+            )
+    if inputs:
+        raise ConfigError(f"{path} records inputs the config does not read: {', '.join(inputs)}")
 
 
 @dataclass
@@ -311,9 +397,20 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
     )
     pool = load_pool(PoolManifest.from_file(config.pool_manifest_path))
     annotations: dict[Dimension, list[PromptAnnotation]] = {dim: [] for dim in DIMENSION_ORDER}
+    # An annotation depends on the sample's dataset and tags alone, so
+    # each distinct pair is annotated once and copied with each sample's id.
+    by_tags: dict[tuple, PromptAnnotation] = {}
     for path in config.eval_set_paths:
         for sample in load_eval_set(path):
-            annotation = annotate_prompt(sample, taxonomy)
+            key = (sample.dataset, tuple(sample.tags.items()))
+            first = by_tags.get(key)
+            if first is None:
+                annotation = by_tags[key] = annotate_prompt(sample, taxonomy)
+            else:
+                annotation = PromptAnnotation(
+                    sample.sample_id, first.dataset, first.valid, first.slice_label,
+                    first.weight, first.reason,
+                )
             annotations[annotation.dimension].append(annotation)
     for dimension in DIMENSION_ORDER:
         if not any(a.valid for a in annotations[dimension]):
@@ -386,33 +483,23 @@ def _evaluate(
 
 
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
-    """Execute (or resume) a full search run into ``out_dir``."""
-    runtime = _load_runtime(config)
+    """Execute (or resume) a full search run into ``out_dir``.
+
+    A fresh run loads and checks every input before it creates
+    ``out_dir``.  A resume (``out_dir`` holds a committed ``base/``)
+    checks the config and the input digests against ``config.json``,
+    reads the committed points, and loads the inputs only when a point
+    is left to evaluate; a replay always loads its fixture.
+    """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use {out} as a run directory: {exc.strerror}") from exc
-    rounds = config.rounds
-    if runtime.fixture is not None:
-        rounds = min(rounds, runtime.fixture.round_count)
-    draws = runtime.fixture is None
-
-    normalized = config.normalized()
-    archive = ParetoArchive()
-    history = RoundHistory(bucket_slices=runtime.pool.bucket_slices() if draws else {})
     run_dir = RunDirectory(out)
-    completed = run_dir.round_indices()
-
+    draws = config.backend_kind == "simulate"
+    archive = ParetoArchive()
+    history = RoundHistory()
     resumed = (out / BASE_LABEL).is_dir()
     if resumed:
-        ours, theirs = dict(normalized), run_dir.read("config.json", dict)
-        ours.pop("rounds"), theirs.pop("rounds", None)
-        if ours != theirs:
-            raise ConfigError(
-                f"run directory {out} was produced by a different config; "
-                "refusing to mix trajectories"
-            )
+        _check_resume(config, run_dir)
+        completed = run_dir.round_indices()
         history.base_metric = run_dir.load_base_metric()
         archive.insert(BASE_LABEL, history.base_metric)
         for index in completed:
@@ -425,16 +512,33 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 RoundRecord(index, action, metric, tuple(run_dir.load_round_profiles(index)))
             )
         log.info("resuming run at round %d", len(completed))
-    elif completed:
-        raise DataError(f"run directory {out} has round directories but no {BASE_LABEL}/")
+        # A replay's round count is its fixture's, so a replay always loads it.
+        left = not draws or len(completed) < config.rounds
+        runtime = _load_runtime(config) if left else None
+    else:
+        runtime = _load_runtime(config)
+        inputs = {role: _digest_file(path) for role, path in _input_files(config)}
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {out} as a run directory: {exc.strerror}") from exc
+        completed = run_dir.round_indices()
+        if completed:
+            raise DataError(f"run directory {out} has round directories but no {BASE_LABEL}/")
+    rounds = config.rounds
+    if runtime is not None and runtime.fixture is not None:
+        rounds = min(rounds, runtime.fixture.round_count)
+
     if not resumed or len(completed) < rounds:
         # A point is left to evaluate: the archive and reports of the run
         # so far go before it is committed, so a kill cannot leave them
         # describing fewer points than are committed.
         for name in _RUN_SUMMARY_FILES:
             (out / name).unlink(missing_ok=True)
+        if draws:
+            history.bucket_slices = runtime.pool.bucket_slices()
     if not resumed:
-        _write_json(out / "config.json", normalized)
+        _write_json(out / "config.json", dict(config.normalized(), inputs=inputs))
         _write_json(
             out / "run_meta.json",
             {

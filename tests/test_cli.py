@@ -2,19 +2,23 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 
 import pytest
 
 import mixsearch.orchestrator as orchestrator
 from mixsearch.cli import main
+from mixsearch.corpus import PoolManifest, load_pool
+from mixsearch.errors import MixSearchError
 from mixsearch.fixtures import (
     default_fixture_path,
     default_taxonomy_path,
     demo_config_path,
     row_check,
 )
-from mixsearch.rubric import SliceTaxonomy
+from mixsearch.records import DIMENSION_ORDER
+from mixsearch.rubric import SliceTaxonomy, annotate_prompt, load_eval_set
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
 
@@ -596,6 +600,104 @@ def test_bad_input_exits_with_one_error_line(case, fault_inputs, replay_out, tmp
     assert not out.exists()  # inputs are loaded before the run directory is made
 
 
+def _annotated_one_by_one(config):
+    """The eval annotations of ``_load_runtime(config)``, with
+    ``annotate_prompt`` called on every sample, inputs loaded in the
+    same order."""
+    taxonomy = (
+        SliceTaxonomy.from_file(config.taxonomy_path)
+        if config.taxonomy_path
+        else SliceTaxonomy.default()
+    )
+    load_pool(PoolManifest.from_file(config.pool_manifest_path))
+    annotations = [
+        annotate_prompt(sample, taxonomy)
+        for path in config.eval_set_paths
+        for sample in load_eval_set(path)
+    ]
+    return [a for dim in DIMENSION_ORDER for a in annotations if a.dimension is dim]
+
+
+def _annotated(config):
+    return [a for dim in DIMENSION_ORDER for a in orchestrator._load_runtime(config).eval_sets[dim]]
+
+
+def _outcome(annotate, config):
+    try:
+        return annotate(config)
+    except MixSearchError as exc:
+        return type(exc), str(exc)
+
+
+def _append_rows(rows):
+    def damage(path):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(row) + "\n" for row in rows)
+
+    return damage
+
+
+def _eval_row(index, dataset, tags):
+    return {"id": f"extra-{index}", "dataset": dataset, "tags": tags}
+
+
+# Tag sets that annotate to every outcome: each reason a sample is
+# invalid, a valid sample, the same tags in another key order, an extra
+# tag, the values of a demo sample under another tag, and an IF sample's
+# tags in another dataset.  Each row comes twice, so the second copy is
+# annotated from the first.
+TAG_VARIETY = [
+    ("eval_safe.jsonl", "XGUARD", {"pressure": "HIGH"}),
+    ("eval_safe.jsonl", "XGUARD", {"pressure": "LOW", "other": "NONE"}),
+    ("eval_safe.jsonl", "XGUARD", {"family": "FORMAT", "complexity": "1"}),
+    ("eval_safe.jsonl", "XGUARD", {"pressure": "EXTREME", "concealment": "NONE"}),
+    ("eval_safe.jsonl", "XGUARD", {"pressure": "LOW", "concealment": "HIDDEN"}),
+    ("eval_safe.jsonl", "XGUARD", {"concealment": "NESTED", "pressure": "LOW"}),
+    ("eval_safe.jsonl", "XGUARD", {"pressure": "LOW", "concealment": "NESTED", "x": "y"}),
+    ("eval_benign.jsonl", "ORBENCH", {"category": "gardening", "proximity": "FAR"}),
+    ("eval_benign.jsonl", "ORBENCH", {"category": "legal", "proximity": "INSIDE"}),
+    ("eval_benign.jsonl", "ORBENCH", {"category": "legal", "proximity": "FAR", "answerable": "no"}),
+    (
+        "eval_benign.jsonl", "ORBENCH",
+        {"category": "legal", "proximity": "FAR", "answerable": "false"},
+    ),
+    ("eval_benign.jsonl", "ORBENCH", {"proximity": "EDGE", "category": "security"}),
+    ("eval_if.jsonl", "IF", {"family": "POETRY", "complexity": "1"}),
+    ("eval_if.jsonl", "IF", {"family": "FORMAT", "complexity": "9"}),
+    ("eval_if.jsonl", "IF", {"complexity": "2"}),
+]
+ANNOTATION_CASES = {
+    "demo": None,
+    **{
+        f"tag-variety-{name}": (name, _append_rows(
+            [_eval_row(i, dataset, tags)
+             for i, (file, dataset, tags) in enumerate(TAG_VARIETY * 2) if file == name]
+        ))
+        for name in ("eval_safe.jsonl", "eval_benign.jsonl", "eval_if.jsonl")
+    },
+    **{
+        case: FAULTS[case][1:3]
+        for case in FAULTS
+        if FAULTS[case][0] == "run" and ("tag" in case or case.startswith(("taxonomy", "eval-set")))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANNOTATION_CASES))
+def test_eval_annotations_equal_one_by_one_annotation(case, fault_inputs):
+    """``_load_runtime`` annotates each distinct (dataset, tags) pair once;
+    every annotation, reason included, and every error equal those of
+    annotating each sample on its own."""
+    if ANNOTATION_CASES[case] is not None:
+        name, damage = ANNOTATION_CASES[case]
+        damage(fault_inputs / name)
+    config = orchestrator.LoopConfig.from_file(fault_inputs / "config.json")
+    expected = _outcome(_annotated_one_by_one, config)
+    assert _outcome(_annotated, config) == expected
+    if case.startswith("tag-variety"):
+        assert len({a.reason for a in expected}) >= 4
+
+
 @pytest.mark.parametrize("command", ["run", "replay"])
 def test_out_naming_a_file_exits_two(command, tmp_path, capsys):
     out = tmp_path / "plain-file"
@@ -703,6 +805,191 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--out", str(out), "--seed", "42"]) == 0
         dumped = json.loads((out / "config.json").read_text("utf-8"))
         assert dumped["master_seed"] == 42
+
+
+def _no_input(*args, **kwargs):
+    raise AssertionError("a resume with no point left loaded an input")
+
+
+def test_a_finished_resume_loads_no_input(demo_inputs, tmp_path, monkeypatch, capsys):
+    config = str(demo_inputs / "config.json")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    before = tree_bytes(out, exclude=())
+    removed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(orchestrator, "load_pool", _no_input)
+        patch.setattr(orchestrator, "load_eval_set", _no_input)
+        patch.setattr(SliceTaxonomy, "from_file", _no_input)
+        patch.setattr(os, "unlink", lambda path, *a, **k: removed.append(path))
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert removed == []
+    assert tree_bytes(out, exclude=()) == before
+    # An extension has a round left to evaluate, so it loads the inputs.
+    assert main(["run", "--config", config, "--out", str(out), "--rounds", "6"]) == 0
+    assert main(["run", "--config", config, "--out", str(fresh), "--rounds", "6"]) == 0
+    capsys.readouterr()
+    skip = ("run_meta.json", "config.json")  # config.json keeps the first round count
+    assert tree_bytes(out, skip) == tree_bytes(fresh, skip)
+
+
+@pytest.fixture
+def resume_inputs(fault_inputs):
+    """``fault_inputs`` plus ``replay.json``, a config that replays the
+    fixture copy."""
+    replay = {"backend": {"kind": "replay", "fixture": "fixture.jsonl"}}
+    (fault_inputs / "replay.json").write_text(json.dumps(replay), encoding="utf-8")
+    return fault_inputs
+
+
+def _run_args(inputs, config, out, rounds):
+    return ["run", "--config", str(inputs / config), "--out", str(out), "--rounds", str(rounds)]
+
+
+def _refused(argv, out, capsys, *names):
+    """Run ``argv``, a resume of ``out``: it exits 2 with one error line
+    that holds every one of ``names``, and leaves ``out`` as it was."""
+    before = tree_bytes(out, exclude=())
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    for name in names:
+        assert name in err, (name, err)
+    assert tree_bytes(out, exclude=()) == before
+
+
+# input role -> (config the run is made with, the file of that role)
+INPUT_ROLES = {
+    "pool_manifest": ("config.json", "pool_manifest.json"),
+    "records.XGUARD": ("config.json", "xguard.jsonl"),
+    "records.ORBENCH": ("config.json", "orbench.jsonl"),
+    "records.IF": ("config.json", "if.jsonl"),
+    "eval_sets[0]": ("config.json", "eval_safe.jsonl"),
+    "eval_sets[1]": ("config.json", "eval_benign.jsonl"),
+    "eval_sets[2]": ("config.json", "eval_if.jsonl"),
+    "taxonomy": ("config.json", "taxonomy.json"),
+    "fixture": ("replay.json", "fixture.jsonl"),
+}
+
+
+def _flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("rounds", [2, 3], ids=["finished", "extension"])
+@pytest.mark.parametrize("role", sorted(INPUT_ROLES))
+def test_resume_refuses_a_changed_input(role, rounds, resume_inputs, tmp_path, capsys):
+    config, name = INPUT_ROLES[role]
+    out = tmp_path / "out"
+    assert main(_run_args(resume_inputs, config, out, 2)) == 0
+    recorded = json.loads((out / "config.json").read_text("utf-8"))["inputs"]
+    assert set(recorded) == {r for r, (c, _) in INPUT_ROLES.items() if c == config}
+    _flip_byte(resume_inputs / name)
+    argv = _run_args(resume_inputs, config, out, rounds)
+    _refused(argv, out, capsys, str(resume_inputs / name), role)
+
+
+@pytest.mark.parametrize("rounds", [2, 3], ids=["finished", "extension"])
+def test_resume_refuses_a_missing_input(rounds, resume_inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(resume_inputs, "config.json", out, 2)) == 0
+    (resume_inputs / "orbench.jsonl").unlink()
+    argv = _run_args(resume_inputs, "config.json", out, rounds)
+    _refused(argv, out, capsys, str(resume_inputs / "orbench.jsonl"))
+
+
+def test_resume_refuses_an_input_the_config_does_not_read(resume_inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(resume_inputs, "config.json", out, 2)) == 0
+    path = out / "config.json"
+    recorded = json.loads(path.read_text("utf-8"))
+    recorded["inputs"]["eval_sets[3]"] = "0" * 64
+    path.write_text(json.dumps(recorded), encoding="utf-8")
+    argv = _run_args(resume_inputs, "config.json", out, 3)
+    _refused(argv, out, capsys, str(path), "eval_sets[3]")
+
+
+@pytest.mark.parametrize("rounds", [2, 3], ids=["finished", "extension"])
+def test_resume_refuses_a_config_json_without_input_digests(
+    rounds, resume_inputs, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    assert main(_run_args(resume_inputs, "config.json", out, 2)) == 0
+    path = out / "config.json"
+    recorded = json.loads(path.read_text("utf-8"))
+    del recorded["inputs"]
+    path.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")
+    argv = _run_args(resume_inputs, "config.json", out, rounds)
+    _refused(argv, out, capsys, str(path), "no input digests")
+
+
+def test_editing_rounds_in_the_config_file_extends_the_run(resume_inputs, tmp_path, capsys):
+    config = resume_inputs / "config.json"
+
+    def set_rounds(rounds):
+        raw = json.loads(config.read_text("utf-8"))
+        config.write_text(json.dumps(dict(raw, rounds=rounds)), encoding="utf-8")
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    set_rounds(2)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    set_rounds(3)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert orchestrator.RunDirectory(out).round_indices() == [0, 1, 2]
+    skip = ("run_meta.json", "config.json")  # config.json keeps the first round count
+    assert tree_bytes(out, skip) == tree_bytes(fresh, skip)
+
+
+def _wrap_in_list(path):
+    if path.suffix == ".jsonl":
+        _edit_line(0, lambda row: [row])(path)
+    else:
+        _edit_document(lambda obj: [obj])(path)
+
+
+# Every file a resume of a finished 2-round demo run reads, and the damage done to it.
+RESUME_READS = [
+    "config.json",
+    "base/metric.json",
+    *(
+        f"{round_dir}/{name}"
+        for round_dir in ("round-000", "round-001")
+        for name in (
+            "action.json",
+            "metric.json",
+            "profiles.jsonl",
+            "manifest_summary.json",
+            "manifest.jsonl",
+        )
+    ),
+]
+RESUME_DAMAGE = {
+    "truncated": _truncate,
+    "missing": lambda path: path.unlink(),
+    "not-json": lambda path: path.write_text("not json\n", encoding="utf-8"),
+    "list-for-object": _wrap_in_list,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(RESUME_DAMAGE))
+@pytest.mark.parametrize("name", RESUME_READS)
+def test_a_damaged_artifact_stops_a_finished_resume(name, damage, demo_out, tmp_path, capsys):
+    damaged = tmp_path / "run"
+    shutil.copytree(demo_out, damaged)
+    RESUME_DAMAGE[damage](damaged / name)
+    before = tree_bytes(damaged, exclude=())
+    capsys.readouterr()
+    argv = ["run", "--config", str(demo_config_path()), "--rounds", "2", "--out", str(damaged)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert name in err, err
+    assert tree_bytes(damaged, exclude=()) == before
 
 
 class TestUsageErrors:
