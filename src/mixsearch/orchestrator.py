@@ -115,6 +115,10 @@ class LoopConfig:
             raise ConfigError(f"budget_tokens must be >= 1, got {self.budget_tokens}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        try:
+            DataAction(dataset_mixture=self.initial_mixture)
+        except ConfigError as exc:
+            raise ConfigError(f"initial_mixture: {exc}") from exc
         if self.backend_kind == "simulate":
             if self.pool_manifest_path is None:
                 raise ConfigError("simulate runs need a pool_manifest path")
@@ -163,9 +167,7 @@ class LoopConfig:
         surface = (
             SurfaceParams.from_json(backend.get("surface", {})) if kind == "simulate" else None
         )
-        mixture = raw.get("initial_mixture", list(DEFAULT_INITIAL_MIXTURE))
-        if len(mixture) != 3:
-            raise ConfigError(f"initial_mixture needs 3 entries, got {mixture!r}")
+        mixture = raw.get("initial_mixture", DEFAULT_INITIAL_MIXTURE)
         return LoopConfig(
             budget_tokens=raw.get("budget_tokens", DEFAULT_BUDGET_TOKENS),
             rounds=raw.get("rounds", DEFAULT_ROUNDS),
@@ -485,11 +487,12 @@ def _evaluate(
 def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     """Execute (or resume) a full search run into ``out_dir``.
 
-    A fresh run loads and checks every input before it creates
-    ``out_dir``.  A resume (``out_dir`` holds a committed ``base/``)
-    checks the config and the input digests against ``config.json``,
-    reads the committed points, and loads the inputs only when a point
-    is left to evaluate; a replay always loads its fixture.
+    A fresh run loads and checks every input, and that the pool can
+    serve the initial action, before it creates ``out_dir``.  A resume
+    (``out_dir`` holds a committed ``base/``) checks the config and the
+    input digests against ``config.json``, reads the committed points,
+    and loads the inputs only when a point is left to evaluate; a
+    replay always loads its fixture.
     """
     out = Path(out_dir)
     run_dir = RunDirectory(out)
@@ -517,6 +520,8 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
         runtime = _load_runtime(config) if left else None
     else:
         runtime = _load_runtime(config)
+        if draws:
+            effective_distribution(_initial_action(config, runtime.pool), runtime.pool)
         inputs = {role: _digest_file(path) for role, path in _input_files(config)}
         try:
             out.mkdir(parents=True, exist_ok=True)

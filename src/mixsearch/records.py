@@ -386,7 +386,7 @@ def config_fields(obj: object, section: str, fields: dict) -> dict:
     """Return ``obj`` once it checks out as the config section ``section``.
 
     Every config parser checks each of its sections here, and so do the
-    readers of the pool manifest, of tag mappings and of judge verdicts
+    readers of the pool manifest and of tag mappings
     (``dict.fromkeys(obj, str)`` asks for an object of strings).  ``obj``
     must be a JSON object whose keys all appear in ``fields``, which maps
     each key to the JSON type of its value: ``int`` (an integer),

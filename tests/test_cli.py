@@ -296,6 +296,18 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "initial_mixture", value=["0.5", "0.3", "0.2"])),
         2,
     ),
+    "config-mixture-not-simplex": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "initial_mixture", value=[0.5, 0.5, 0.5])),
+        2,
+    ),
+    "config-mixture-negative": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "initial_mixture", value=[1.2, -0.2, 0.0])),
+        2,
+    ),
     "config-policy-list": (
         "run", "config.json", _edit_document(lambda obj: _set(obj, "policy", value=[1])), 2
     ),
@@ -426,24 +438,6 @@ FAULTS = {
         "run",
         "eval_if.jsonl",
         _edit_line(0, lambda row: _set(row, "tags", "complexity", value=1)),
-        3,
-    ),
-    "eval-set-verdict-string": (
-        "run",
-        "eval_safe.jsonl",
-        _edit_line(0, lambda row: _set(row, "judge_verdicts", "refusal_quality", value="false")),
-        3,
-    ),
-    "eval-set-hard-string": (
-        "run",
-        "eval_if.jsonl",
-        _edit_line(0, lambda row: _set(row, "constraints", 0, "hard", value="false")),
-        3,
-    ),
-    "eval-set-unknown-constraint-family": (
-        "run",
-        "eval_if.jsonl",
-        _edit_line(0, lambda row: _set(row, "constraints", 0, "family", value="FOO")),
         3,
     ),
     "taxonomy-not-utf8": ("run", "taxonomy.json", _not_utf8, 3),
@@ -666,8 +660,29 @@ TAG_VARIETY = [
     ("eval_if.jsonl", "IF", {"family": "FORMAT", "complexity": "9"}),
     ("eval_if.jsonl", "IF", {"complexity": "2"}),
 ]
+# Edits of eval-row keys that nothing reads: a recorded verdict, a
+# constraint's `hard` and family, and a response, each of a type or value
+# no scorer would accept.
+IGNORED_EVAL_EDITS = {
+    "eval-set-verdict-string": (
+        "eval_safe.jsonl",
+        _edit_line(0, lambda row: _set(row, "judge_verdicts", "refusal_quality", value="false")),
+    ),
+    "eval-set-hard-string": (
+        "eval_if.jsonl",
+        _edit_line(0, lambda row: _set(row, "constraints", 0, "hard", value="false")),
+    ),
+    "eval-set-unknown-constraint-family": (
+        "eval_if.jsonl",
+        _edit_line(0, lambda row: _set(row, "constraints", 0, "family", value="FOO")),
+    ),
+    "eval-set-response-number": (
+        "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "response_text", value=5))
+    ),
+}
 ANNOTATION_CASES = {
     "demo": None,
+    **IGNORED_EVAL_EDITS,
     **{
         f"tag-variety-{name}": (name, _append_rows(
             [_eval_row(i, dataset, tags)
@@ -696,6 +711,26 @@ def test_eval_annotations_equal_one_by_one_annotation(case, fault_inputs):
     assert _outcome(_annotated, config) == expected
     if case.startswith("tag-variety"):
         assert len({a.reason for a in expected}) >= 4
+
+
+def test_eval_rows_other_keys_are_ignored(fault_inputs, tmp_path, capsys):
+    """An eval row is its id, dataset and tags: editing its other keys
+    changes no byte of the run beyond the recorded input digests."""
+    config = str(fault_inputs / "config.json")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "plain")]) == 0
+    for name, edit in IGNORED_EVAL_EDITS.values():
+        edit(fault_inputs / name)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "edited")]) == 0
+    capsys.readouterr()
+    digests = [
+        json.loads((tmp_path / run / "config.json").read_text("utf-8"))["inputs"]
+        for run in ("plain", "edited")
+    ]
+    assert {k for k in digests[0] if digests[0][k] != digests[1][k]} == {
+        "eval_sets[0]", "eval_sets[2]"
+    }
+    skip = ("run_meta.json", "config.json")
+    assert tree_bytes(tmp_path / "edited", skip) == tree_bytes(tmp_path / "plain", skip)
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])
@@ -782,6 +817,19 @@ class TestRun:
         assert main(args(tmp_path / "fresh", 3)) == 0
         skip = ("run_meta.json", "config.json")  # config.json keeps the first round count
         assert tree_bytes(tmp_path / "untouched", skip) == tree_bytes(tmp_path / "fresh", skip)
+
+    def test_an_initial_action_the_pool_cannot_serve_exits_before_out(
+        self, demo_inputs, tmp_path, capsys
+    ):
+        _edit_document(
+            lambda obj: _set(obj, "datasets", value=[d for d in obj["datasets"] if d["id"] != "IF"])
+        )(demo_inputs / "pool_manifest.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(demo_inputs / "config.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "mixture mass on IF, which the pool lacks" in err
+        assert not out.exists()
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
