@@ -2,10 +2,13 @@
 
 The simulator maps dataset token shares to dimension means through a
 saturating-gain-plus-interference response surface, then emits
-per-sample records with seeded per-slice and per-sample noise.  The
-replay backend re-emits a recorded trajectory from a fixture.  Both are
-stateless: identical requests produce identical records no matter the
-call order.
+per-sample records with per-slice and per-sample Gaussian noise.  Each
+draw is a Box-Muller transform of the blake2b digest of its seed path,
+``(round seed, "slice" or "sample", dimension, slice or sample id)``,
+so a sample's score depends on that path alone, not on the other
+samples or their order.  The replay backend re-emits a recorded
+trajectory from a fixture.  Both are stateless: identical requests
+produce identical records no matter the call order.
 
 Synthesized records are scored like real ones: the backend picks a
 check vector whose layer-1 score is the target score, and the rubric
@@ -17,8 +20,9 @@ fields.
 """
 from __future__ import annotations
 
+import hashlib
 import math
-import random
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -33,8 +37,8 @@ from .records import (
     SampleRecord,
     SCALE,
     SCORE_DECIMALS,
-    child_seed,
     config_fields,
+    seed_text,
 )
 from .rubric import (
     BENIGN_CHECKS,
@@ -95,6 +99,8 @@ _FLOOR = {
     )
     for dimension, checks in _TOP_CHECKS.items()
 }
+# Per dimension: the checks before the two soft ones, and the two soft checks.
+_SOFT = {dimension: (checks[:-2], *checks[-2:]) for dimension, checks in _TOP_CHECKS.items()}
 
 
 def synthetic_checks(dimension: Dimension, score: float) -> AtomicCheckVector:
@@ -104,20 +110,22 @@ def synthetic_checks(dimension: Dimension, score: float) -> AtomicCheckVector:
     every check passes.  In between every hard check passes, the first
     soft check passes with weight ``ticks - SCALE`` and the second fails
     with weight ``5 * SCALE - ticks``, so layer 1's weighted pass
-    fraction is ``(score - 1) / 4``.
+    fraction is ``(score - 1) / 4``.  Only those two checks are new
+    objects; the ones before them are the dimension's shared checks.
     """
     ticks = round(score * SCALE)
     if ticks <= SCALE:
         return _FLOOR[dimension]
     if ticks >= 5 * SCALE:
         return _TOP[dimension]
-    checks = _TOP_CHECKS[dimension]
-    passing, failing = checks[-2:]
-    soft = (
-        CheckResult(passing.check_id, True, passing.family, weight=ticks - SCALE),
-        _failed(failing, 5 * SCALE - ticks),
+    prefix, passing, failing = _SOFT[dimension]
+    return AtomicCheckVector(
+        dimension,
+        prefix + (
+            CheckResult(passing.check_id, True, passing.family, weight=ticks - SCALE),
+            CheckResult(failing.check_id, False, failing.family, weight=5 * SCALE - ticks),
+        ),
     )
-    return AtomicCheckVector(dimension, checks[:-2] + soft)
 
 
 def _record_builder() -> Callable[..., SampleRecord]:
@@ -126,10 +134,14 @@ def _record_builder() -> Callable[..., SampleRecord]:
     Each distinct ``(dimension, score, valid)`` is scored once, by
     ``scored_record(synthetic_checks(dimension, score), ...)``; every
     later sample with that key gets a copy of that record carrying its
-    own id, slice, weight and invalid reason.  The cache lives only as
+    own id, slice, weight and invalid reason.  A copy takes the score
+    and state its template's constructor checked, so it is made without
+    the constructor's checks; it compares equal to the record the
+    constructor builds from the same fields.  The cache lives only as
     long as the maker, so no call can reuse another's work.
     """
     templates: dict[tuple[Dimension, float, bool], SampleRecord] = {}
+    new, put = object.__new__, object.__setattr__
 
     def record(
         dimension: Dimension,
@@ -154,18 +166,20 @@ def _record_builder() -> Callable[..., SampleRecord]:
                 synthetic=True,
             )
             return template
-        return SampleRecord(
-            sample_id=sample_id,
-            dimension=dimension,
-            valid=valid,
-            slice_label=slice_label,
-            weight=weight,
-            checks=template.checks,
-            l2_state=template.l2_state,
-            score=template.score,
-            invalid_reason=invalid_reason,
-            synthetic=True,
-        )
+        # The fields in the constructor's order, so the copy's attributes
+        # share their layout with every other record's.
+        copy = new(SampleRecord)
+        put(copy, "sample_id", sample_id)
+        put(copy, "dimension", dimension)
+        put(copy, "valid", valid)
+        put(copy, "slice_label", slice_label)
+        put(copy, "weight", weight)
+        put(copy, "checks", template.checks)
+        put(copy, "l2_state", template.l2_state)
+        put(copy, "score", template.score)
+        put(copy, "invalid_reason", invalid_reason)
+        put(copy, "synthetic", True)
+        return copy
 
     return record
 
@@ -280,8 +294,25 @@ def _clip(value: float, low: float = 1.0, high: float = 5.0) -> float:
     return max(low, min(high, value))
 
 
+_UINT64_PAIR = struct.Struct(">QQ").unpack
+_TWO_PI = 2.0 * math.pi
+
+
+def _standard_normal(text: str) -> float:
+    """A standard normal deviate that is a function of ``text`` alone.
+
+    The 16-byte blake2b digest of ``text`` gives two 64-bit words; the
+    top 53 bits of each make uniforms ``u1`` and ``u2`` in [0, 1), and the
+    Box-Muller transform returns ``cos(2 pi u1) * sqrt(-2 ln(1 - u2))``.
+    """
+    high, low = _UINT64_PAIR(hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest())
+    u1, u2 = (high >> 11) * 2.0**-53, (low >> 11) * 2.0**-53
+    return math.cos(_TWO_PI * u1) * math.sqrt(-2.0 * math.log(1.0 - u2))
+
+
 class SimulatorBackend:
-    """Closed-form response surface with seeded slice-level noise."""
+    """Closed-form response surface with slice-level and sample-level
+    noise drawn from the round seed."""
 
     def __init__(self, params: SurfaceParams | None = None) -> None:
         self.params = params or SurfaceParams()
@@ -320,24 +351,24 @@ class SimulatorBackend:
         record = _record_builder()
         records = []
         for dimension in DIMENSION_ORDER:
+            mean = means[dimension]
+            # A draw's text is the one child_seed would hash for its path.
+            slice_text = seed_text(request.seed, "slice", dimension.value, "")
+            sample_text = seed_text(request.seed, "sample", dimension.value, "")
             slice_noise: dict[str, float] = {}  # one draw per slice per round
             for annotation in request.eval_sets.get(dimension, ()):
-                noise = slice_noise.get(annotation.slice_label)
+                label = annotation.slice_label
+                noise = slice_noise.get(label)
                 if noise is None:
-                    noise = slice_noise[annotation.slice_label] = random.Random(
-                        child_seed(request.seed, "slice", dimension.value, annotation.slice_label)
-                    ).gauss(0.0, sigma)
-                sample_rng = random.Random(
-                    child_seed(request.seed, "sample", dimension.value, annotation.sample_id)
-                )
-                raw = means[dimension] + noise + sample_rng.gauss(0.0, sigma)
+                    noise = slice_noise[label] = sigma * _standard_normal(slice_text + label)
+                raw = mean + noise + sigma * _standard_normal(sample_text + annotation.sample_id)
                 records.append(
                     record(
                         dimension,
                         round(_clip(raw), SCORE_DECIMALS),
                         sample_id=annotation.sample_id,
                         valid=annotation.valid,
-                        slice_label=annotation.slice_label,
+                        slice_label=label,
                         weight=annotation.weight,
                         invalid_reason=annotation.reason,
                     )

@@ -15,7 +15,10 @@ first, so they never describe fewer points than are committed.
 the backend reads, keyed by role.  A resume compares both before it
 reads anything else, so a changed input cannot mix two trajectories,
 and loads the inputs only when a point is left to evaluate (a replay
-always loads its fixture, which holds the round count).
+always loads its fixture, which holds the round count).  Each point's
+``metric.json`` records the sha256 of its ``records.jsonl``, and a
+round's ``manifest_summary.json`` that of its ``manifest.jsonl``; a
+resume checks both for every committed point.
 """
 from __future__ import annotations
 
@@ -256,22 +259,24 @@ class RunDirectory:
     def load_base_metric(self) -> MetricVector:
         return self.read(f"{BASE_LABEL}/metric.json", MetricVector.from_json)
 
-    def check_manifest(self, index: int) -> None:
-        """Raise ``DataError`` unless the round's ``manifest.jsonl`` has the
-        sha256 that its ``manifest_summary.json`` records."""
-        name = f"{round_dir_name(index)}/manifest.jsonl"
-        recorded = self.read(
-            f"{round_dir_name(index)}/manifest_summary.json",
-            lambda summary: summary["manifest_digest"],
-        )
-        try:
-            actual = _digest_file(self.path / name)
-        except OSError as exc:
-            raise DataError(f"run directory {self.path} lacks {name}") from exc
-        if actual != recorded:
-            raise DataError(
-                f"{self.path / name} does not match the digest in its manifest_summary.json"
-            )
+    def check_digests(self, point: str, *, manifest: bool) -> None:
+        """Raise ``DataError`` unless the committed point's ``records.jsonl``
+        has the sha256 that its ``metric.json`` records and, with
+        ``manifest``, its ``manifest.jsonl`` the one its
+        ``manifest_summary.json`` records."""
+        files = [("records.jsonl", "metric.json", "records_digest")]
+        if manifest:
+            files.append(("manifest.jsonl", "manifest_summary.json", "manifest_digest"))
+        for name, recorded_in, key in files:
+            recorded = self.read(f"{point}/{recorded_in}", lambda obj: obj[key])
+            try:
+                actual = _digest_file(self.path / point / name)
+            except OSError as exc:
+                raise DataError(f"run directory {self.path} lacks {point}/{name}") from exc
+            if actual != recorded:
+                raise DataError(
+                    f"{self.path / point / name} does not match the digest in its {recorded_in}"
+                )
 
     def frontier(self) -> list[tuple[str, MetricVector]]:
         return self.read("archive.jsonl", _final_frontier, lines=True)
@@ -471,11 +476,12 @@ def _evaluate(
         summary = request.manifest.summary()
         summary["manifest_digest"] = _digest_file(temp / "manifest.jsonl")
         _write_json(temp / "manifest_summary.json", summary)
-    write_records(temp / "records.jsonl", records)
+    records_digest = write_records(temp / "records.jsonl", records)
     _write_json(
         temp / "metric.json",
         dict(metric.to_json(), weighted=weighted_means(records), seeds=seeds,
-             verdict=verdict.status, replaced=list(verdict.replaced)),
+             verdict=verdict.status, replaced=list(verdict.replaced),
+             records_digest=records_digest),
     )
     dump_jsonl(temp / "profiles.jsonl", (profile.to_json() for profile in profiles))
     if action_json is not None:
@@ -490,9 +496,11 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     A fresh run loads and checks every input, and that the pool can
     serve the initial action, before it creates ``out_dir``.  A resume
     (``out_dir`` holds a committed ``base/``) checks the config and the
-    input digests against ``config.json``, reads the committed points,
-    and loads the inputs only when a point is left to evaluate; a
-    replay always loads its fixture.
+    input digests against ``config.json``, checks each committed point's
+    ``records.jsonl`` (and a drawn round's ``manifest.jsonl``) against
+    the digest its point records, reads the committed points, and loads
+    the inputs only when a point is left to evaluate; a replay always
+    loads its fixture.
     """
     out = Path(out_dir)
     run_dir = RunDirectory(out)
@@ -503,11 +511,11 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     if resumed:
         _check_resume(config, run_dir)
         completed = run_dir.round_indices()
+        run_dir.check_digests(BASE_LABEL, manifest=False)
         history.base_metric = run_dir.load_base_metric()
         archive.insert(BASE_LABEL, history.base_metric)
         for index in completed:
-            if draws:
-                run_dir.check_manifest(index)
+            run_dir.check_digests(round_dir_name(index), manifest=draws)
             action, _, _ = run_dir.load_round_action(index)
             metric = run_dir.load_round_metric(index)
             archive.insert(round_label(index), metric)

@@ -9,6 +9,7 @@ everywhere.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -104,15 +105,26 @@ def parse_slice_key(label: str) -> dict[str, str]:
     return parts
 
 
+def seed_text(master: int, *path: object) -> str:
+    """The text ``child_seed`` hashes: the master seed and the stage path,
+    joined by ``|``."""
+    return "|".join([str(int(master))] + [str(part) for part in path])
+
+
 def child_seed(master: int, *path: object) -> int:
     """Derive a stable 64-bit child seed from a master seed and a stage path.
 
     Hash-based so that adding a stage never shifts the seeds of existing
     stages, unlike sequential draws from a shared generator.
     """
-    text = "|".join([str(int(master))] + [str(part) for part in path])
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = hashlib.blake2b(seed_text(master, *path).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _is_float_one(weight: object) -> bool:
+    """Whether ``weight`` is the default weight, the float 1.0 (an int 1
+    is written out)."""
+    return type(weight) is float and weight == 1.0
 
 
 @dataclass(frozen=True)
@@ -135,6 +147,18 @@ class CheckResult:
             raise ValueError("check_id must be non-empty")
         if self.weight <= 0:
             raise ValueError(f"check {self.check_id!r} has non-positive weight {self.weight}")
+
+    def to_json(self) -> dict:
+        """The check as a JSON object, without a null ``family``, a false
+        ``hard`` or a ``weight`` that is the float 1.0."""
+        obj = {"id": self.check_id, "passed": self.passed}
+        if self.family is not None:
+            obj["family"] = self.family
+        if self.hard is not False:
+            obj["hard"] = self.hard
+        if not _is_float_one(self.weight):
+            obj["weight"] = self.weight
+        return obj
 
 
 @dataclass(frozen=True)
@@ -166,27 +190,27 @@ class SampleRecord:
         return tuple(check.check_id for check in self.checks if not check.passed)
 
     def to_json(self) -> dict:
-        return {
+        """The record as a JSON object without the fields that hold their
+        defaults: a ``weight`` that is the float 1.0, a null
+        ``invalid_reason`` and a false ``synthetic``, and in each check a
+        null ``family``, a false ``hard`` and a ``weight`` that is the float
+        1.0.  ``from_json`` fills them back in."""
+        obj = {
             "sample_id": self.sample_id,
             "dimension": self.dimension.value,
             "valid": self.valid,
             "slice": self.slice_label,
-            "weight": self.weight,
-            "checks": [
-                {
-                    "id": check.check_id,
-                    "passed": check.passed,
-                    "family": check.family,
-                    "hard": check.hard,
-                    "weight": check.weight,
-                }
-                for check in self.checks
-            ],
-            "l2_state": self.l2_state.value,
-            "score": self.score,
-            "invalid_reason": self.invalid_reason,
-            "synthetic": self.synthetic,
         }
+        if not _is_float_one(self.weight):
+            obj["weight"] = self.weight
+        obj["checks"] = [check.to_json() for check in self.checks]
+        obj["l2_state"] = self.l2_state.value
+        obj["score"] = self.score
+        if self.invalid_reason is not None:
+            obj["invalid_reason"] = self.invalid_reason
+        if self.synthetic is not False:
+            obj["synthetic"] = self.synthetic
+        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "SampleRecord":
@@ -195,7 +219,7 @@ class SampleRecord:
             dimension=Dimension(obj["dimension"]),
             valid=obj["valid"],
             slice_label=obj["slice"],
-            weight=obj["weight"],
+            weight=obj.get("weight", 1.0),
             checks=tuple(
                 CheckResult(
                     check_id=check["id"],
@@ -222,64 +246,113 @@ def dump_jsonl(path: Path, rows: Iterable[dict]) -> None:
 # What ``json.dumps(..., ensure_ascii=False)`` encodes each string with.
 _encode_str = json.encoder.encode_basestring
 _JSON_BOOL = {True: "true", False: "false"}
+_DIMENSION_TEXT = {
+    dimension: f',"dimension":{_encode_str(dimension.value)},"valid":' for dimension in Dimension
+}
+_WRITE_CHUNK_LINES = 2048
+
+
+def _record_line(record: SampleRecord) -> str:
+    """The line ``write_records`` writes for ``record``, by definition."""
+    return json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def _check_text(check: CheckResult) -> str | None:
+    """``check.to_json()`` encoded as ``_record_line`` encodes it, or None
+    when a field's type is outside the fast path."""
+    check_id, family, weight = check.check_id, check.family, check.weight
+    if not (
+        type(check_id) is str
+        and type(check.passed) is bool
+        and type(check.hard) is bool
+        and (family is None or type(family) is str)
+        and (type(weight) is int or type(weight) is float and math.isfinite(weight))
+    ):
+        return None
+    parts = ['{"id":', _encode_str(check_id), ',"passed":', _JSON_BOOL[check.passed]]
+    if family is not None:
+        parts += (',"family":', _encode_str(family))
+    if check.hard:
+        parts.append(',"hard":true')
+    if not _is_float_one(weight):
+        parts += (',"weight":', repr(weight))
+    parts.append("}")
+    return "".join(parts)
 
 
 def _record_lines(records: Iterable[SampleRecord]) -> Iterable[str]:
-    """``json.dumps(record.to_json(), ensure_ascii=False) + "\n"`` for each
-    record, byte for byte.
+    """``_record_line(record)`` for each record, byte for byte.
 
-    The part of a line that records with one score share (the dimension,
-    the checks, the state, the score and the constant keys) is encoded
-    once per checks tuple, state, score, dimension and ``synthetic``;
-    each record's own id, validity, slice, weight and invalid reason are
-    spliced into it.  A record with a value outside that fast path (a
+    The part of a line that records with one score share (the checks,
+    the state and the score) is encoded once per checks tuple, state and
+    score, from each check's text, itself encoded once per check object:
+    a new score's checks tuple reuses its hard checks' texts and encodes
+    only its two soft checks.  Each record's own id, dimension,
+    validity, slice, weight, invalid reason and ``synthetic`` flag are
+    spliced around it.  A record with a value outside that fast path (a
     non-finite or non-float weight, a non-float score, a string field
-    that is not a ``str``, a flag that is not a ``bool``) is encoded by
-    ``json.dumps`` itself.  ``test_records.py`` holds the property test
-    of the byte identity.
+    that is not a ``str``, a flag that is not a ``bool``, such a check
+    field) is encoded by ``_record_line`` itself.  ``test_records.py``
+    holds the property test of the byte identity.
     """
-    parts: dict[tuple, tuple] = {}
+    # Each cache holds the object whose id it is keyed by, so no id is
+    # reused while it is cached.
+    check_texts: dict[int, tuple[CheckResult, str | None]] = {}
+    middles: dict[tuple, tuple[tuple, str | None]] = {}
     for record in records:
-        weight, reason = record.weight, record.invalid_reason
-        if not (
+        weight, reason, score, checks = (
+            record.weight, record.invalid_reason, record.score, record.checks
+        )
+        middle = None
+        if (
             type(weight) is float
             and math.isfinite(weight)
-            and type(record.score) is float
+            and type(score) is float
             and type(record.sample_id) is str
             and type(record.slice_label) is str
             and (reason is None or type(reason) is str)
             and type(record.valid) is bool
             and type(record.synthetic) is bool
         ):
-            yield json.dumps(record.to_json(), ensure_ascii=False) + "\n"
+            key = (id(checks), record.l2_state, score)
+            cached = middles.get(key)
+            if cached is None:
+                texts = []
+                for check in checks:
+                    entry = check_texts.get(id(check))
+                    if entry is None:
+                        entry = check_texts[id(check)] = (check, _check_text(check))
+                    texts.append(entry[1])
+                cached = middles[key] = (
+                    checks,
+                    None if None in texts else (
+                        f',"checks":[{",".join(texts)}],'
+                        f'"l2_state":{_encode_str(record.l2_state.value)},"score":{score!r}'
+                    ),
+                )
+            middle = cached[1]
+        if middle is None:
+            yield _record_line(record)
             continue
-        # The checks tuple is held in the value, so its id is not reused
-        # while the key is cached.
-        key = (id(record.checks), record.l2_state, record.score, record.dimension,
-               record.synthetic)
-        cached = parts.get(key)
-        if cached is None:
-            obj = record.to_json()
-            cached = parts[key] = (
-                record.checks,
-                f', "dimension": {_encode_str(obj["dimension"])}, "valid": ',
-                f', "checks": {json.dumps(obj["checks"], ensure_ascii=False)}, '
-                f'"l2_state": {_encode_str(obj["l2_state"])}, "score": {obj["score"]!r}, '
-                '"invalid_reason": ',
-                f', "synthetic": {_JSON_BOOL[record.synthetic]}}}\n',
-            )
-        _, dimension, middle, tail = cached
         yield "".join((
-            '{"sample_id": ', _encode_str(record.sample_id), dimension,
-            _JSON_BOOL[record.valid], ', "slice": ', _encode_str(record.slice_label),
-            ', "weight": ', repr(weight), middle,
-            "null" if reason is None else _encode_str(reason), tail,
+            '{"sample_id":', _encode_str(record.sample_id), _DIMENSION_TEXT[record.dimension],
+            _JSON_BOOL[record.valid], ',"slice":', _encode_str(record.slice_label),
+            "" if weight == 1.0 else f',"weight":{weight!r}', middle,
+            "" if reason is None else f',"invalid_reason":{_encode_str(reason)}',
+            ',"synthetic":true}\n' if record.synthetic else "}\n",
         ))
 
 
-def write_records(path: Path, records: Iterable[SampleRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_record_lines(records))
+def write_records(path: Path, records: Iterable[SampleRecord]) -> str:
+    """Write ``_record_line(record)`` for each record to ``path`` and return
+    the sha256 of the bytes written, hashed as they are written."""
+    digest = hashlib.sha256()
+    lines = _record_lines(records)
+    with open(path, "wb") as handle:
+        while chunk := "".join(itertools.islice(lines, _WRITE_CHUNK_LINES)).encode("utf-8"):
+            digest.update(chunk)
+            handle.write(chunk)
+    return digest.hexdigest()
 
 
 def _no_constant(name: str) -> float:

@@ -1,5 +1,7 @@
 """Simulated and replay backends."""
 import math
+import random
+import statistics
 
 import pytest
 from hypothesis import given
@@ -17,7 +19,14 @@ from mixsearch.backend import (
 from mixsearch.errors import BackendError, ConfigError, ReplayGapError
 from mixsearch.fixtures import default_fixture_path, load_replay_fixture
 from mixsearch.profiles import metric_vector
-from mixsearch.records import DIMENSION_FOR_DATASET, Dataset, Dimension, L2State
+from mixsearch.records import (
+    DIMENSION_FOR_DATASET,
+    Dataset,
+    Dimension,
+    L2State,
+    SampleRecord,
+    seed_text,
+)
 from mixsearch.rubric import (
     AtomicCheckVector,
     PromptAnnotation,
@@ -242,6 +251,73 @@ class TestSimulatorRounds:
         assert all(not r.valid and r.invalid_reason == "unanswerable" for r in benign)
 
 
+class TestNoise:
+    """Slice and sample noise are functions of their seed paths alone."""
+
+    def _scores(self, sets, seed=21):
+        backend = SimulatorBackend(flat_surface(noise_sigma=0.05))
+        return {
+            record.sample_id: record.score
+            for record in backend.run_round(request_for(seed=seed, sets=sets))
+        }
+
+    def test_a_score_ignores_the_other_samples_and_their_order(self):
+        sets = {
+            DIMENSION_FOR_DATASET[dataset]: tuple(
+                PromptAnnotation(f"{dataset.value}-{index}", dataset, True,
+                                 f"tier={'abc'[index % 3]}", 1.0)
+                for index in range(30)
+            )
+            for dataset in Dataset
+        }
+        scores = self._scores(sets)
+        shuffled = {}
+        for dimension, annotations_ in sets.items():
+            kept = [a for index, a in enumerate(annotations_) if index % 4 != 1]
+            random.Random(5).shuffle(kept)
+            shuffled[dimension] = tuple(kept)
+        fewer = self._scores(shuffled)
+        assert len(fewer) < len(scores)
+        assert fewer == {sample_id: scores[sample_id] for sample_id in fewer}
+
+    def test_a_slice_has_one_draw_shared_by_its_samples(self):
+        sigma, seed = 0.05, 8
+        sets = {
+            DIMENSION_FOR_DATASET[dataset]: tuple(
+                PromptAnnotation(f"{dataset.value}-{index}", dataset, True,
+                                 f"tier={'ab'[index % 2]}", 1.0)
+                for index in range(40)
+            )
+            for dataset in Dataset
+        }
+        # Means mid-range, so no score is clipped.
+        backend = SimulatorBackend(
+            flat_surface(base={"SAFE": 3.0, "BENIGN": 3.0, "IF": 3.0}, noise_sigma=sigma)
+        )
+        base = backend.params.base
+        slice_draws = {}
+        for record in backend.run_round(request_for(seed=seed, sets=sets)):
+            dimension = record.dimension.value
+            sample = sigma * backend_module._standard_normal(
+                seed_text(seed, "sample", dimension, record.sample_id)
+            )
+            residual = record.score - base[record.dimension] - sample
+            expected = sigma * backend_module._standard_normal(
+                seed_text(seed, "slice", dimension, record.slice_label)
+            )
+            assert residual == pytest.approx(expected, abs=6e-5)  # scores keep 4 decimals
+            slice_draws[(dimension, record.slice_label)] = expected
+        assert len(set(slice_draws.values())) == len(slice_draws) == 6
+
+    def test_the_draw_is_a_standard_normal(self):
+        draws = [
+            backend_module._standard_normal(seed_text(1, "sample", "SAFE", f"id-{index}"))
+            for index in range(20_000)
+        ]
+        assert abs(statistics.fmean(draws)) < 0.05
+        assert abs(statistics.pstdev(draws) - 1.0) < 0.05
+
+
 def synthetic_record(dimension, score, valid=True):
     return scored_record(
         synthetic_checks(dimension, score),
@@ -330,6 +406,31 @@ class TestRecordTemplates:
         assert {1.0, 5.0} <= {record.score for record in plain}
         assert {record.valid for record in plain} == {True, False}
         assert len({id(r.checks) for r in memoized}) < len({id(r.checks) for r in plain})
+
+    def test_a_copy_equals_the_record_its_fields_construct(self):
+        record = backend_module._record_builder()
+        template = record(
+            Dimension.BENIGN, 3.25, sample_id="a", valid=True, slice_label="tier=a", weight=1.0
+        )
+        copy = record(
+            Dimension.BENIGN, 3.25, sample_id="b", valid=True, slice_label="tier=b", weight=2.5,
+            invalid_reason="unanswerable",
+        )
+        constructed = SampleRecord(
+            sample_id="b",
+            dimension=Dimension.BENIGN,
+            valid=True,
+            slice_label="tier=b",
+            weight=2.5,
+            checks=template.checks,
+            l2_state=template.l2_state,
+            score=template.score,
+            invalid_reason="unanswerable",
+            synthetic=True,
+        )
+        assert type(copy) is SampleRecord and copy is not template
+        assert copy == constructed and hash(copy) == hash(constructed)
+        assert list(vars(copy).items()) == list(vars(constructed).items())
 
     def test_replay_round_matches_unmemoized_records(self, monkeypatch, fixture):
         backend = ReplayBackend(fixture)

@@ -166,6 +166,17 @@ DAMAGE = {
         ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
         lambda run: _edit_action(run, "bucket_weights", "ORBENCH", "or_legal_far", value="0.25"),
     ),
+    # A committed point's records must match the digest in its metric.json.
+    "truncated-records-extension": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _truncate(run / "round-001" / "records.jsonl"),
+    ),
+    "edited-base-records-replay": (
+        ["replay", "--out"],
+        lambda run: _edit_line(0, lambda row: _set(row, "score", value=1.0))(
+            run / "base" / "records.jsonl"
+        ),
+    ),
     "profiles-breakdown-string": (
         ["replay", "--out"],
         lambda run: _edit_line(0, lambda row: _set(row, "breakdown", value={"c1": "3"}))(
@@ -1013,8 +1024,10 @@ RESUME_READS = [
             "profiles.jsonl",
             "manifest_summary.json",
             "manifest.jsonl",
+            "records.jsonl",
         )
     ),
+    "base/records.jsonl",
 ]
 RESUME_DAMAGE = {
     "truncated": _truncate,

@@ -7,6 +7,7 @@ from pathlib import Path
 import mixsearch.cli as cli
 import mixsearch.orchestrator as orchestrator
 from mixsearch.backend import ReplayBackend, SimulatorBackend
+from mixsearch.fixtures import demo_config_path
 from mixsearch.pareto import ParetoArchive
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -47,3 +48,31 @@ def test_tracer_swaps_and_restores_every_hooked_name():
             during = _names()
             assert {key for key in before if during[key] is not before[key]} == expected
         assert _names() == before
+
+
+def test_every_counter_counts_a_demo_run(tmp_path, capsys):
+    """Each of the tracer's counters reads the arguments and the returned
+    value of its call; a change of those that the counters cannot read
+    fails here, not in the benchmark."""
+    spans = _load_spans()
+    produced = {}
+
+    def recording(name, count):
+        def counted(args, result):
+            counts = count(args, result)
+            produced[name] = counts
+            return counts
+
+        return counted
+
+    for name, count in list(spans.COUNTERS.items()):
+        spans.COUNTERS[name] = recording(name, count)
+    tracer = spans.Tracer()
+    with spans.patched(tracer, []):
+        assert cli.main(["run", "--config", str(demo_config_path()), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert produced.keys() == spans.COUNTERS.keys()
+    for name, counts in produced.items():
+        assert counts, name
+        for key, value in counts.items():
+            assert isinstance(value, (int, float)) and tracer.counts[key] >= value >= 0, key

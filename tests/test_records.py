@@ -1,4 +1,5 @@
 """Record vocabulary: slice labels, seed derivation, sample records."""
+import hashlib
 import json
 import math
 import tempfile
@@ -198,6 +199,20 @@ def _records(draw):
 
 
 _SHARED_CHECKS = (CheckResult("c1", True, family="FORMAT", hard=True),)
+_PLAIN_CHECKS = (CheckResult("c1", True), CheckResult("c2", False, weight=1))
+
+
+def _written(records) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "records.jsonl"
+        digest = write_records(path, records)
+        written = path.read_bytes()
+    assert digest == hashlib.sha256(written).hexdigest()
+    return written
+
+
+def _compact_line(record) -> str:
+    return json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 class TestWriteRecords:
@@ -206,13 +221,45 @@ class TestWriteRecords:
         _record(checks=_SHARED_CHECKS, score=2.0, l2_state=L2State.PARTIAL),
         _record(checks=_SHARED_CHECKS, score=2, l2_state=L2State.PARTIAL),
     ])
+    @example([  # an int weight 1 is written, the float 1.0 is not
+        _record(checks=_PLAIN_CHECKS, weight=1, l2_state=L2State.PARTIAL, score=3.0),
+        _record(checks=_PLAIN_CHECKS, weight=1.0, l2_state=L2State.PARTIAL, score=3.0),
+    ])
+    @example([  # a non-ASCII id, a set invalid reason, a check with family and hard
+        _record(sample_id="é漢-🙂", invalid_reason="unanswerable", synthetic=True),
+        _record(sample_id="s2", valid=False),
+    ])
     def test_lines_are_json_dumps_of_to_json(self, records):
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "records.jsonl"
-            write_records(path, records)
-            written = path.read_bytes()
-        expected = "".join(json.dumps(r.to_json(), ensure_ascii=False) + "\n" for r in records)
+        written = _written(records)
+        expected = "".join(_compact_line(record) for record in records)
         assert written == expected.encode("utf-8")
+
+    def test_default_fields_are_left_out(self):
+        record = _record(checks=_PLAIN_CHECKS, l2_state=L2State.PARTIAL, score=3.0)
+        assert _written([record]).decode("utf-8") == (
+            '{"sample_id":"s1","dimension":"IF","valid":true,'
+            '"slice":"complexity=1|family=FORMAT","checks":[{"id":"c1","passed":true},'
+            '{"id":"c2","passed":false,"weight":1}],"l2_state":"PARTIAL","score":3.0}\n'
+        )
+        set_fields = _record(weight=2.5, invalid_reason="unmapped", synthetic=True)
+        assert json.loads(_written([set_fields])) == {
+            "sample_id": "s1",
+            "dimension": "IF",
+            "valid": True,
+            "slice": "complexity=1|family=FORMAT",
+            "weight": 2.5,
+            "checks": [{"id": "c1", "passed": True, "family": "FORMAT", "hard": True}],
+            "l2_state": "FULL",
+            "score": 5.0,
+            "invalid_reason": "unmapped",
+            "synthetic": True,
+        }
+
+    @given(_records())
+    def test_lines_read_back_as_the_records(self, records):
+        # JSON escapes every "\n" inside a string; a line may hold U+2028.
+        lines = _written(records).decode("utf-8").split("\n")[:-1]
+        assert [SampleRecord.from_json(json.loads(line)) for line in lines] == records
 
 
 class TestReadJson:
