@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .errors import BackendError, ConfigError
-from .fixtures import FixtureRow, ReplayFixture, validate_fixture
+from .fixtures import FixtureRow, ReplayFixture
 from .records import (
     DIMENSION_FOR_DATASET,
     DIMENSION_ORDER,
@@ -44,7 +44,7 @@ from .rubric import (
     BENIGN_CHECKS,
     SAFE_CHECKS,
     AtomicCheckVector,
-    PromptAnnotation,
+    EvalColumns,
     scored_record,
 )
 from .sampler import DataAction, SampleManifest
@@ -56,7 +56,7 @@ class BackendRequest:
 
     round_index: int  # -1 denotes the untuned base evaluation
     manifest: SampleManifest | None
-    eval_sets: dict[Dimension, tuple[PromptAnnotation, ...]]
+    eval_sets: dict[Dimension, EvalColumns]
     seed: int
 
 
@@ -356,17 +356,18 @@ class SimulatorBackend:
             slice_text = seed_text(request.seed, "slice", dimension.value, "")
             sample_text = seed_text(request.seed, "sample", dimension.value, "")
             slice_noise: dict[str, float] = {}  # one draw per slice per round
-            for annotation in request.eval_sets.get(dimension, ()):
+            sample_ids, annotations = request.eval_sets.get(dimension, ((), ()))
+            for sample_id, annotation in zip(sample_ids, annotations):
                 label = annotation.slice_label
                 noise = slice_noise.get(label)
                 if noise is None:
                     noise = slice_noise[label] = sigma * _standard_normal(slice_text + label)
-                raw = mean + noise + sigma * _standard_normal(sample_text + annotation.sample_id)
+                raw = mean + noise + sigma * _standard_normal(sample_text + sample_id)
                 records.append(
                     record(
                         dimension,
                         round(_clip(raw), SCORE_DECIMALS),
-                        sample_id=annotation.sample_id,
+                        sample_id=sample_id,
                         valid=annotation.valid,
                         slice_label=label,
                         weight=annotation.weight,
@@ -420,7 +421,6 @@ class ReplayBackend:
     """Re-emits a recorded trajectory as schema-complete synthetic records."""
 
     def __init__(self, fixture: ReplayFixture) -> None:
-        validate_fixture(fixture)
         self.fixture = fixture
 
     def run_round(self, request: BackendRequest) -> list[SampleRecord]:

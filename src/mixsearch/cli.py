@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, MixSearchError
-from .fixtures import default_fixture_path, load_replay_fixture, validate_fixture
+from .fixtures import default_fixture_path, load_replay_fixture
 from .orchestrator import LoopConfig, RunDirectory, report, run
 
 log = logging.getLogger(__name__)
@@ -95,11 +95,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     fixture_path = args.fixture or default_fixture_path()
     if args.validate_only:
-        verdict = validate_fixture(load_replay_fixture(fixture_path))
-        print(
-            f"fixture ok: {verdict.row_count} rows, "
-            f"frontier {{{', '.join(verdict.frontier)}}}"
-        )
+        fixture = load_replay_fixture(fixture_path)
+        print(f"fixture ok: {len(fixture.rows)} rows, frontier {{{', '.join(fixture.frontier)}}}")
         return 0
     if args.out is None:
         raise ConfigError("replay needs --out (or use --validate-only)")

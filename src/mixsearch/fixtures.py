@@ -5,7 +5,7 @@ A replay fixture is a JSONL file with one row per round (a ``base`` row
 plus contiguous numbered rounds), each row carrying the three dimension
 means, the mixture that produced them, optional focus descriptors, and
 a self-check digest.  A trailing ``frontier`` row declares which rounds
-the non-dominated set must contain, so validation recomputes dominance
+the non-dominated set must contain, so loading recomputes dominance
 rather than trusting the file.  Rows, focus descriptors and the frontier
 take only their own keys, each of its JSON type: a string ``"3"`` is not
 a boost, nor ``true`` a cap fraction.  Each focus descriptor becomes a
@@ -52,7 +52,6 @@ class FixtureRow:
     metrics: MetricVector
     mixture: tuple[float, float, float] | None
     focus: tuple[FocusCriterion, ...]
-    raw: dict
 
     @property
     def round_index(self) -> int:
@@ -60,16 +59,9 @@ class FixtureRow:
 
 
 @dataclass(frozen=True)
-class FixtureVerdict:
-    row_count: int
-    frontier: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ReplayFixture:
     rows: tuple[FixtureRow, ...]
-    declared_frontier: tuple[str, ...]
-    path: Path | None = None
+    frontier: tuple[str, ...]  # the recomputed non-dominated labels, sorted
 
     def row_for(self, round_index: int) -> FixtureRow:
         for row in self.rows:
@@ -84,50 +76,71 @@ class ReplayFixture:
 
 
 def load_replay_fixture(path: Path | str) -> ReplayFixture:
-    """Parse a fixture file; structural problems raise ``FixtureError``.
-
-    Content integrity is checked separately by ``validate_fixture``.
-    """
-    path = Path(path)
+    """Parse and check a fixture file: each row's self-check, mixture and
+    focus descriptors, a ``base`` row plus contiguous rounds, and the
+    declared frontier against the recomputed one.  Any problem raises
+    ``FixtureError`` naming the file and, where it has one, the row."""
     return read_json(
-        path,
-        lambda rows: _fixture_from_rows(rows, path),
-        lines=True,
-        error=FixtureError,
-        what="replay fixture",
+        path, _fixture_from_rows, lines=True, error=FixtureError, what="replay fixture"
     )
 
 
-def _fixture_from_rows(raw_rows: list[dict], path: Path) -> ReplayFixture:
+def _fixture_from_rows(raw_rows: list[dict]) -> ReplayFixture:
     rows = []
-    frontier: tuple[str, ...] | None = None
+    declared: list[str] | None = None
     for raw in raw_rows:
         if isinstance(raw, dict) and "frontier" in raw:
             config_fields(raw, "replay fixture frontier row", {"frontier": [str]})
-            frontier = tuple(raw["frontier"])
-            continue
-        config_fields(raw, "replay fixture row", ROW_FIELDS)
-        try:
-            label = str(raw["round"])
-            if label != "base" and not label.isdecimal():
-                raise ValueError(f"round {raw['round']!r} is neither 'base' nor a round index")
-            metrics = MetricVector(safe=raw["safe"], benign=raw["benign"], if_score=raw["if"])
-            mixture = tuple(float(v) for v in raw["mixture"]) if raw.get("mixture") else None
-            focus = tuple(_focus_criterion(descriptor) for descriptor in raw.get("focus", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FixtureError(f"replay fixture {path}: malformed row {raw!r}: {exc}") from exc
-        rows.append(
-            FixtureRow(
-                label=label,
-                metrics=metrics,
-                mixture=mixture,  # type: ignore[arg-type]
-                focus=focus,
-                raw=raw,
-            )
+            declared = raw["frontier"]
+        else:
+            rows.append(_fixture_row(raw))
+    if declared is None:
+        raise FixtureError("lacks a frontier row")
+    labels = [row.label for row in rows]
+    duplicate = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if duplicate is not None:
+        raise FixtureError(f"row {duplicate!r} appears more than once")
+    if "base" not in labels:
+        raise FixtureError("row 'base' is missing")
+    numbered = sorted(int(label) for label in labels if label != "base")
+    gap = next((index for index, number in enumerate(numbered) if number != index), None)
+    if gap is not None:
+        raise FixtureError(f"row for round {gap} is missing")
+    archive = ParetoArchive()
+    for row in rows:
+        archive.insert(row.label, row.metrics)
+    frontier = tuple(sorted(archive.labels()))
+    if frontier != tuple(sorted(declared)):
+        raise FixtureError(
+            f"frontier mismatch: declared {sorted(declared)}, recomputed {list(frontier)}"
         )
-    if frontier is None:
-        raise FixtureError(f"replay fixture {path} lacks a frontier row")
-    return ReplayFixture(rows=tuple(rows), declared_frontier=frontier, path=path)
+    return ReplayFixture(rows=tuple(rows), frontier=frontier)
+
+
+def _fixture_row(raw: dict) -> FixtureRow:
+    config_fields(raw, "replay fixture row", ROW_FIELDS)
+    try:
+        label = str(raw["round"])
+        if label != "base":
+            if not label.isdecimal():
+                raise ValueError(f"round {raw['round']!r} is neither 'base' nor a round index")
+            label = str(int(label))  # "01" and 1 both name round 1
+        metrics = MetricVector(safe=raw["safe"], benign=raw["benign"], if_score=raw["if"])
+        mixture = tuple(float(v) for v in raw["mixture"]) if raw.get("mixture") else None
+        focus = tuple(_focus_criterion(descriptor) for descriptor in raw.get("focus", []))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FixtureError(f"malformed row {raw!r}: {exc}") from exc
+    declared, actual = raw.get("check"), row_check(raw)
+    if declared != actual:
+        raise FixtureError(
+            f"row {label!r} failed its self-check "
+            f"(declared {declared!r}, content hashes to {actual!r})"
+        )
+    if label != "base" and mixture is None:
+        raise FixtureError(f"row {label!r} lacks a mixture")
+    if mixture is not None and abs(sum(mixture) - 1.0) > 1e-9:
+        raise FixtureError(f"row {label!r} mixture does not sum to 1")
+    return FixtureRow(label, metrics, mixture, focus)  # type: ignore[arg-type]
 
 
 def _focus_criterion(descriptor: dict) -> FocusCriterion:
@@ -139,49 +152,6 @@ def _focus_criterion(descriptor: dict) -> FocusCriterion:
         cap_fraction=float(descriptor.get("cap_fraction", 0.25)),
         label=f"{descriptor['dimension']}:{descriptor['slice']}:{descriptor.get('mode', '')}",
     )
-
-
-def validate_fixture(fixture: ReplayFixture) -> FixtureVerdict:
-    """Check row integrity, contiguity, and the declared frontier.
-
-    Any mismatch raises ``FixtureError`` naming the offending row.
-    """
-    where = f" in {fixture.path}" if fixture.path else ""
-    labels = [row.label for row in fixture.rows]
-    if "base" not in labels:
-        raise FixtureError(f"fixture row 'base' is missing{where}")
-    numbered = sorted(int(label) for label in labels if label != "base")
-    expected = list(range(len(numbered)))
-    if numbered != expected:
-        missing = sorted(set(expected) - set(numbered)) or numbered
-        raise FixtureError(f"fixture row for round {missing[0]} is missing or duplicated{where}")
-    if len(labels) != len(set(labels)):
-        duplicate = next(label for label in labels if labels.count(label) > 1)
-        raise FixtureError(f"fixture row {duplicate!r} appears more than once{where}")
-    for row in fixture.rows:
-        declared = row.raw.get("check")
-        actual = row_check(row.raw)
-        if declared != actual:
-            raise FixtureError(
-                f"fixture row {row.label!r} failed its self-check "
-                f"(declared {declared!r}, content hashes to {actual!r}){where}"
-            )
-        if row.label != "base" and row.mixture is None:
-            raise FixtureError(f"fixture row {row.label!r} lacks a mixture{where}")
-        if row.mixture is not None and abs(sum(row.mixture) - 1.0) > 1e-9:
-            raise FixtureError(f"fixture row {row.label!r} mixture does not sum to 1{where}")
-
-    archive = ParetoArchive()
-    for row in fixture.rows:
-        archive.insert(row.label, row.metrics)
-    recomputed = tuple(sorted(archive.labels()))
-    declared_frontier = tuple(sorted(fixture.declared_frontier))
-    if recomputed != declared_frontier:
-        raise FixtureError(
-            f"fixture frontier mismatch: declared {list(declared_frontier)}, "
-            f"recomputed {list(recomputed)}{where}"
-        )
-    return FixtureVerdict(row_count=len(fixture.rows), frontier=recomputed)
 
 
 def data_path(*parts: str) -> Path:

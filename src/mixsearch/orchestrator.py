@@ -70,7 +70,7 @@ from .records import (
     read_json,
     write_records,
 )
-from .rubric import PromptAnnotation, SliceTaxonomy, annotate_prompt, load_eval_set
+from .rubric import EvalColumns, PromptAnnotation, SliceTaxonomy, annotate_prompt, load_eval_set
 from .sampler import (
     DataAction,
     draw_budgeted,
@@ -383,7 +383,7 @@ class _Runtime:
     backend: Backend
     pool: Pool | None  # None for a replay, which draws nothing
     fixture: ReplayFixture | None  # None for a simulation
-    eval_sets: dict[Dimension, tuple[PromptAnnotation, ...]]
+    eval_sets: dict[Dimension, EvalColumns]
 
 
 def _load_runtime(config: LoopConfig) -> _Runtime:
@@ -403,26 +403,23 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
         else SliceTaxonomy.default()
     )
     pool = load_pool(PoolManifest.from_file(config.pool_manifest_path))
-    annotations: dict[Dimension, list[PromptAnnotation]] = {dim: [] for dim in DIMENSION_ORDER}
+    eval_sets: dict[Dimension, EvalColumns] = {dim: ([], []) for dim in DIMENSION_ORDER}
     # An annotation depends on the sample's dataset and tags alone, so
-    # each distinct pair is annotated once and copied with each sample's id.
+    # each distinct pair is annotated once and shared by its samples.
     by_tags: dict[tuple, PromptAnnotation] = {}
     for path in config.eval_set_paths:
         for sample in load_eval_set(path):
-            key = (sample.dataset, tuple(sample.tags.items()))
-            first = by_tags.get(key)
-            if first is None:
+            key = (sample.dataset, frozenset(sample.tags.items()))
+            annotation = by_tags.get(key)
+            if annotation is None:
                 annotation = by_tags[key] = annotate_prompt(sample, taxonomy)
-            else:
-                annotation = PromptAnnotation(
-                    sample.sample_id, first.dataset, first.valid, first.slice_label,
-                    first.weight, first.reason,
-                )
-            annotations[annotation.dimension].append(annotation)
+            sample_ids, annotations = eval_sets[annotation.dimension]
+            sample_ids.append(sample.sample_id)
+            annotations.append(annotation)
+    valid = {annotation.dimension for annotation in by_tags.values() if annotation.valid}
     for dimension in DIMENSION_ORDER:
-        if not any(a.valid for a in annotations[dimension]):
+        if dimension not in valid:
             raise DataError(f"eval sets contain no valid samples for dimension {dimension.value}")
-    eval_sets = {dim: tuple(annotations[dim]) for dim in DIMENSION_ORDER}
     return _Runtime(
         config, SimulatorBackend(config.surface), pool=pool, fixture=None, eval_sets=eval_sets
     )
@@ -472,9 +469,8 @@ def _evaluate(
         shutil.rmtree(temp)
     temp.mkdir()
     if request.manifest is not None:
-        write_manifest(temp / "manifest.jsonl", request.manifest)
         summary = request.manifest.summary()
-        summary["manifest_digest"] = _digest_file(temp / "manifest.jsonl")
+        summary["manifest_digest"] = write_manifest(temp / "manifest.jsonl", request.manifest)
         _write_json(temp / "manifest_summary.json", summary)
     records_digest = write_records(temp / "records.jsonl", records)
     _write_json(

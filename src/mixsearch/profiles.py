@@ -51,7 +51,11 @@ class MetricVector:
 
     @staticmethod
     def from_json(obj: dict) -> "MetricVector":
-        return MetricVector(safe=obj["safe"], benign=obj["benign"], if_score=obj["if"])
+        """The three means of ``obj``, each a JSON number (``true`` is not
+        1.0); ``obj``'s other keys are ignored."""
+        means = {key: obj[key] for key in ("safe", "benign", "if")}
+        config_fields(means, "metric", dict.fromkeys(means, float))
+        return MetricVector(safe=means["safe"], benign=means["benign"], if_score=means["if"])
 
     def __format__(self, spec: str) -> str:
         spec = spec or ".4f"

@@ -237,12 +237,6 @@ class SampleRecord:
         )
 
 
-def dump_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
 # What ``json.dumps(..., ensure_ascii=False)`` encodes each string with.
 _encode_str = json.encoder.encode_basestring
 _JSON_BOOL = {True: "true", False: "false"}
@@ -343,16 +337,28 @@ def _record_lines(records: Iterable[SampleRecord]) -> Iterable[str]:
         ))
 
 
-def write_records(path: Path, records: Iterable[SampleRecord]) -> str:
-    """Write ``_record_line(record)`` for each record to ``path`` and return
-    the sha256 of the bytes written, hashed as they are written."""
+def _write_lines(path: Path, lines: Iterable[str]) -> str:
+    """Write ``lines`` to ``path`` as UTF-8, a chunk of lines at a time, and
+    return the sha256 of the bytes written, hashed as they are written."""
     digest = hashlib.sha256()
-    lines = _record_lines(records)
+    lines = iter(lines)
     with open(path, "wb") as handle:
         while chunk := "".join(itertools.islice(lines, _WRITE_CHUNK_LINES)).encode("utf-8"):
             digest.update(chunk)
             handle.write(chunk)
     return digest.hexdigest()
+
+
+def write_records(path: Path, records: Iterable[SampleRecord]) -> str:
+    """Write ``_record_line(record)`` for each record to ``path`` and return
+    the sha256 of the bytes written."""
+    return _write_lines(path, _record_lines(records))
+
+
+def dump_jsonl(path: Path, rows: Iterable[dict]) -> str:
+    """Write ``json.dumps(row, ensure_ascii=False)`` for each row, one a
+    line, to ``path`` and return the sha256 of the bytes written."""
+    return _write_lines(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def _no_constant(name: str) -> float:

@@ -312,7 +312,9 @@ def scored_record(
 
 @dataclass(frozen=True)
 class PromptAnnotation:
-    sample_id: str
+    """A sample's slice, weight and validity, which its dataset and tags
+    alone decide, so samples with the same dataset and tags share one."""
+
     dataset: Dataset
     valid: bool
     slice_label: str
@@ -322,6 +324,12 @@ class PromptAnnotation:
     @property
     def dimension(self) -> Dimension:
         return DIMENSION_FOR_DATASET[self.dataset]
+
+
+# One dimension's eval set, in eval-file order: the sample ids, and each
+# sample's annotation, one object shared by every sample with its
+# dataset and tags.
+EvalColumns = tuple[list[str], list[PromptAnnotation]]
 
 
 class SliceTaxonomy:
@@ -423,7 +431,6 @@ def annotate_prompt(sample: "EvalSample", taxonomy: SliceTaxonomy) -> PromptAnno
         fields = taxonomy.slice_fields(sample.dataset, sample.tags)
     except ValueError as exc:
         return PromptAnnotation(
-            sample_id=sample.sample_id,
             dataset=sample.dataset,
             valid=False,
             slice_label="unmapped",
@@ -434,20 +441,13 @@ def annotate_prompt(sample: "EvalSample", taxonomy: SliceTaxonomy) -> PromptAnno
     weight = taxonomy.weight_for(sample.dataset, label)
     if sample.dataset is Dataset.ORBENCH and sample.tags.get("answerable", "true") == "false":
         return PromptAnnotation(
-            sample_id=sample.sample_id,
             dataset=sample.dataset,
             valid=False,
             slice_label=label,
             weight=weight,
             reason="unanswerable",
         )
-    return PromptAnnotation(
-        sample_id=sample.sample_id,
-        dataset=sample.dataset,
-        valid=True,
-        slice_label=label,
-        weight=weight,
-    )
+    return PromptAnnotation(dataset=sample.dataset, valid=True, slice_label=label, weight=weight)
 
 
 # ---------------------------------------------------------------------------

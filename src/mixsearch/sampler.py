@@ -397,6 +397,8 @@ def draw_budgeted(
     )
 
 
-def write_manifest(path: Path, manifest: SampleManifest) -> None:
-    dump_jsonl(path, (entry.to_json() for entry in manifest.entries))
+def write_manifest(path: Path, manifest: SampleManifest) -> str:
+    """Write the manifest's entries, one JSON object a line, to ``path`` and
+    return the sha256 of the bytes written."""
+    return dump_jsonl(path, (entry.to_json() for entry in manifest.entries))
 

@@ -49,17 +49,16 @@ def flat_surface(**overrides):
     return SurfaceParams.from_json(params)
 
 
+def columns(pairs):
+    """An eval set's columns from its ``(sample id, annotation)`` pairs."""
+    pairs = list(pairs)
+    return [sample_id for sample_id, _ in pairs], [annotation for _, annotation in pairs]
+
+
 def annotations(dataset, count, slice_label="tier=a"):
-    return tuple(
-        PromptAnnotation(
-            sample_id=f"{dataset.value.lower()}-{index}",
-            dataset=dataset,
-            valid=True,
-            slice_label=slice_label,
-            weight=1.0,
-        )
-        for index in range(count)
-    )
+    """``count`` samples of ``dataset`` that share one annotation."""
+    shared = PromptAnnotation(dataset=dataset, valid=True, slice_label=slice_label, weight=1.0)
+    return columns((f"{dataset.value.lower()}-{index}", shared) for index in range(count))
 
 
 def eval_sets(count=10):
@@ -234,18 +233,18 @@ class TestSimulatorRounds:
 
     def test_invalid_annotations_flow_through(self):
         sets = eval_sets(4)
-        tagged = tuple(
+        sample_ids, annotations_ = sets[Dimension.BENIGN]
+        tagged = [
             PromptAnnotation(
-                sample_id=a.sample_id,
                 dataset=a.dataset,
                 valid=False,
                 slice_label="invalid",
                 weight=a.weight,
                 reason="unanswerable",
             )
-            for a in sets[Dimension.BENIGN]
-        )
-        sets[Dimension.BENIGN] = tagged
+            for a in annotations_
+        ]
+        sets[Dimension.BENIGN] = (sample_ids, tagged)
         records = SimulatorBackend().run_round(request_for(seed=2, sets=sets))
         benign = [r for r in records if r.dimension is Dimension.BENIGN]
         assert all(not r.valid and r.invalid_reason == "unanswerable" for r in benign)
@@ -263,19 +262,21 @@ class TestNoise:
 
     def test_a_score_ignores_the_other_samples_and_their_order(self):
         sets = {
-            DIMENSION_FOR_DATASET[dataset]: tuple(
-                PromptAnnotation(f"{dataset.value}-{index}", dataset, True,
-                                 f"tier={'abc'[index % 3]}", 1.0)
+            DIMENSION_FOR_DATASET[dataset]: columns(
+                (f"{dataset.value}-{index}",
+                 PromptAnnotation(dataset, True, f"tier={'abc'[index % 3]}", 1.0))
                 for index in range(30)
             )
             for dataset in Dataset
         }
         scores = self._scores(sets)
         shuffled = {}
-        for dimension, annotations_ in sets.items():
-            kept = [a for index, a in enumerate(annotations_) if index % 4 != 1]
+        for dimension, (sample_ids, annotations_) in sets.items():
+            kept = [
+                pair for index, pair in enumerate(zip(sample_ids, annotations_)) if index % 4 != 1
+            ]
             random.Random(5).shuffle(kept)
-            shuffled[dimension] = tuple(kept)
+            shuffled[dimension] = columns(kept)
         fewer = self._scores(shuffled)
         assert len(fewer) < len(scores)
         assert fewer == {sample_id: scores[sample_id] for sample_id in fewer}
@@ -283,9 +284,9 @@ class TestNoise:
     def test_a_slice_has_one_draw_shared_by_its_samples(self):
         sigma, seed = 0.05, 8
         sets = {
-            DIMENSION_FOR_DATASET[dataset]: tuple(
-                PromptAnnotation(f"{dataset.value}-{index}", dataset, True,
-                                 f"tier={'ab'[index % 2]}", 1.0)
+            DIMENSION_FOR_DATASET[dataset]: columns(
+                (f"{dataset.value}-{index}",
+                 PromptAnnotation(dataset, True, f"tier={'ab'[index % 2]}", 1.0))
                 for index in range(40)
             )
             for dataset in Dataset
@@ -380,14 +381,16 @@ class TestRecordTemplates:
 
     def test_simulated_round_matches_unmemoized_records(self, monkeypatch):
         sets = {
-            DIMENSION_FOR_DATASET[dataset]: tuple(
-                PromptAnnotation(
-                    sample_id=f"{dataset.value.lower()}-{index}",
-                    dataset=dataset,
-                    valid=index % 3 != 0,
-                    slice_label=f"tier={'abc'[index % 3]}",
-                    weight=(1.0, 2.5)[index % 2],
-                    reason=None if index % 3 else f"unanswerable-{index}",
+            DIMENSION_FOR_DATASET[dataset]: columns(
+                (
+                    f"{dataset.value.lower()}-{index}",
+                    PromptAnnotation(
+                        dataset=dataset,
+                        valid=index % 3 != 0,
+                        slice_label=f"tier={'abc'[index % 3]}",
+                        weight=(1.0, 2.5)[index % 2],
+                        reason=None if index % 3 else f"unanswerable-{index}",
+                    ),
                 )
                 for index in range(60)
             )

@@ -17,7 +17,7 @@ from mixsearch.fixtures import (
     demo_config_path,
     row_check,
 )
-from mixsearch.records import DIMENSION_ORDER
+from mixsearch.records import DIMENSION_FOR_DATASET, DIMENSION_ORDER
 from mixsearch.rubric import SliceTaxonomy, annotate_prompt, load_eval_set
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
@@ -183,6 +183,25 @@ DAMAGE = {
             run / "round-001" / "profiles.jsonl"
         ),
     ),
+    # A mean is a JSON number: true is not 1.0.
+    "metric-mean-bool-report": (
+        ["report", "--in"],
+        lambda run: _edit_document(lambda obj: _set(obj, "safe", value=True))(
+            run / "round-001" / "metric.json"
+        ),
+    ),
+    "archive-mean-bool-pareto": (
+        ["pareto", "--in"],
+        lambda run: _edit_line(0, lambda row: _set(row, "metric", "safe", value=True))(
+            run / "archive.jsonl"
+        ),
+    ),
+    "metric-mean-bool-extension": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _edit_document(lambda obj: _set(obj, "safe", value=True))(
+            run / "round-001" / "metric.json"
+        ),
+    ),
 }
 
 
@@ -261,6 +280,35 @@ def _sealed(edit):
         return row
 
     return seal
+
+
+def _edit_lines(edit):
+    def damage(path):
+        lines = path.read_text("utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+    return damage
+
+
+# Integrity faults of the shipped replay fixture, whose line 0 is the base
+# row, lines 1-5 rounds 0-4 and line 6 the frontier row.  Loading the
+# fixture checks them all, so each fails `replay --validate-only` and
+# `replay --out` alike.
+FIXTURE_INTEGRITY_FAULTS = {
+    "self-check-mismatch": _edit_line(3, lambda row: _set(row, "safe", value=4.4568)),
+    "missing-base": _edit_lines(lambda lines: lines[1:]),
+    "round-gap": _edit_lines(lambda lines: lines[:2] + lines[3:]),
+    "duplicate-row": _edit_lines(lambda lines: lines[:4] + lines[3:]),
+    "mixture-not-simplex": _edit_line(
+        1, _sealed(lambda row: _set(row, "mixture", value=[0.5, 0.3, 0.1]))
+    ),
+    "mixture-missing": _edit_line(
+        1, _sealed(lambda row: {key: value for key, value in row.items() if key != "mixture"})
+    ),
+    "frontier-mismatch": _edit_line(
+        -1, lambda row: _set(row, "frontier", value=["base", "1", "4"])
+    ),
+}
 
 
 # case -> (command, damaged file relative to the inputs or the run, damage, exit code).
@@ -564,6 +612,11 @@ FAULTS = {
         3,
     ),
     "artifact-directory": ("report", "round-001/metric.json", _make_directory, 3),
+    **{
+        f"fixture-{case}-{command}": (command, "fixture.jsonl", damage, 3)
+        for case, damage in FIXTURE_INTEGRITY_FAULTS.items()
+        for command in ("validate", "replay")
+    },
 }
 
 
@@ -606,25 +659,26 @@ def test_bad_input_exits_with_one_error_line(case, fault_inputs, replay_out, tmp
 
 
 def _annotated_one_by_one(config):
-    """The eval annotations of ``_load_runtime(config)``, with
-    ``annotate_prompt`` called on every sample, inputs loaded in the
-    same order."""
+    """The ``(sample id, annotation)`` pairs of ``_load_runtime(config)``'s
+    eval sets, with ``annotate_prompt`` called on every sample, inputs
+    loaded in the same order."""
     taxonomy = (
         SliceTaxonomy.from_file(config.taxonomy_path)
         if config.taxonomy_path
         else SliceTaxonomy.default()
     )
     load_pool(PoolManifest.from_file(config.pool_manifest_path))
-    annotations = [
-        annotate_prompt(sample, taxonomy)
+    pairs = [
+        (sample.sample_id, annotate_prompt(sample, taxonomy))
         for path in config.eval_set_paths
         for sample in load_eval_set(path)
     ]
-    return [a for dim in DIMENSION_ORDER for a in annotations if a.dimension is dim]
+    return [pair for dim in DIMENSION_ORDER for pair in pairs if pair[1].dimension is dim]
 
 
 def _annotated(config):
-    return [a for dim in DIMENSION_ORDER for a in orchestrator._load_runtime(config).eval_sets[dim]]
+    eval_sets = orchestrator._load_runtime(config).eval_sets
+    return [pair for dim in DIMENSION_ORDER for pair in zip(*eval_sets[dim], strict=True)]
 
 
 def _outcome(annotate, config):
@@ -721,7 +775,29 @@ def test_eval_annotations_equal_one_by_one_annotation(case, fault_inputs):
     expected = _outcome(_annotated_one_by_one, config)
     assert _outcome(_annotated, config) == expected
     if case.startswith("tag-variety"):
-        assert len({a.reason for a in expected}) >= 4
+        assert len({a.reason for _, a in expected}) >= 4
+
+
+@pytest.mark.parametrize("case", ["demo", *(c for c in ANNOTATION_CASES if "variety" in c)])
+def test_eval_samples_with_one_tag_set_share_one_annotation(case, fault_inputs):
+    """A loaded run holds one ``PromptAnnotation`` object per distinct
+    (dataset, tags), whatever the order of the tags."""
+    if ANNOTATION_CASES[case] is not None:
+        name, damage = ANNOTATION_CASES[case]
+        damage(fault_inputs / name)
+    config = orchestrator.LoopConfig.from_file(fault_inputs / "config.json")
+    eval_sets = orchestrator._load_runtime(config).eval_sets
+    samples = [sample for path in config.eval_set_paths for sample in load_eval_set(path)]
+    objects = {}  # (dataset, tags) -> ids of the annotation objects its samples hold
+    for dim in DIMENSION_ORDER:
+        sample_ids, annotations = eval_sets[dim]
+        ours = [s for s in samples if DIMENSION_FOR_DATASET[s.dataset] is dim]
+        assert sample_ids == [s.sample_id for s in ours]
+        for sample, annotation in zip(ours, annotations, strict=True):
+            key = (sample.dataset, frozenset(sample.tags.items()))
+            objects.setdefault(key, set()).add(id(annotation))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(set().union(*objects.values())) == len(objects)
 
 
 def test_eval_rows_other_keys_are_ignored(fault_inputs, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Replay fixture parsing, self-checks, and frontier recomputation."""
+"""Replay fixture loading: parsing, self-checks, and frontier recomputation."""
 import hashlib
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from mixsearch.errors import FixtureError, ReplayGapError
 from mixsearch.fixtures import (
     load_replay_fixture,
-    validate_fixture,
     data_path,
     default_fixture_path,
     default_taxonomy_path,
@@ -49,9 +48,9 @@ class TestShippedFixture:
         assert digest == FIXTURE_SHA256
 
     def test_validates_clean(self):
-        verdict = validate_fixture(load_replay_fixture(default_fixture_path()))
-        assert verdict.row_count == 6
-        assert verdict.frontier == tuple(sorted(REPLAY_FRONTIER))
+        fixture = load_replay_fixture(default_fixture_path())
+        assert len(fixture.rows) == 6
+        assert fixture.frontier == tuple(sorted(REPLAY_FRONTIER))
 
     def test_rows_carry_the_reference_trajectory(self):
         fixture = load_replay_fixture(default_fixture_path())
@@ -86,6 +85,8 @@ class TestShippedFixture:
 
 
 class TestValidationFailures:
+    """Loading checks the fixture's integrity; each failure names the file."""
+
     def test_corrupted_metric_fails_the_row_self_check(self, tmp_path):
         def bump(row):
             if str(row["round"]) == "2":
@@ -93,7 +94,7 @@ class TestValidationFailures:
 
         path = rewrite(tmp_path, mutate=bump)
         with pytest.raises(FixtureError, match="row '2' failed its self-check"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
 
     def test_resealed_corruption_is_caught_by_the_frontier(self, tmp_path):
         # A forger who also fixes the digest still has to beat dominance
@@ -104,17 +105,34 @@ class TestValidationFailures:
 
         path = rewrite(tmp_path, mutate=sink, reseal=True)
         with pytest.raises(FixtureError, match="frontier mismatch"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
 
     def test_deleted_round_breaks_contiguity(self, tmp_path):
         path = rewrite(tmp_path, drop="1")
         with pytest.raises(FixtureError, match="round 1 is missing"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
+
+    def test_duplicated_round(self, tmp_path):
+        path = rewrite(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[2:]), encoding="utf-8")
+        with pytest.raises(FixtureError, match="row '1' appears more than once"):
+            load_replay_fixture(path)
+
+    def test_a_round_has_one_label_however_written(self, tmp_path):
+        path = rewrite(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        copy = json.loads(lines[2])
+        copy["round"] = "01"
+        copy["check"] = row_check(copy)
+        path.write_text("".join(lines[:3] + [json.dumps(copy) + "\n"] + lines[3:]), "utf-8")
+        with pytest.raises(FixtureError, match="row '1' appears more than once"):
+            load_replay_fixture(path)
 
     def test_deleted_base_row(self, tmp_path):
         path = rewrite(tmp_path, drop="base")
         with pytest.raises(FixtureError, match="'base' is missing"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
 
     def test_mixture_must_sum_to_one(self, tmp_path):
         def break_simplex(row):
@@ -123,7 +141,7 @@ class TestValidationFailures:
 
         path = rewrite(tmp_path, mutate=break_simplex, reseal=True)
         with pytest.raises(FixtureError, match="does not sum to 1"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
 
     def test_numbered_round_needs_a_mixture(self, tmp_path):
         def strip(row):
@@ -132,12 +150,12 @@ class TestValidationFailures:
 
         path = rewrite(tmp_path, mutate=strip, reseal=True)
         with pytest.raises(FixtureError, match="lacks a mixture"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
 
     def test_wrong_declared_frontier(self, tmp_path):
         path = rewrite(tmp_path, frontier=("base", "1", "4"))
         with pytest.raises(FixtureError, match="frontier mismatch"):
-            validate_fixture(load_replay_fixture(path))
+            load_replay_fixture(path)
 
 
 class TestLoadingFailures:

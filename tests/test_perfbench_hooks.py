@@ -1,16 +1,18 @@
 """The benchmark's tracer (``perfbench/spans.py``) swaps package functions
-that it looks up by name; a rename in ``src/`` must fail here, not in the
-benchmark."""
+that it looks up by name, and its output checks (``perfbench/verify.py``)
+read run directories with package functions; a rename in ``src/`` must
+fail here, not in the benchmark."""
 import importlib.util
 from pathlib import Path
 
 import mixsearch.cli as cli
+import mixsearch.fixtures as fixtures
 import mixsearch.orchestrator as orchestrator
 from mixsearch.backend import ReplayBackend, SimulatorBackend
 from mixsearch.fixtures import demo_config_path
 from mixsearch.pareto import ParetoArchive
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (
     orchestrator,
     cli,
@@ -22,11 +24,15 @@ OWNERS = (
 BACKEND_ENTRIES = {(SimulatorBackend, "run_round"), (ReplayBackend, "run_round")}
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load("spans")
 
 
 def _names():
@@ -76,3 +82,22 @@ def test_every_counter_counts_a_demo_run(tmp_path, capsys):
         assert counts, name
         for key, value in counts.items():
             assert isinstance(value, (int, float)) and tracer.counts[key] >= value >= 0, key
+
+
+def test_output_checks_pass_on_a_demo_run_and_a_replay_run(tmp_path, capsys):
+    """``verify.py``'s checks find no problem and no layer-1 mismatch in a
+    demo run and a replay run, and the fixture path the benchmark runs
+    (``fixtures.default_fixture_path``) resolves."""
+    verify = _load("verify")
+    fixture = fixtures.default_fixture_path()
+    assert fixture.is_file()
+    demo, replay = tmp_path / "demo", tmp_path / "replay"
+    assert cli.main(["run", "--config", str(demo_config_path()), "--out", str(demo)]) == 0
+    assert cli.main(["replay", "--fixture", str(fixture), "--out", str(replay)]) == 0
+    capsys.readouterr()
+    budget = orchestrator.LoopConfig.from_file(demo_config_path()).budget_tokens
+    assert verify.check_run(demo, budget) == []
+    assert verify.check_replay(replay, fixture) == []
+    for run_dir in (demo, replay):
+        mismatched, read = verify.l1_mismatches(run_dir)
+        assert mismatched == 0 and read > 0
