@@ -13,29 +13,38 @@ produce identical records no matter the call order.
 Synthesized records are scored like real ones: the backend picks a
 check vector whose layer-1 score is the target score, and the rubric
 assigns the state and the score from those checks.  A score of exactly
-1 always carries a floor state and a floor-check failure.  Within one
-round each distinct (dimension, score, validity) is scored once, and
-the samples that share it get copies of that record with their own
-fields.
+1 always carries a floor state and a floor-check failure.  A round
+comes back as columns (``records.RoundRecords``): per dimension, the
+eval set's sample ids and annotations, and each sample's template
+number.  A template is the record scored once for each distinct
+(dimension, score, validity) in the round; what its samples share of
+it (score, failure modes, encoded checks) goes into the run's template
+columns, and the record itself is dropped.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .errors import BackendError, ConfigError
 from .fixtures import FixtureRow, ReplayFixture
 from .records import (
+    DATASET_FOR_DIMENSION,
     DIMENSION_FOR_DATASET,
     DIMENSION_ORDER,
     CheckResult,
     Dataset,
     Dimension,
+    PromptAnnotation,
+    RecordRun,
+    RoundRecords,
     SampleRecord,
     SCALE,
+    TemplateColumns,
     SCORE_DECIMALS,
     config_fields,
     seed_text,
@@ -61,7 +70,7 @@ class BackendRequest:
 
 
 class Backend(Protocol):
-    def run_round(self, request: BackendRequest) -> list[SampleRecord]: ...
+    def run_round(self, request: BackendRequest) -> RoundRecords: ...
 
 
 # ---------------------------------------------------------------------------
@@ -128,60 +137,47 @@ def synthetic_checks(dimension: Dimension, score: float) -> AtomicCheckVector:
     )
 
 
-def _record_builder() -> Callable[..., SampleRecord]:
-    """A record maker for one ``run_round`` call.
+def _template_maker(
+    dimension: Dimension,
+) -> tuple[Callable[..., int], TemplateColumns, Callable[..., SampleRecord]]:
+    """The template maker, its table and the record maker for one
+    dimension of one ``run_round`` call.
 
-    Each distinct ``(dimension, score, valid)`` is scored once, by
-    ``scored_record(synthetic_checks(dimension, score), ...)``; every
-    later sample with that key gets a copy of that record carrying its
-    own id, slice, weight and invalid reason.  A copy takes the score
-    and state its template's constructor checked, so it is made without
-    the constructor's checks; it compares equal to the record the
-    constructor builds from the same fields.  The cache lives only as
-    long as the maker, so no call can reuse another's work.
+    ``template(score, annotation, sample_id)`` returns the sample's
+    template number in the table, scoring each distinct ``(score,
+    valid)`` once, by ``scored_record(synthetic_checks(dimension,
+    score), ...)`` with the fields of the first sample that has it;
+    every later sample with that key shares that template.
+    ``record(template, annotation, sample_id)`` scores a sample's whole
+    record again.  The cache lives only as long as the maker, so no call
+    can reuse another's work.
     """
-    templates: dict[tuple[Dimension, float, bool], SampleRecord] = {}
-    new, put = object.__new__, object.__setattr__
 
-    def record(
-        dimension: Dimension,
-        score: float,
-        *,
-        sample_id: str,
-        valid: bool,
-        slice_label: str,
-        weight: float,
-        invalid_reason: str | None = None,
-    ) -> SampleRecord:
-        key = (dimension, score, valid)
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = scored_record(
-                synthetic_checks(dimension, score),
-                sample_id=sample_id,
-                valid=valid,
-                slice_label=slice_label,
-                weight=weight,
-                invalid_reason=invalid_reason,
-                synthetic=True,
-            )
-            return template
-        # The fields in the constructor's order, so the copy's attributes
-        # share their layout with every other record's.
-        copy = new(SampleRecord)
-        put(copy, "sample_id", sample_id)
-        put(copy, "dimension", dimension)
-        put(copy, "valid", valid)
-        put(copy, "slice_label", slice_label)
-        put(copy, "weight", weight)
-        put(copy, "checks", template.checks)
-        put(copy, "l2_state", template.l2_state)
-        put(copy, "score", template.score)
-        put(copy, "invalid_reason", invalid_reason)
-        put(copy, "synthetic", True)
-        return copy
+    def scored(score: float, annotation: PromptAnnotation, sample_id: str) -> SampleRecord:
+        return scored_record(
+            synthetic_checks(dimension, score),
+            sample_id=sample_id,
+            valid=annotation.valid,
+            slice_label=annotation.slice_label,
+            weight=annotation.weight,
+            invalid_reason=annotation.reason,
+            synthetic=True,
+        )
 
-    return record
+    table = TemplateColumns()
+    numbers: dict[bool, dict[float, int]] = {True: {}, False: {}}
+
+    def template(score: float, annotation: PromptAnnotation, sample_id: str) -> int:
+        by_score = numbers[annotation.valid]
+        number = by_score.get(score)
+        if number is None:
+            number = by_score[score] = table.add(scored(score, annotation, sample_id))
+        return number
+
+    def record(template: int, annotation: PromptAnnotation, sample_id: str) -> SampleRecord:
+        return scored(table.scores[template], annotation, sample_id)
+
+    return template, table, record
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +336,7 @@ class SimulatorBackend:
             means[dimension] = mu
         return means
 
-    def run_round(self, request: BackendRequest) -> list[SampleRecord]:
+    def run_round(self, request: BackendRequest) -> RoundRecords:
         shares = (
             request.manifest.dataset_token_shares()
             if request.manifest is not None
@@ -348,14 +344,15 @@ class SimulatorBackend:
         )
         means = self.dimension_means(shares)
         sigma = self.params.noise_sigma
-        record = _record_builder()
-        records = []
+        runs = []
         for dimension in DIMENSION_ORDER:
             mean = means[dimension]
             # A draw's text is the one child_seed would hash for its path.
             slice_text = seed_text(request.seed, "slice", dimension.value, "")
             sample_text = seed_text(request.seed, "sample", dimension.value, "")
             slice_noise: dict[str, float] = {}  # one draw per slice per round
+            template, table, record = _template_maker(dimension)
+            templates = array("I")
             sample_ids, annotations = request.eval_sets.get(dimension, ((), ()))
             for sample_id, annotation in zip(sample_ids, annotations):
                 label = annotation.slice_label
@@ -363,18 +360,9 @@ class SimulatorBackend:
                 if noise is None:
                     noise = slice_noise[label] = sigma * _standard_normal(slice_text + label)
                 raw = mean + noise + sigma * _standard_normal(sample_text + sample_id)
-                records.append(
-                    record(
-                        dimension,
-                        round(_clip(raw), SCORE_DECIMALS),
-                        sample_id=sample_id,
-                        valid=annotation.valid,
-                        slice_label=label,
-                        weight=annotation.weight,
-                        invalid_reason=annotation.reason,
-                    )
-                )
-        return records
+                templates.append(template(round(_clip(raw), SCORE_DECIMALS), annotation, sample_id))
+            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table, record))
+        return RoundRecords(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -423,29 +411,24 @@ class ReplayBackend:
     def __init__(self, fixture: ReplayFixture) -> None:
         self.fixture = fixture
 
-    def run_round(self, request: BackendRequest) -> list[SampleRecord]:
+    def run_round(self, request: BackendRequest) -> RoundRecords:
         row = self.fixture.row_for(request.round_index)
-        return self._records_for(row)
-
-    def _records_for(self, row: FixtureRow) -> list[SampleRecord]:
-        record = _record_builder()
-        records = []
+        runs = []
         for dimension in DIMENSION_ORDER:
-            mean = row.metrics.get(dimension)
-            slices = _REPLAY_SLICES[dimension]
-            scores = _spread_scores(mean, REPLAY_SAMPLES_PER_DIMENSION)
-            for index, score in enumerate(scores):
-                records.append(
-                    record(
-                        dimension,
-                        score,
-                        sample_id=f"replay-{row.label}-{dimension.value}-{index:03d}",
-                        valid=True,
-                        slice_label=slices[index % len(slices)],
-                        weight=1.0,
-                    )
-                )
-        return records
+            dataset = DATASET_FOR_DIMENSION[dimension]
+            slices = [
+                PromptAnnotation(dataset, valid=True, slice_label=label, weight=1.0)
+                for label in _REPLAY_SLICES[dimension]
+            ]
+            template, table, record = _template_maker(dimension)
+            scores = _spread_scores(row.metrics.get(dimension), REPLAY_SAMPLES_PER_DIMENSION)
+            sample_ids = [
+                f"replay-{row.label}-{dimension.value}-{index:03d}" for index in range(len(scores))
+            ]
+            annotations = [slices[index % len(slices)] for index in range(len(scores))]
+            templates = [template(*sample) for sample in zip(scores, annotations, sample_ids)]
+            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table, record))
+        return RoundRecords(runs)
 
 
 def replay_action(row: FixtureRow) -> DataAction:

@@ -227,11 +227,14 @@ class RunDirectory:
             raise DataError(f"run directory {self.path} does not exist")
         indices = []
         for entry in self.path.iterdir():
-            if entry.is_dir() and entry.name.startswith("round-"):
-                try:
-                    indices.append(int(entry.name.split("-", 1)[1]))
-                except ValueError:
-                    continue  # not a committed round, e.g. round-002.tmp
+            try:
+                index = int(entry.name.removeprefix("round-"))
+            except ValueError:
+                continue
+            # Only a name that round_dir_name writes is a committed round,
+            # not round-002.tmp, round-1 or round--1.
+            if index >= 0 and entry.name == round_dir_name(index) and entry.is_dir():
+                indices.append(index)
         indices.sort()
         for expected, index in enumerate(indices):
             if index != expected:
@@ -455,10 +458,11 @@ def _evaluate(
 ) -> tuple[MetricVector, list[FailureProfile], InsertVerdict]:
     """Evaluate one point (the base or a round) and commit its directory.
 
-    Runs the backend, profiles the records, inserts the point into the
-    archive, then writes the request's manifest and summary (when it has
-    a manifest), the records, metric, profiles and ``action_json`` (for a
-    round) into a fresh ``<directory>.tmp/`` and renames it to ``directory``.
+    Runs the backend, profiles the records (columns from end to end, no
+    object per sample), inserts the point into the archive, then writes
+    the request's manifest and summary (when it has a manifest), the
+    records, metric, profiles and ``action_json`` (for a round) into a
+    fresh ``<directory>.tmp/`` and renames it to ``directory``.
     """
     records = runtime.backend.run_round(request)
     metric = metric_vector(records)

@@ -8,10 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import UndefinedMetricError
-from .records import DIMENSION_ORDER, SCALE, Dimension, SampleRecord, config_fields
+from .records import (
+    DIMENSION_ORDER,
+    SCALE,
+    Dimension,
+    RoundRecords,
+    SampleRecord,
+    config_fields,
+)
 
 DEFAULT_FAIL_THRESHOLD = 3.0
 
@@ -62,16 +69,20 @@ class MetricVector:
         return " / ".join(format(v, spec) for v in self.as_tuple())
 
 
-def metric_vector(records: Sequence[SampleRecord]) -> MetricVector:
+def metric_vector(records: RoundRecords | Iterable[SampleRecord]) -> MetricVector:
     """Unweighted mean score per dimension over valid records.
 
     Raises ``UndefinedMetricError`` naming the first dimension that has
     no valid records.
     """
     by_dimension: dict[Dimension, list[float]] = {dim: [] for dim in DIMENSION_ORDER}
-    for record in records:
-        if record.valid:
-            by_dimension[record.dimension].append(record.score)
+    for run in RoundRecords.of(records).runs:
+        scores = run.table.scores
+        by_dimension[run.dimension] += [
+            scores[template]
+            for annotation, template in zip(run.annotations, run.templates)
+            if annotation.valid
+        ]
     means = {}
     for dimension in DIMENSION_ORDER:
         scores = by_dimension[dimension]
@@ -87,14 +98,19 @@ def metric_vector(records: Sequence[SampleRecord]) -> MetricVector:
     )
 
 
-def weighted_means(records: Sequence[SampleRecord]) -> dict[str, float]:
-    """Weight-scaled means, emitted as a diagnostic only."""
+def weighted_means(records: RoundRecords | Iterable[SampleRecord]) -> dict[str, float]:
+    """Weight-scaled means, emitted as a diagnostic only.  Each sum adds
+    its dimension's records in record order."""
     sums: dict[Dimension, float] = {dim: 0.0 for dim in DIMENSION_ORDER}
     mass: dict[Dimension, float] = {dim: 0.0 for dim in DIMENSION_ORDER}
-    for record in records:
-        if record.valid:
-            sums[record.dimension] += record.weight * record.score
-            mass[record.dimension] += record.weight
+    for run in RoundRecords.of(records).runs:
+        scores = run.table.scores
+        total, weights = sums[run.dimension], mass[run.dimension]
+        for annotation, template in zip(run.annotations, run.templates):
+            if annotation.valid:
+                total += annotation.weight * scores[template]
+                weights += annotation.weight
+        sums[run.dimension], mass[run.dimension] = total, weights
     return {
         dim.value.lower(): (sums[dim] / mass[dim] if mass[dim] > 0 else float("nan"))
         for dim in DIMENSION_ORDER
@@ -168,39 +184,53 @@ class FailureProfile:
 
 
 def build_failure_profiles(
-    records: Sequence[SampleRecord], fail_threshold: float = DEFAULT_FAIL_THRESHOLD
+    records: RoundRecords | Iterable[SampleRecord],
+    fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
 ) -> list[FailureProfile]:
     """Group valid records by (dimension, slice) and summarize failures.
 
     A sample fails when its score is strictly below ``fail_threshold``.
-    Profiles come back ordered by dimension then slice label, so
-    serialization is stable.
+    A breakdown counts the failing samples by their failure modes (the
+    failed check ids, then the state), and lists its keys in the order
+    the failing records first show them.  Profiles come back ordered by
+    dimension then slice label, so serialization is stable.
     """
-    groups: dict[tuple[Dimension, str], list[SampleRecord]] = {}
-    for record in records:
-        if record.valid:
-            groups.setdefault((record.dimension, record.slice_label), []).append(record)
+    # (dimension, slice) -> (scores, weights, {failure modes: failing samples})
+    groups: dict[tuple[Dimension, str], tuple[list, list, dict[tuple[str, ...], int]]] = {}
+    for run in RoundRecords.of(records).runs:
+        scores_of, modes_of = run.table.scores, run.table.modes
+        for annotation, template in zip(run.annotations, run.templates):
+            if not annotation.valid:
+                continue
+            score = scores_of[template]
+            key = (run.dimension, annotation.slice_label)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [], {})
+            scores, weights, failing = group
+            scores.append(score)
+            weights.append(annotation.weight)
+            if score < fail_threshold:
+                modes = modes_of[template]
+                failing[modes] = failing.get(modes, 0) + 1
     profiles = []
     for dimension in DIMENSION_ORDER:
         labels = sorted(label for (dim, label) in groups if dim is dimension)
         for label in labels:
-            members = groups[(dimension, label)]
-            failing = [record for record in members if record.score < fail_threshold]
+            scores, weights, failing = groups[(dimension, label)]
             breakdown: dict[str, int] = {}
-            for record in failing:
-                for check_id in record.failed_check_ids():
-                    breakdown[check_id] = breakdown.get(check_id, 0) + 1
-                state = record.l2_state.value
-                breakdown[state] = breakdown.get(state, 0) + 1
+            for modes, count in failing.items():
+                for mode in modes:
+                    breakdown[mode] = breakdown.get(mode, 0) + count
             profiles.append(
                 FailureProfile(
                     dimension=dimension,
                     slice_label=label,
-                    mean_score=math.fsum(r.score for r in members) / len(members),
-                    fail_rate=len(failing) / len(members),
+                    mean_score=math.fsum(scores) / len(scores),
+                    fail_rate=sum(failing.values()) / len(scores),
                     breakdown=breakdown,
-                    sample_count=len(members),
-                    weight_mass=math.fsum(r.weight for r in members),
+                    sample_count=len(scores),
+                    weight_mass=math.fsum(weights),
                 )
             )
     return profiles

@@ -1,5 +1,6 @@
 """Shared record vocabulary: datasets, score dimensions, check vectors,
-and the per-sample output record that every scoring path emits.
+the per-sample output record that every scoring path emits, and a
+point's records as columns, which is how a round carries them.
 
 The three training datasets and the three evaluation dimensions are
 paired one-to-one; mixture vectors and metric vectors both follow
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError, MixSearchError
 
@@ -237,6 +238,22 @@ class SampleRecord:
         )
 
 
+@dataclass(frozen=True)
+class PromptAnnotation:
+    """A sample's slice, weight and validity, which its dataset and tags
+    alone decide, so samples with the same dataset and tags share one."""
+
+    dataset: Dataset
+    valid: bool
+    slice_label: str
+    weight: float
+    reason: str | None = None
+
+    @property
+    def dimension(self) -> Dimension:
+        return DIMENSION_FOR_DATASET[self.dataset]
+
+
 # What ``json.dumps(..., ensure_ascii=False)`` encodes each string with.
 _encode_str = json.encoder.encode_basestring
 _JSON_BOOL = {True: "true", False: "false"}
@@ -274,67 +291,181 @@ def _check_text(check: CheckResult) -> str | None:
     return "".join(parts)
 
 
-def _record_lines(records: Iterable[SampleRecord]) -> Iterable[str]:
-    """``_record_line(record)`` for each record, byte for byte.
+class TemplateColumns:
+    """The templates of one run of samples, as columns.
 
-    The part of a line that records with one score share (the checks,
-    the state and the score) is encoded once per checks tuple, state and
-    score, from each check's text, itself encoded once per check object:
-    a new score's checks tuple reuses its hard checks' texts and encodes
-    only its two soft checks.  Each record's own id, dimension,
-    validity, slice, weight, invalid reason and ``synthetic`` flag are
-    spliced around it.  A record with a value outside that fast path (a
-    non-finite or non-float weight, a non-float score, a string field
-    that is not a ``str``, a flag that is not a ``bool``, such a check
-    field) is encoded by ``_record_line`` itself.  ``test_records.py``
-    holds the property test of the byte identity.
+    A template is the record whose checks, state, score and
+    ``synthetic`` flag the samples that have it share.  Template ``t``
+    is ``scores[t]``; ``modes[t]``, the failed check ids then the state,
+    which a failure profile counts; and ``middles[t]`` and ``ends[t]``,
+    its record line's text from the checks to the score and from the
+    ``synthetic`` flag on, both None when a field's type is outside the
+    writer's fast path.  Every column holds strings, numbers and shared
+    tuples, so a template adds no object for the cyclic garbage
+    collector to scan.
     """
-    # Each cache holds the object whose id it is keyed by, so no id is
-    # reused while it is cached.
-    check_texts: dict[int, tuple[CheckResult, str | None]] = {}
-    middles: dict[tuple, tuple[tuple, str | None]] = {}
-    for record in records:
-        weight, reason, score, checks = (
-            record.weight, record.invalid_reason, record.score, record.checks
-        )
-        middle = None
-        if (
-            type(weight) is float
-            and math.isfinite(weight)
-            and type(score) is float
-            and type(record.sample_id) is str
-            and type(record.slice_label) is str
-            and (reason is None or type(reason) is str)
-            and type(record.valid) is bool
-            and type(record.synthetic) is bool
-        ):
-            key = (id(checks), record.l2_state, score)
-            cached = middles.get(key)
-            if cached is None:
-                texts = []
-                for check in checks:
-                    entry = check_texts.get(id(check))
-                    if entry is None:
-                        entry = check_texts[id(check)] = (check, _check_text(check))
-                    texts.append(entry[1])
-                cached = middles[key] = (
-                    checks,
-                    None if None in texts else (
-                        f',"checks":[{",".join(texts)}],'
-                        f'"l2_state":{_encode_str(record.l2_state.value)},"score":{score!r}'
-                    ),
-                )
-            middle = cached[1]
-        if middle is None:
-            yield _record_line(record)
-            continue
-        yield "".join((
-            '{"sample_id":', _encode_str(record.sample_id), _DIMENSION_TEXT[record.dimension],
-            _JSON_BOOL[record.valid], ',"slice":', _encode_str(record.slice_label),
-            "" if weight == 1.0 else f',"weight":{weight!r}', middle,
-            "" if reason is None else f',"invalid_reason":{_encode_str(reason)}',
-            ',"synthetic":true}\n' if record.synthetic else "}\n",
-        ))
+
+    __slots__ = ("scores", "modes", "middles", "ends", "_shared_modes")
+
+    def __init__(self) -> None:
+        self.scores: list[float] = []
+        self.modes: list[tuple[str, ...]] = []
+        self.middles: list[str | None] = []
+        self.ends: list[str | None] = []
+        self._shared_modes: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def add(self, template: SampleRecord) -> int:
+        """Append ``template``'s columns and return its number."""
+        score, synthetic = template.score, template.synthetic
+        modes = template.failed_check_ids() + (template.l2_state.value,)
+        texts = [_check_text(check) for check in template.checks]
+        middle = end = None
+        if type(score) is float and type(synthetic) is bool and None not in texts:
+            middle = (
+                f',"checks":[{",".join(texts)}],'
+                f'"l2_state":{_encode_str(template.l2_state.value)},"score":{score!r}'
+            )
+            end = ',"synthetic":true}\n' if synthetic else "}\n"
+        self.scores.append(score)
+        self.modes.append(self._shared_modes.setdefault(modes, modes))
+        self.middles.append(middle)
+        self.ends.append(end)
+        return len(self.scores) - 1
+
+
+class RecordRun(NamedTuple):
+    """One stretch of a point's samples, all of one dimension, as columns.
+
+    Sample ``i`` is ``sample_ids[i]`` with the validity, slice, weight and
+    reason of ``annotations[i]``, and the checks, state, score and
+    ``synthetic`` flag of template ``templates[i]`` of ``table``.
+    ``record(templates[i], annotations[i], sample_ids[i])`` returns the
+    sample's whole record, made anew on each call.
+    """
+
+    dimension: Dimension
+    sample_ids: Sequence[str]
+    annotations: Sequence[PromptAnnotation]
+    templates: Sequence[int]
+    table: TemplateColumns
+    record: Callable[..., SampleRecord]
+
+
+class RoundRecords:
+    """A point's scored samples as columns, not one record each.
+
+    ``runs`` holds the samples in record order, a run per stretch of one
+    dimension.  A backend shares each annotation, and each template,
+    among the samples that have it, so the columns hold no object per
+    sample.  Iterating yields each sample's ``SampleRecord``, checked by
+    its constructor, as ``records.jsonl`` reads back.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Iterable[RecordRun]) -> None:
+        self.runs: tuple[RecordRun, ...] = tuple(runs)
+
+    @staticmethod
+    def of(records: "RoundRecords | Iterable[SampleRecord]") -> "RoundRecords":
+        """``records`` as columns: itself when it is columns already;
+        otherwise each record is its own template, with an annotation of
+        its own, and the runs keep the records' order."""
+        if isinstance(records, RoundRecords):
+            return records
+        runs = []
+        for dimension, group in itertools.groupby(records, key=lambda record: record.dimension):
+            group = list(group)
+            dataset = DATASET_FOR_DIMENSION[dimension]
+            table = TemplateColumns()
+            runs.append(RecordRun(
+                dimension,
+                [record.sample_id for record in group],
+                [
+                    PromptAnnotation(
+                        dataset, record.valid, record.slice_label, record.weight,
+                        record.invalid_reason,
+                    )
+                    for record in group
+                ],
+                [table.add(record) for record in group],
+                table,
+                lambda template, annotation, sample_id, group=group: group[template],
+            ))
+        return RoundRecords(runs)
+
+    def __len__(self) -> int:
+        return sum(len(run.sample_ids) for run in self.runs)
+
+    def __iter__(self) -> Iterator[SampleRecord]:
+        for run in self.runs:
+            for template, annotation, sample_id in zip(
+                run.templates, run.annotations, run.sample_ids
+            ):
+                yield run.record(template, annotation, sample_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundRecords):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _annotation_parts(dimension: Dimension, annotation: PromptAnnotation) -> tuple[str, ...]:
+    """A line's text from its dimension to its weight, and its invalid
+    reason's text, for a sample with ``annotation``; empty when a field's
+    type is outside the fast path."""
+    valid, slice_label, weight, reason = (
+        annotation.valid, annotation.slice_label, annotation.weight, annotation.reason
+    )
+    if not (
+        type(valid) is bool
+        and type(slice_label) is str
+        and type(weight) is float
+        and math.isfinite(weight)
+        and (reason is None or type(reason) is str)
+    ):
+        return ()
+    return (
+        "".join((
+            _DIMENSION_TEXT[dimension], _JSON_BOOL[valid], ',"slice":', _encode_str(slice_label),
+            "" if weight == 1.0 else f',"weight":{weight!r}',
+        )),
+        "" if reason is None else f',"invalid_reason":{_encode_str(reason)}',
+    )
+
+
+def _record_lines(records: RoundRecords) -> Iterator[str]:
+    """``_record_line(record)`` for each of ``records``, byte for byte.
+
+    Each annotation's text (dimension, validity, slice and weight; the
+    invalid reason) is encoded once per run, and each template's (the
+    checks, the state and the score; the ``synthetic`` flag) once, by
+    ``TemplateColumns.add``.  A sample's line joins its id between them.  A
+    sample with a value outside that fast path (a non-finite or non-float
+    weight, a non-float score, a string field that is not a ``str``, a
+    flag that is not a ``bool``, such a check field) is encoded by
+    ``_record_line`` itself.  ``test_records.py`` holds the property test
+    of the byte identity.
+    """
+    for dimension, sample_ids, annotations, templates, table, record in records.runs:
+        middles, ends = table.middles, table.ends
+        # Keyed by the id of an annotation the run holds, so no id is
+        # reused while it is cached.
+        annotation_parts: dict[int, tuple[str, ...]] = {}
+        for sample_id, annotation, template in zip(sample_ids, annotations, templates):
+            head = annotation_parts.get(id(annotation))
+            if head is None:
+                head = annotation_parts[id(annotation)] = _annotation_parts(dimension, annotation)
+            middle = middles[template]
+            if head and middle is not None and type(sample_id) is str:
+                yield "".join((
+                    '{"sample_id":', _encode_str(sample_id), head[0], middle, head[1],
+                    ends[template],
+                ))
+            else:
+                yield _record_line(record(template, annotation, sample_id))
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> str:
@@ -349,10 +480,10 @@ def _write_lines(path: Path, lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def write_records(path: Path, records: Iterable[SampleRecord]) -> str:
-    """Write ``_record_line(record)`` for each record to ``path`` and return
-    the sha256 of the bytes written."""
-    return _write_lines(path, _record_lines(records))
+def write_records(path: Path, records: RoundRecords | Iterable[SampleRecord]) -> str:
+    """Write ``_record_line(record)`` for each of ``records`` (columns, or
+    records) to ``path`` and return the sha256 of the bytes written."""
+    return _write_lines(path, _record_lines(RoundRecords.of(records)))
 
 
 def dump_jsonl(path: Path, rows: Iterable[dict]) -> str:

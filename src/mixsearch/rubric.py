@@ -24,10 +24,10 @@ from .fixtures import default_taxonomy_path
 from .records import (
     CheckResult,
     Dataset,
-    DIMENSION_FOR_DATASET,
     Dimension,
     FLOOR_STATES,
     L2State,
+    PromptAnnotation,
     SampleRecord,
     SCORE_DECIMALS,
     config_fields,
@@ -308,22 +308,6 @@ def scored_record(
 
 # ---------------------------------------------------------------------------
 # Prompt annotation against the slice taxonomy
-
-
-@dataclass(frozen=True)
-class PromptAnnotation:
-    """A sample's slice, weight and validity, which its dataset and tags
-    alone decide, so samples with the same dataset and tags share one."""
-
-    dataset: Dataset
-    valid: bool
-    slice_label: str
-    weight: float
-    reason: str | None = None
-
-    @property
-    def dimension(self) -> Dimension:
-        return DIMENSION_FOR_DATASET[self.dataset]
 
 
 # One dimension's eval set, in eval-file order: the sample ids, and each

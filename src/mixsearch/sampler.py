@@ -15,14 +15,22 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Pool, WindowColumns
 from .errors import ConfigError
-from .records import Dataset, MIXTURE_ORDER, config_fields, dump_jsonl, parse_slice_key
+from .records import (
+    Dataset,
+    MIXTURE_ORDER,
+    _encode_str,
+    _write_lines,
+    config_fields,
+    parse_slice_key,
+)
 
 SIMPLEX_TOLERANCE = 1e-9
 SUMMARY_REJECTIONS = 10  # rejections a manifest summary lists, in draw order
@@ -224,6 +232,9 @@ def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, fl
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One drawn window, as iterating a manifest's entries yields it and
+    as its line in ``manifest.jsonl`` reads."""
+
     window_id: str
     dataset: Dataset
     bucket_id: str
@@ -238,11 +249,50 @@ class ManifestEntry:
         }
 
 
+class DrawnWindows:
+    """The windows one draw accepted, in draw order, as columns.
+
+    Window ``i`` is window ``indices[i]`` of the bucket at
+    ``support[positions[i]]``, the draw's ``(bucket key, window
+    columns)`` list.  ``dataset_tokens`` holds the tokens drawn from each
+    dataset.  Iterating yields a ``ManifestEntry`` per window.
+    """
+
+    __slots__ = ("support", "positions", "indices", "dataset_tokens")
+
+    def __init__(
+        self,
+        support: Sequence[tuple[BucketKey, WindowColumns]],
+        positions: array,
+        indices: array,
+        dataset_tokens: Mapping[Dataset, int],
+    ) -> None:
+        self.support = support
+        self.positions = positions
+        self.indices = indices
+        self.dataset_tokens = dataset_tokens
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __iter__(self) -> Iterator[ManifestEntry]:
+        for position, index in zip(self.positions, self.indices):
+            (dataset, bucket_id), (ids, lengths, _) = self.support[position]
+            yield ManifestEntry(ids[index], dataset, bucket_id, lengths[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DrawnWindows):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass(frozen=True)
 class SampleManifest:
     """The ordered outcome of one budgeted draw."""
 
-    entries: tuple[ManifestEntry, ...]
+    entries: DrawnWindows
     total_tokens: int
     budget_tokens: int
     seed: int
@@ -257,12 +307,10 @@ class SampleManifest:
             )
 
     def dataset_token_shares(self) -> dict[Dataset, float]:
-        totals = {dataset: 0 for dataset in Dataset}
-        for entry in self.entries:
-            totals[entry.dataset] += entry.token_count
         if self.total_tokens == 0:
             return {dataset: 0.0 for dataset in Dataset}
-        return {dataset: count / self.total_tokens for dataset, count in totals.items()}
+        totals = self.entries.dataset_tokens
+        return {dataset: totals[dataset] / self.total_tokens for dataset in Dataset}
 
     def summary(self) -> dict:
         return {
@@ -358,14 +406,15 @@ def draw_budgeted(
             for matched, length in shortest.items()
         )
 
-    entries: list[ManifestEntry] = []
+    positions, indices = array("I"), array("I")
+    support_tokens = [0] * len(support)
     rejections: list[tuple[str, str]] = []
     total = 0
     stop_reason = "budget"
     while True:
         position = bisect_right(cumulative, rng.random() * running)
         position = min(position, len(support) - 1)
-        key, (ids, lengths, tags) = support[position]
+        ids, lengths, tags = support[position][1]
         drawn = rng.randrange(len(ids))
         length = lengths[drawn]
         if total + length > budget_tokens:
@@ -378,16 +427,17 @@ def draw_budgeted(
                 stop_reason = "cap_exhausted"
                 break
             continue
-        entries.append(
-            ManifestEntry(
-                window_id=ids[drawn], dataset=key[0], bucket_id=key[1], token_count=length
-            )
-        )
+        positions.append(position)
+        indices.append(drawn)
+        support_tokens[position] += length
         total += length
         for index in matched:
             focus_tokens[index] += length
+    dataset_tokens = dict.fromkeys(Dataset, 0)
+    for ((dataset, _), _), tokens in zip(support, support_tokens):
+        dataset_tokens[dataset] += tokens
     return SampleManifest(
-        entries=tuple(entries),
+        entries=DrawnWindows(support, positions, indices, dataset_tokens),
         total_tokens=total,
         budget_tokens=budget_tokens,
         seed=seed,
@@ -398,7 +448,25 @@ def draw_budgeted(
 
 
 def write_manifest(path: Path, manifest: SampleManifest) -> str:
-    """Write the manifest's entries, one JSON object a line, to ``path`` and
-    return the sha256 of the bytes written."""
-    return dump_jsonl(path, (entry.to_json() for entry in manifest.entries))
+    """Write ``json.dumps(entry.to_json(), ensure_ascii=False)`` for each of
+    the manifest's entries, one a line, to ``path`` and return the sha256
+    of the bytes written.  The text after a window's id is encoded once
+    per bucket on the support, and each line splices in the window's id
+    and token count."""
+    drawn = manifest.entries
+    buckets = [
+        (
+            ids,
+            lengths,
+            f', "dataset": {_encode_str(dataset.value)}, "bucket": {_encode_str(bucket_id)}, '
+            '"token_count": ',
+        )
+        for (dataset, bucket_id), (ids, lengths, _) in drawn.support
+    ]
 
+    def lines() -> Iterator[str]:
+        for position, index in zip(drawn.positions, drawn.indices):
+            ids, lengths, bucket = buckets[position]
+            yield f'{{"window_id": {_encode_str(ids[index])}{bucket}{lengths[index]}}}\n'
+
+    return _write_lines(path, lines())

@@ -1,4 +1,6 @@
 """Simulated and replay backends."""
+import dataclasses
+import gc
 import math
 import random
 import statistics
@@ -25,6 +27,7 @@ from mixsearch.records import (
     Dimension,
     L2State,
     SampleRecord,
+    TemplateColumns,
     seed_text,
 )
 from mixsearch.rubric import (
@@ -360,26 +363,33 @@ class TestSynthesizedRecords:
         assert record.synthetic
 
 
-def _unmemoized_builder():
-    """What ``_record_builder`` stands for: every record scored on its own."""
-
-    def record(dimension, score, **fields):
-        return scored_record(synthetic_checks(dimension, score), synthetic=True, **fields)
-
-    return record
+def _template_row(table, template):
+    return (
+        table.scores[template], table.modes[template], table.middles[template],
+        table.ends[template],
+    )
 
 
-def _memoized_and_plain(monkeypatch, run_round):
-    memoized = run_round()
-    monkeypatch.setattr(backend_module, "_record_builder", _unmemoized_builder)
-    return memoized, run_round()
+def _own_and_shared(records):
+    """Each sample's template columns as its own record gives them, and as
+    the round shares them, in record order."""
+    own = []
+    for record in records:
+        table = TemplateColumns()
+        own.append(_template_row(table, table.add(record)))
+    shared = [_template_row(run.table, t) for run in records.runs for t in run.templates]
+    return own, shared
+
+
+def _template_count(records):
+    return sum(len(run.table.scores) for run in records.runs)
 
 
 class TestRecordTemplates:
     """One scored template per (dimension, score, valid) gives the records
     that scoring every sample on its own gives."""
 
-    def test_simulated_round_matches_unmemoized_records(self, monkeypatch):
+    def test_simulated_round_matches_unmemoized_records(self):
         sets = {
             DIMENSION_FOR_DATASET[dataset]: columns(
                 (
@@ -401,24 +411,26 @@ class TestRecordTemplates:
         backend = SimulatorBackend(
             flat_surface(base={"SAFE": 1.0, "BENIGN": 5.0, "IF": 3.0}, noise_sigma=0.0005)
         )
-        request = request_for(seed=11, sets=sets)
-        memoized, plain = _memoized_and_plain(monkeypatch, lambda: backend.run_round(request))
-        assert len(memoized) == len(plain) == 180
-        for got, want in zip(memoized, plain):
-            assert got == want
-        assert {1.0, 5.0} <= {record.score for record in plain}
-        assert {record.valid for record in plain} == {True, False}
-        assert len({id(r.checks) for r in memoized}) < len({id(r.checks) for r in plain})
+        records = backend.run_round(request_for(seed=11, sets=sets))
+        assert len(records) == 180
+        own, shared = _own_and_shared(records)
+        assert shared == own
+        assert {1.0, 5.0} <= {record.score for record in records}
+        assert {record.valid for record in records} == {True, False}
+        assert _template_count(records) < len(records)
 
-    def test_a_copy_equals_the_record_its_fields_construct(self):
-        record = backend_module._record_builder()
-        template = record(
-            Dimension.BENIGN, 3.25, sample_id="a", valid=True, slice_label="tier=a", weight=1.0
+    def test_a_shared_template_yields_the_record_its_fields_construct(self):
+        shared = PromptAnnotation(Dataset.ORBENCH, True, "tier=a", 1.0)
+        other = PromptAnnotation(Dataset.ORBENCH, True, "tier=b", 2.5, reason="unanswerable")
+        records = SimulatorBackend(flat_surface()).run_round(
+            request_for(sets={
+                Dimension.SAFE: annotations(Dataset.XGUARD, 1),
+                Dimension.BENIGN: (["a", "b"], [shared, other]),
+                Dimension.IF: annotations(Dataset.IF, 1),
+            })
         )
-        copy = record(
-            Dimension.BENIGN, 3.25, sample_id="b", valid=True, slice_label="tier=b", weight=2.5,
-            invalid_reason="unanswerable",
-        )
+        assert list(records.runs[1].templates) == [0, 0]
+        template = synthetic_record(Dimension.BENIGN, 4.7)
         constructed = SampleRecord(
             sample_id="b",
             dimension=Dimension.BENIGN,
@@ -431,17 +443,41 @@ class TestRecordTemplates:
             invalid_reason="unanswerable",
             synthetic=True,
         )
-        assert type(copy) is SampleRecord and copy is not template
-        assert copy == constructed and hash(copy) == hash(constructed)
-        assert list(vars(copy).items()) == list(vars(constructed).items())
+        yielded = [record for record in records if record.dimension is Dimension.BENIGN]
+        assert all(type(record) is SampleRecord for record in yielded)
+        assert yielded == [
+            dataclasses.replace(
+                constructed, sample_id="a", slice_label="tier=a", weight=1.0, invalid_reason=None
+            ),
+            constructed,
+        ]
 
-    def test_replay_round_matches_unmemoized_records(self, monkeypatch, fixture):
+    def test_replay_round_matches_unmemoized_records(self, fixture):
         backend = ReplayBackend(fixture)
-        request = BackendRequest(round_index=2, manifest=None, eval_sets={}, seed=0)
-        memoized, plain = _memoized_and_plain(monkeypatch, lambda: backend.run_round(request))
-        assert len(memoized) == len(plain) == 3 * 30
-        for got, want in zip(memoized, plain):
-            assert got == want
+        records = backend.run_round(
+            BackendRequest(round_index=2, manifest=None, eval_sets={}, seed=0)
+        )
+        assert len(records) == 3 * 30
+        own, shared = _own_and_shared(records)
+        assert shared == own
+        assert _template_count(records) < len(records)
+
+    def test_columns_hold_no_object_per_sample(self):
+        """Without noise each dimension has one template, and holding a
+        round's result adds fewer than 100 tracked objects, for 200
+        samples per dimension as for 20,000."""
+        backend = SimulatorBackend(flat_surface())
+        added, held = {}, []
+        for count in (200, 20_000):
+            request = request_for(sets=eval_sets(count))
+            gc.collect()
+            before = len(gc.get_objects())
+            held.append(backend.run_round(request))
+            gc.collect()
+            added[count] = len(gc.get_objects()) - before
+            assert len(held[-1]) == 3 * count
+        assert max(added.values()) < 100, added
+        assert [_template_count(records) for records in held] == [3, 3]
 
 
 @pytest.fixture(scope="module")

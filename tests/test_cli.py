@@ -125,6 +125,34 @@ class TestReportAndPareto:
         assert snapshot() == before
 
 
+@pytest.fixture(scope="module")
+def one_round_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-one-round")
+    config = str(demo_config_path())
+    assert main(["run", "--config", config, "--rounds", "1", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stray", ["round-1", "round--1"])
+@pytest.mark.parametrize("command", ["report", "pareto"])
+def test_a_stray_round_name_is_not_a_round(command, stray, one_round_out, tmp_path, capsys):
+    """Only a directory named as the run names its rounds (round-000, ...)
+    is a committed round; a stray ``round-1/`` or ``round--1/`` beside
+    ``round-000/`` changes nothing that ``report`` or ``pareto`` prints."""
+    run = tmp_path / "run"
+    shutil.copytree(one_round_out, run)
+    (run / stray).mkdir()
+    capsys.readouterr()
+    assert main([command, "--in", str(run)]) == 0
+    out = capsys.readouterr().out
+    if command == "report":
+        frontier = out.split("non-dominated archive:\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split()[0] for line in frontier.splitlines()] == ["base", "round-0"]
+        assert out == (one_round_out / "report.txt").read_text(encoding="utf-8")
+    else:
+        assert [line.split()[0] for line in out.splitlines()[1:]] == ["base", "round-0"]
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import mixsearch.orchestrator as orchestrator
 from mixsearch.backend import ReplayBackend
 from mixsearch.cli import main
 from mixsearch.errors import BackendError, ConfigError, DataError
@@ -19,6 +20,7 @@ from mixsearch.orchestrator import (
     round_dir_name,
     run,
 )
+from mixsearch.records import SampleRecord
 
 from conftest import (
     REPLAY_FRONTIER,
@@ -416,3 +418,28 @@ class TestRunDirectory:
             empty.frontier()
         with pytest.raises(DataError, match="base/metric.json"):
             empty.load_base_metric()
+
+
+def test_round_records_iterate_as_their_lines_read_back(tmp_path, monkeypatch):
+    """The records a point's columns iterate as are the ones its
+    records.jsonl reads back as: base and round 0 of a demo run, and a
+    replay's base and rounds."""
+    written = {}
+    write_records = orchestrator.write_records
+
+    def kept(path, records):
+        written[path.parent] = records
+        return write_records(path, records)
+
+    monkeypatch.setattr(orchestrator, "write_records", kept)
+    demo = LoopConfig.from_file(demo_config_path())
+    run(dataclasses.replace(demo, rounds=1), tmp_path / "demo")
+    run(replay_config(), tmp_path / "replay")
+    points = {(run_dir, point) for run_dir in ("demo", "replay") for point in ("base", "round-000")}
+    points |= {("replay", round_dir_name(index)) for index in range(1, 5)}
+    assert {(path.parent.name, path.name.removesuffix(".tmp")) for path in written} == points
+    for temp, records in written.items():
+        committed = temp.with_name(temp.name.removesuffix(".tmp")) / "records.jsonl"
+        lines = committed.read_text(encoding="utf-8").split("\n")[:-1]
+        assert list(records) == [SampleRecord.from_json(json.loads(line)) for line in lines]
+        assert len(records) == len(lines)

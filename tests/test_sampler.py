@@ -1,6 +1,10 @@
 """Data actions, effective distributions, and token-budgeted drawing."""
+import json
 import math
 import random
+import tempfile
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,6 +20,7 @@ from mixsearch.sampler import (
     draw_budgeted,
     effective_distribution,
     uniform_bucket_weights,
+    DrawnWindows,
     ManifestEntry,
     SampleManifest,
     slice_pairs,
@@ -570,3 +575,104 @@ class TestManifest:
         write_manifest(path, manifest)
         rows = read_json(path, lines=True, what="manifest")
         assert rows == [entry.to_json() for entry in manifest.entries]
+
+
+# Ids with the characters JSON escapes or passes through unescaped; no
+# lone surrogates, which a UTF-8 file cannot hold.
+_ids = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é漢🙂'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def _drawn_windows(draw):
+    """Hand-built draw columns: a few buckets, each with a few windows, and
+    a draw order over them."""
+    support = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = (draw(st.sampled_from(list(Dataset))), draw(_ids))
+        lengths = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+        ids = [draw(_ids) for _ in lengths]
+        support.append((key, (ids, array("I", lengths), [{} for _ in lengths])))
+    picks = draw(st.lists(
+        st.integers(0, len(support) - 1).flatmap(
+            lambda position: st.tuples(
+                st.just(position), st.integers(0, len(support[position][1][0]) - 1)
+            )
+        ),
+        max_size=12,
+    ))
+    totals = dict.fromkeys(Dataset, 0)
+    for position, index in picks:
+        totals[support[position][0][0]] += support[position][1][1][index]
+    return DrawnWindows(
+        support,
+        array("I", [position for position, _ in picks]),
+        array("I", [index for _, index in picks]),
+        totals,
+    )
+
+
+class TestManifestLines:
+    @given(_drawn_windows())
+    def test_each_line_is_json_dumps_of_its_row(self, drawn):
+        total = sum(drawn.dataset_tokens.values())
+        manifest = SampleManifest(
+            entries=drawn, total_tokens=total, budget_tokens=total, seed=0, distribution={}
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "manifest.jsonl"
+            write_manifest(path, manifest)
+            lines = path.read_bytes().decode("utf-8").split("\n")
+        rows = [
+            {
+                "window_id": ids[index],
+                "dataset": dataset.value,
+                "bucket": bucket_id,
+                "token_count": lengths[index],
+            }
+            for position, index in zip(drawn.positions, drawn.indices)
+            for (dataset, bucket_id), (ids, lengths, _) in [drawn.support[position]]
+        ]
+        assert [line + "\n" for line in lines[:-1]] == [
+            json.dumps(row, ensure_ascii=False) + "\n" for row in rows
+        ]
+        assert lines[-1] == ""
+        assert [entry.to_json() for entry in drawn] == rows
+
+
+def test_token_shares_equal_the_written_manifest(tmp_path):
+    """On criterion 4's mixed pool, the shares a draw reports are the ones
+    its manifest.jsonl sums to."""
+    layout = {
+        "XGUARD": {"a": [7, 10, 23, 40], "b": [12, 30, 55]},
+        "ORBENCH": {"a": [9, 18, 33], "b": [11, 26, 61]},
+        "IF": {"a": [8, 15, 29], "b": [13, 21, 47]},
+    }
+    pool = make_pool(tmp_path, layout, window_length=64)
+    hot = tier_focus("a", boost=2.0, cap_fraction=0.3, label="tier=a")
+    rng = random.Random(20261019)
+    for trial in range(40):
+        raw = [rng.uniform(0.15, 1.0) for _ in Dataset]
+        action = DataAction(
+            dataset_mixture=tuple(value / sum(raw) for value in raw),
+            bucket_weights=uniform_bucket_weights(pool),
+            focus_criteria=(hot,) if trial % 2 else (),
+        )
+        manifest = draw_budgeted(
+            effective_distribution(action, pool), pool, rng.randint(70, 900), seed=trial,
+            focus=action.focus_criteria,
+        )
+        path = tmp_path / f"manifest-{trial}.jsonl"
+        write_manifest(path, manifest)
+        tokens = dict.fromkeys(Dataset, 0)
+        for row in read_json(path, lines=True, what="manifest"):
+            tokens[Dataset(row["dataset"])] += row["token_count"]
+        assert sum(tokens.values()) == manifest.total_tokens
+        assert manifest.dataset_token_shares() == {
+            dataset: count / manifest.total_tokens for dataset, count in tokens.items()
+        }
