@@ -17,9 +17,11 @@ assigns the state and the score from those checks.  A score of exactly
 comes back as columns (``records.RoundRecords``): per dimension, the
 eval set's sample ids and annotations, and each sample's template
 number.  A template is the record scored once for each distinct
-(dimension, score, validity) in the round; what its samples share of
-it (score, failure modes, encoded checks) goes into the run's template
-columns, and the record itself is dropped.
+(dimension, score, validity) in the round; it is used only for its
+columns (score, failure modes, encoded checks), which go into the run's
+template table, and the record itself is dropped.  No sample's record
+is scored again: it is its line, which ``records.write_records``
+builds from the columns.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ from .records import (
     PromptAnnotation,
     RecordRun,
     RoundRecords,
-    SampleRecord,
     SCALE,
     TemplateColumns,
     SCORE_DECIMALS,
@@ -137,33 +138,18 @@ def synthetic_checks(dimension: Dimension, score: float) -> AtomicCheckVector:
     )
 
 
-def _template_maker(
-    dimension: Dimension,
-) -> tuple[Callable[..., int], TemplateColumns, Callable[..., SampleRecord]]:
-    """The template maker, its table and the record maker for one
-    dimension of one ``run_round`` call.
+def _template_maker(dimension: Dimension) -> tuple[Callable[..., int], TemplateColumns]:
+    """The template maker and its table for one dimension of one
+    ``run_round`` call.
 
     ``template(score, annotation, sample_id)`` returns the sample's
     template number in the table, scoring each distinct ``(score,
     valid)`` once, by ``scored_record(synthetic_checks(dimension,
     score), ...)`` with the fields of the first sample that has it;
-    every later sample with that key shares that template.
-    ``record(template, annotation, sample_id)`` scores a sample's whole
-    record again.  The cache lives only as long as the maker, so no call
-    can reuse another's work.
+    every later sample with that key shares that template.  The cache
+    lives only as long as the maker, so no call can reuse another's
+    work.
     """
-
-    def scored(score: float, annotation: PromptAnnotation, sample_id: str) -> SampleRecord:
-        return scored_record(
-            synthetic_checks(dimension, score),
-            sample_id=sample_id,
-            valid=annotation.valid,
-            slice_label=annotation.slice_label,
-            weight=annotation.weight,
-            invalid_reason=annotation.reason,
-            synthetic=True,
-        )
-
     table = TemplateColumns()
     numbers: dict[bool, dict[float, int]] = {True: {}, False: {}}
 
@@ -171,13 +157,18 @@ def _template_maker(
         by_score = numbers[annotation.valid]
         number = by_score.get(score)
         if number is None:
-            number = by_score[score] = table.add(scored(score, annotation, sample_id))
+            number = by_score[score] = table.add(scored_record(
+                synthetic_checks(dimension, score),
+                sample_id=sample_id,
+                valid=annotation.valid,
+                slice_label=annotation.slice_label,
+                weight=annotation.weight,
+                invalid_reason=annotation.reason,
+                synthetic=True,
+            ))
         return number
 
-    def record(template: int, annotation: PromptAnnotation, sample_id: str) -> SampleRecord:
-        return scored(table.scores[template], annotation, sample_id)
-
-    return template, table, record
+    return template, table
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +342,7 @@ class SimulatorBackend:
             slice_text = seed_text(request.seed, "slice", dimension.value, "")
             sample_text = seed_text(request.seed, "sample", dimension.value, "")
             slice_noise: dict[str, float] = {}  # one draw per slice per round
-            template, table, record = _template_maker(dimension)
+            template, table = _template_maker(dimension)
             templates = array("I")
             sample_ids, annotations = request.eval_sets.get(dimension, ((), ()))
             for sample_id, annotation in zip(sample_ids, annotations):
@@ -361,7 +352,7 @@ class SimulatorBackend:
                     noise = slice_noise[label] = sigma * _standard_normal(slice_text + label)
                 raw = mean + noise + sigma * _standard_normal(sample_text + sample_id)
                 templates.append(template(round(_clip(raw), SCORE_DECIMALS), annotation, sample_id))
-            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table, record))
+            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table))
         return RoundRecords(runs)
 
 
@@ -420,14 +411,14 @@ class ReplayBackend:
                 PromptAnnotation(dataset, valid=True, slice_label=label, weight=1.0)
                 for label in _REPLAY_SLICES[dimension]
             ]
-            template, table, record = _template_maker(dimension)
+            template, table = _template_maker(dimension)
             scores = _spread_scores(row.metrics.get(dimension), REPLAY_SAMPLES_PER_DIMENSION)
             sample_ids = [
                 f"replay-{row.label}-{dimension.value}-{index:03d}" for index in range(len(scores))
             ]
             annotations = [slices[index % len(slices)] for index in range(len(scores))]
             templates = [template(*sample) for sample in zip(scores, annotations, sample_ids)]
-            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table, record))
+            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table))
         return RoundRecords(runs)
 
 

@@ -16,9 +16,9 @@ tag mappings), so a loaded pool holds a few objects per bucket instead
 of one per window.  Tag values are JSON strings, checked, not coerced.
 Windows inherit their bucket's slice fields as tags, so a focus
 criterion, equality on one slice label's fields, addresses slice axes
-uniformly.  Windows with equal tags share one tag mapping, and the pool
-lists each bucket's distinct mappings, so criteria can be evaluated per
-mapping instead of per window.
+uniformly.  Windows with equal tags, in any key order, share one tag
+mapping, and the pool lists each bucket's distinct mappings, so
+criteria can be evaluated per mapping instead of per window.
 """
 from __future__ import annotations
 
@@ -238,14 +238,15 @@ def load_pool(manifest: PoolManifest) -> Pool:
     """
     columns: dict[tuple[Dataset, str], WindowColumns] = {}
     window_ids: set[str] = set()
-    shared_tags: dict[tuple[tuple[str, str], ...], dict[str, str]] = {}
+    # Keyed by content, so equal tags in another key order share a mapping too.
+    shared_tags: dict[frozenset[tuple[str, str]], dict[str, str]] = {}
     for spec in manifest.datasets:
         for bucket in spec.buckets:
             columns[(spec.dataset_id, bucket.bucket_id)] = ([], array("I"), [])
         # The tags of a record without its own: its bucket's slice fields.
         bucket_tags = {
             bucket.bucket_id: shared_tags.setdefault(
-                tuple(bucket.slice_fields.items()), dict(bucket.slice_fields)
+                frozenset(bucket.slice_fields.items()), dict(bucket.slice_fields)
             )
             for bucket in spec.buckets
         }
@@ -277,7 +278,7 @@ def load_pool(manifest: PoolManifest) -> Pool:
                     config_fields(tags, f"record {record_id!r} tags", dict.fromkeys(tags, str))
                     for fld, value in bucket_tags[bucket_id].items():
                         tags.setdefault(fld, value)
-                    tags = shared_tags.setdefault(tuple(tags.items()), tags)
+                    tags = shared_tags.setdefault(frozenset(tags.items()), tags)
                 if "text" in row:
                     token_count = whitespace_token_count(row["text"])
                     if token_count < 1:

@@ -245,12 +245,11 @@ class RunDirectory:
         return self.read(f"{round_dir_name(index)}/metric.json", MetricVector.from_json)
 
     def load_round_action(self, index: int) -> tuple[DataAction, list[str], str]:
-        return self.read(
-            f"{round_dir_name(index)}/action.json",
-            lambda obj: (
-                DataAction.from_json(obj["action"]), list(obj["rationale"]), obj["source"]
-            ),
-        )
+        def build(obj: dict) -> tuple[DataAction, list[str], str]:
+            config_fields(obj, "action.json", {"action": dict, "rationale": [str], "source": str})
+            return DataAction.from_json(obj["action"]), obj["rationale"], obj["source"]
+
+        return self.read(f"{round_dir_name(index)}/action.json", build)
 
     def load_round_profiles(self, index: int) -> list[FailureProfile]:
         return self.read(
@@ -410,8 +409,15 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
     # An annotation depends on the sample's dataset and tags alone, so
     # each distinct pair is annotated once and shared by its samples.
     by_tags: dict[tuple, PromptAnnotation] = {}
+    seen_ids: set[str] = set()
     for path in config.eval_set_paths:
         for sample in load_eval_set(path):
+            if sample.sample_id in seen_ids:
+                raise DataError(
+                    f"eval set {path}: sample id {sample.sample_id!r} repeats an id of this "
+                    "or an earlier eval set"
+                )
+            seen_ids.add(sample.sample_id)
             key = (sample.dataset, frozenset(sample.tags.items()))
             annotation = by_tags.get(key)
             if annotation is None:

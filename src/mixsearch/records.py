@@ -1,6 +1,9 @@
 """Shared record vocabulary: datasets, score dimensions, check vectors,
 the per-sample output record that every scoring path emits, and a
-point's records as columns, which is how a round carries them.
+point's records as columns, which is how a round carries them.  A
+sample's record is defined by its line in ``records.jsonl``: the writer
+builds each line from the columns, and iterating the columns reads each
+record back from its line.
 
 The three training datasets and the three evaluation dimensions are
 paired one-to-one; mixture vectors and metric vectors both follow
@@ -15,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -254,7 +258,10 @@ class PromptAnnotation:
         return DIMENSION_FOR_DATASET[self.dataset]
 
 
-# What ``json.dumps(..., ensure_ascii=False)`` encodes each string with.
+# A record line encodes each value as ``json.dumps(..., ensure_ascii=False,
+# separators=(",", ":"))`` does: by hand for the strings, booleans, integers
+# and finite floats that a run produces, and by ``_ENCODER`` otherwise.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 _encode_str = json.encoder.encode_basestring
 _JSON_BOOL = {True: "true", False: "false"}
 _DIMENSION_TEXT = {
@@ -263,14 +270,20 @@ _DIMENSION_TEXT = {
 _WRITE_CHUNK_LINES = 2048
 
 
-def _record_line(record: SampleRecord) -> str:
-    """The line ``write_records`` writes for ``record``, by definition."""
-    return json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":")) + "\n"
+def _value_text(value: object) -> str:
+    """``value`` encoded as ``_ENCODER`` encodes it."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return _JSON_BOOL[value]
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return _ENCODER.encode(value)
 
 
-def _check_text(check: CheckResult) -> str | None:
-    """``check.to_json()`` encoded as ``_record_line`` encodes it, or None
-    when a field's type is outside the fast path."""
+def _check_text(check: CheckResult) -> str:
+    """``check.to_json()`` encoded as ``_ENCODER`` encodes it."""
     check_id, family, weight = check.check_id, check.family, check.weight
     if not (
         type(check_id) is str
@@ -279,7 +292,7 @@ def _check_text(check: CheckResult) -> str | None:
         and (family is None or type(family) is str)
         and (type(weight) is int or type(weight) is float and math.isfinite(weight))
     ):
-        return None
+        return _ENCODER.encode(check.to_json())
     parts = ['{"id":', _encode_str(check_id), ',"passed":', _JSON_BOOL[check.passed]]
     if family is not None:
         parts += (',"family":', _encode_str(family))
@@ -295,14 +308,13 @@ class TemplateColumns:
     """The templates of one run of samples, as columns.
 
     A template is the record whose checks, state, score and
-    ``synthetic`` flag the samples that have it share.  Template ``t``
-    is ``scores[t]``; ``modes[t]``, the failed check ids then the state,
-    which a failure profile counts; and ``middles[t]`` and ``ends[t]``,
-    its record line's text from the checks to the score and from the
-    ``synthetic`` flag on, both None when a field's type is outside the
-    writer's fast path.  Every column holds strings, numbers and shared
-    tuples, so a template adds no object for the cyclic garbage
-    collector to scan.
+    ``synthetic`` flag the samples that have it share; only these
+    columns of it are kept.  Template ``t`` is ``scores[t]``;
+    ``modes[t]``, the failed check ids then the state, which a failure
+    profile counts; and ``middles[t]`` and ``ends[t]``, its record line's
+    text from the checks to the score and from the ``synthetic`` flag
+    on.  Every column holds strings, numbers and shared tuples, so a
+    template adds no object for the cyclic garbage collector to scan.
     """
 
     __slots__ = ("scores", "modes", "middles", "ends", "_shared_modes")
@@ -310,22 +322,24 @@ class TemplateColumns:
     def __init__(self) -> None:
         self.scores: list[float] = []
         self.modes: list[tuple[str, ...]] = []
-        self.middles: list[str | None] = []
-        self.ends: list[str | None] = []
+        self.middles: list[str] = []
+        self.ends: list[str] = []
         self._shared_modes: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def add(self, template: SampleRecord) -> int:
         """Append ``template``'s columns and return its number."""
         score, synthetic = template.score, template.synthetic
         modes = template.failed_check_ids() + (template.l2_state.value,)
-        texts = [_check_text(check) for check in template.checks]
-        middle = end = None
-        if type(score) is float and type(synthetic) is bool and None not in texts:
-            middle = (
-                f',"checks":[{",".join(texts)}],'
-                f'"l2_state":{_encode_str(template.l2_state.value)},"score":{score!r}'
-            )
-            end = ',"synthetic":true}\n' if synthetic else "}\n"
+        middle = (
+            f',"checks":[{",".join([_check_text(check) for check in template.checks])}],'
+            f'"l2_state":{_encode_str(template.l2_state.value)},"score":{_value_text(score)}'
+        )
+        if synthetic is True:
+            end = ',"synthetic":true}\n'
+        elif synthetic is False:
+            end = "}\n"
+        else:
+            end = f',"synthetic":{_value_text(synthetic)}}}\n'
         self.scores.append(score)
         self.modes.append(self._shared_modes.setdefault(modes, modes))
         self.middles.append(middle)
@@ -339,8 +353,6 @@ class RecordRun(NamedTuple):
     Sample ``i`` is ``sample_ids[i]`` with the validity, slice, weight and
     reason of ``annotations[i]``, and the checks, state, score and
     ``synthetic`` flag of template ``templates[i]`` of ``table``.
-    ``record(templates[i], annotations[i], sample_ids[i])`` returns the
-    sample's whole record, made anew on each call.
     """
 
     dimension: Dimension
@@ -348,7 +360,6 @@ class RecordRun(NamedTuple):
     annotations: Sequence[PromptAnnotation]
     templates: Sequence[int]
     table: TemplateColumns
-    record: Callable[..., SampleRecord]
 
 
 class RoundRecords:
@@ -357,8 +368,8 @@ class RoundRecords:
     ``runs`` holds the samples in record order, a run per stretch of one
     dimension.  A backend shares each annotation, and each template,
     among the samples that have it, so the columns hold no object per
-    sample.  Iterating yields each sample's ``SampleRecord``, checked by
-    its constructor, as ``records.jsonl`` reads back.
+    sample.  Iterating reads each sample's ``SampleRecord`` back from the
+    line ``write_records`` writes for it, checked by its constructor.
     """
 
     __slots__ = ("runs",)
@@ -374,7 +385,7 @@ class RoundRecords:
         if isinstance(records, RoundRecords):
             return records
         runs = []
-        for dimension, group in itertools.groupby(records, key=lambda record: record.dimension):
+        for dimension, group in itertools.groupby(records, key=attrgetter("dimension")):
             group = list(group)
             dataset = DATASET_FOR_DIMENSION[dimension]
             table = TemplateColumns()
@@ -390,7 +401,6 @@ class RoundRecords:
                 ],
                 [table.add(record) for record in group],
                 table,
-                lambda template, annotation, sample_id, group=group: group[template],
             ))
         return RoundRecords(runs)
 
@@ -398,11 +408,8 @@ class RoundRecords:
         return sum(len(run.sample_ids) for run in self.runs)
 
     def __iter__(self) -> Iterator[SampleRecord]:
-        for run in self.runs:
-            for template, annotation, sample_id in zip(
-                run.templates, run.annotations, run.sample_ids
-            ):
-                yield run.record(template, annotation, sample_id)
+        for line in _record_lines(self):
+            yield SampleRecord.from_json(json.loads(line))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoundRecords):
@@ -412,60 +419,44 @@ class RoundRecords:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _annotation_parts(dimension: Dimension, annotation: PromptAnnotation) -> tuple[str, ...]:
+def _annotation_parts(dimension: Dimension, annotation: PromptAnnotation) -> tuple[str, str]:
     """A line's text from its dimension to its weight, and its invalid
-    reason's text, for a sample with ``annotation``; empty when a field's
-    type is outside the fast path."""
-    valid, slice_label, weight, reason = (
-        annotation.valid, annotation.slice_label, annotation.weight, annotation.reason
-    )
-    if not (
-        type(valid) is bool
-        and type(slice_label) is str
-        and type(weight) is float
-        and math.isfinite(weight)
-        and (reason is None or type(reason) is str)
-    ):
-        return ()
+    reason's text, for a sample with ``annotation``."""
+    weight, reason = annotation.weight, annotation.reason
     return (
         "".join((
-            _DIMENSION_TEXT[dimension], _JSON_BOOL[valid], ',"slice":', _encode_str(slice_label),
-            "" if weight == 1.0 else f',"weight":{weight!r}',
+            _DIMENSION_TEXT[dimension], _value_text(annotation.valid), ',"slice":',
+            _value_text(annotation.slice_label),
+            "" if _is_float_one(weight) else f',"weight":{_value_text(weight)}',
         )),
-        "" if reason is None else f',"invalid_reason":{_encode_str(reason)}',
+        "" if reason is None else f',"invalid_reason":{_value_text(reason)}',
     )
 
 
 def _record_lines(records: RoundRecords) -> Iterator[str]:
-    """``_record_line(record)`` for each of ``records``, byte for byte.
+    """Each sample's record line: ``json.dumps(record.to_json(),
+    ensure_ascii=False, separators=(",", ":")) + "\\n"``, byte for byte.
 
     Each annotation's text (dimension, validity, slice and weight; the
     invalid reason) is encoded once per run, and each template's (the
     checks, the state and the score; the ``synthetic`` flag) once, by
-    ``TemplateColumns.add``.  A sample's line joins its id between them.  A
-    sample with a value outside that fast path (a non-finite or non-float
-    weight, a non-float score, a string field that is not a ``str``, a
-    flag that is not a ``bool``, such a check field) is encoded by
-    ``_record_line`` itself.  ``test_records.py`` holds the property test
-    of the byte identity.
+    ``TemplateColumns.add``.  A sample's line joins its id between them.
+    ``test_records.py`` holds the property test of the byte identity.
     """
-    for dimension, sample_ids, annotations, templates, table, record in records.runs:
+    for dimension, sample_ids, annotations, templates, table in records.runs:
         middles, ends = table.middles, table.ends
         # Keyed by the id of an annotation the run holds, so no id is
         # reused while it is cached.
-        annotation_parts: dict[int, tuple[str, ...]] = {}
+        annotation_parts: dict[int, tuple[str, str]] = {}
         for sample_id, annotation, template in zip(sample_ids, annotations, templates):
             head = annotation_parts.get(id(annotation))
             if head is None:
                 head = annotation_parts[id(annotation)] = _annotation_parts(dimension, annotation)
-            middle = middles[template]
-            if head and middle is not None and type(sample_id) is str:
-                yield "".join((
-                    '{"sample_id":', _encode_str(sample_id), head[0], middle, head[1],
-                    ends[template],
-                ))
-            else:
-                yield _record_line(record(template, annotation, sample_id))
+            yield "".join((
+                '{"sample_id":',
+                _encode_str(sample_id) if type(sample_id) is str else _value_text(sample_id),
+                head[0], middles[template], head[1], ends[template],
+            ))
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> str:
@@ -481,8 +472,8 @@ def _write_lines(path: Path, lines: Iterable[str]) -> str:
 
 
 def write_records(path: Path, records: RoundRecords | Iterable[SampleRecord]) -> str:
-    """Write ``_record_line(record)`` for each of ``records`` (columns, or
-    records) to ``path`` and return the sha256 of the bytes written."""
+    """Write each record line of ``records`` (columns, or records) to
+    ``path`` and return the sha256 of the bytes written."""
     return _write_lines(path, _record_lines(RoundRecords.of(records)))
 
 

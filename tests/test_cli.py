@@ -194,6 +194,20 @@ DAMAGE = {
         ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
         lambda run: _edit_action(run, "bucket_weights", "ORBENCH", "or_legal_far", value="0.25"),
     ),
+    # An action.json holds the action, a list of rationale strings and a
+    # source string, and no other key.
+    "action-rationale-string": (
+        ["report", "--in"],
+        lambda run: _edit_action_document(run, "rationale", value="abc"),
+    ),
+    "action-source-number": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _edit_action_document(run, "source", value=5),
+    ),
+    "action-unknown-key": (
+        ["report", "--in"],
+        lambda run: _edit_action_document(run, "extra", value="policy"),
+    ),
     # A committed point's records must match the digest in its metric.json.
     "truncated-records-extension": (
         ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
@@ -239,6 +253,11 @@ def _edit_action(run, *keys, value):
     obj = json.loads(path.read_text("utf-8"))
     _set(obj["action"], *keys, value=value)
     path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _edit_action_document(run, key, *, value):
+    """Set ``key`` of round 1's ``action.json`` document to ``value``."""
+    _edit_document(lambda obj: _set(obj, key, value=value))(run / "round-001" / "action.json")
 
 
 @pytest.mark.parametrize("case", sorted(DAMAGE))
@@ -526,6 +545,15 @@ FAULTS = {
         "eval_if.jsonl",
         _edit_line(0, lambda row: _set(row, "tags", "complexity", value=1)),
         3,
+    ),
+    # A sample id is unique across every eval set of a run: eval_if.jsonl's
+    # third row is if-eval-002, and eval_safe.jsonl, an earlier eval set,
+    # starts with xg-eval-000.
+    "eval-id-repeated-in-file": (
+        "run", "eval_if.jsonl", _edit_line(5, lambda row: _set(row, "id", value="if-eval-002")), 3
+    ),
+    "eval-id-repeated-across-sets": (
+        "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "id", value="xg-eval-000")), 3
     ),
     "taxonomy-not-utf8": ("run", "taxonomy.json", _not_utf8, 3),
     "taxonomy-list": ("run", "taxonomy.json", _edit_document(lambda obj: list(obj)), 3),

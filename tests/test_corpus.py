@@ -227,3 +227,17 @@ class TestSharedTags:
                 assert len(groups) == len(shortest)
         # XGUARD/hot: plain documents (30, 5, 12) and difficulty=3 ones (32, 32, 6, 9).
         assert [length for _, length in pool.tag_groups(Dataset.XGUARD, "hot")] == [5, 6]
+
+    def test_equal_tags_in_another_key_order_share_one_mapping(self, tmp_path):
+        layout = {
+            "XGUARD": {
+                "hot": [(7, {"topic": "t", "style": "s"}), (3, {"style": "s", "topic": "t"}), 5, 4],
+            },
+        }
+        pool = make_pool(tmp_path, layout)
+        _, _, tags = pool.windows(Dataset.XGUARD, "hot")
+        assert tags[0] is tags[1]
+        assert pool.tag_groups(Dataset.XGUARD, "hot") == (
+            ({"topic": "t", "style": "s", "tier": "hot"}, 3),
+            ({"tier": "hot"}, 4),
+        )

@@ -156,14 +156,16 @@ _text = st.text(
     ),
     max_size=6,
 )
+# Flags that are the integers 0 and 1, and an infinite weight: values
+# that json.dumps encodes, and the hand-written encoding does not.
 _checks = st.lists(
     st.builds(
         CheckResult,
         check_id=_text.filter(bool),
-        passed=st.booleans(),
+        passed=st.booleans() | st.sampled_from([0, 1]),
         family=st.none() | _text,
-        hard=st.booleans(),
-        weight=st.sampled_from([1.0, 0.5, 2, 1e-05]),
+        hard=st.booleans() | st.sampled_from([0, 1]),
+        weight=st.sampled_from([1.0, 0.5, 2, 1e-05, math.inf]),
     ),
     min_size=1,
     max_size=3,
@@ -228,6 +230,10 @@ class TestWriteRecords:
     @example([  # a non-ASCII id, a set invalid reason, a check with family and hard
         _record(sample_id="é漢-🙂", invalid_reason="unanswerable", synthetic=True),
         _record(sample_id="s2", valid=False),
+    ])
+    @example([  # an id that is not a string, an integer flag, a boolean score
+        _record(sample_id=7, synthetic=1, score=True),
+        _record(sample_id=None, synthetic=0),
     ])
     def test_lines_are_json_dumps_of_to_json(self, records):
         written = _written(records)
