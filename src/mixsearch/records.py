@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -284,22 +283,13 @@ def _value_text(value: object) -> str:
 
 def _check_text(check: CheckResult) -> str:
     """``check.to_json()`` encoded as ``_ENCODER`` encodes it."""
-    check_id, family, weight = check.check_id, check.family, check.weight
-    if not (
-        type(check_id) is str
-        and type(check.passed) is bool
-        and type(check.hard) is bool
-        and (family is None or type(family) is str)
-        and (type(weight) is int or type(weight) is float and math.isfinite(weight))
-    ):
-        return _ENCODER.encode(check.to_json())
-    parts = ['{"id":', _encode_str(check_id), ',"passed":', _JSON_BOOL[check.passed]]
-    if family is not None:
-        parts += (',"family":', _encode_str(family))
-    if check.hard:
-        parts.append(',"hard":true')
-    if not _is_float_one(weight):
-        parts += (',"weight":', repr(weight))
+    parts = ['{"id":', _value_text(check.check_id), ',"passed":', _value_text(check.passed)]
+    if check.family is not None:
+        parts += (',"family":', _value_text(check.family))
+    if check.hard is not False:
+        parts += (',"hard":', _value_text(check.hard))
+    if not _is_float_one(check.weight):
+        parts += (',"weight":', _value_text(check.weight))
     parts.append("}")
     return "".join(parts)
 
@@ -385,7 +375,7 @@ class RoundRecords:
         if isinstance(records, RoundRecords):
             return records
         runs = []
-        for dimension, group in itertools.groupby(records, key=attrgetter("dimension")):
+        for dimension, group in itertools.groupby(records, key=lambda record: record.dimension):
             group = list(group)
             dataset = DATASET_FOR_DIMENSION[dimension]
             table = TemplateColumns()

@@ -9,10 +9,11 @@ from pathlib import Path
 
 from hypothesis import settings
 
-from mixsearch.backend import SurfaceParams
+from mixsearch.backend import SurfaceParams, synthetic_checks
 from mixsearch.corpus import Pool, PoolManifest, load_pool
 from mixsearch.orchestrator import LoopConfig
 from mixsearch.profiles import MetricVector
+from mixsearch.rubric import scored_record
 
 settings.register_profile("package", deadline=None, max_examples=100)
 settings.load_profile("package")
@@ -160,3 +161,23 @@ def simulate_config(
         pool_manifest_path=root / "manifest.json",
         eval_set_paths=eval_paths,
     )
+
+
+def scored_one_by_one(records) -> list:
+    """Each sample of a backend's ``RoundRecords`` scored on its own:
+    ``scored_record`` of the synthetic checks for its template's score,
+    with the sample's own id and annotation, in record order.  It shares
+    nothing with the round's templates or the record writer."""
+    return [
+        scored_record(
+            synthetic_checks(run.dimension, run.table.scores[template]),
+            sample_id=sample_id,
+            valid=annotation.valid,
+            slice_label=annotation.slice_label,
+            weight=annotation.weight,
+            invalid_reason=annotation.reason,
+            synthetic=True,
+        )
+        for run in records.runs
+        for sample_id, annotation, template in zip(run.sample_ids, run.annotations, run.templates)
+    ]

@@ -38,7 +38,7 @@ from mixsearch.rubric import (
     scored_record,
 )
 
-from conftest import REPLAY_MIXTURES, REPLAY_TRAJECTORY
+from conftest import REPLAY_MIXTURES, REPLAY_TRAJECTORY, scored_one_by_one
 
 
 def flat_surface(**overrides):
@@ -371,10 +371,10 @@ def _template_row(table, template):
 
 
 def _own_and_shared(records):
-    """Each sample's template columns as its own record gives them, and as
-    the round shares them, in record order."""
+    """Each sample's template columns as its record scored on its own
+    gives them, and as the round shares them, in record order."""
     own = []
-    for record in records:
+    for record in scored_one_by_one(records):
         table = TemplateColumns()
         own.append(_template_row(table, table.add(record)))
     shared = [_template_row(run.table, t) for run in records.runs for t in run.templates]
@@ -415,6 +415,7 @@ class TestRecordTemplates:
         assert len(records) == 180
         own, shared = _own_and_shared(records)
         assert shared == own
+        assert list(records) == scored_one_by_one(records)
         assert {1.0, 5.0} <= {record.score for record in records}
         assert {record.valid for record in records} == {True, False}
         assert _template_count(records) < len(records)
@@ -460,6 +461,7 @@ class TestRecordTemplates:
         assert len(records) == 3 * 30
         own, shared = _own_and_shared(records)
         assert shared == own
+        assert list(records) == scored_one_by_one(records)
         assert _template_count(records) < len(records)
 
     def test_columns_hold_no_object_per_sample(self):

@@ -26,6 +26,7 @@ from conftest import (
     REPLAY_FRONTIER,
     REPLAY_MIXTURES,
     REPLAY_TRAJECTORY,
+    scored_one_by_one,
     simulate_config,
     tree_bytes,
 )
@@ -421,9 +422,10 @@ class TestRunDirectory:
 
 
 def test_round_records_iterate_as_their_lines_read_back(tmp_path, monkeypatch):
-    """The records a point's columns iterate as are the ones its
-    records.jsonl reads back as: base and round 0 of a demo run, and a
-    replay's base and rounds."""
+    """Each line of a point's records.jsonl is ``json.dumps`` of the
+    sample's record scored on its own, and the point's columns iterate as
+    those records: base and round 0 of a demo run, and a replay's base
+    and rounds."""
     written = {}
     write_records = orchestrator.write_records
 
@@ -441,5 +443,11 @@ def test_round_records_iterate_as_their_lines_read_back(tmp_path, monkeypatch):
     for temp, records in written.items():
         committed = temp.with_name(temp.name.removesuffix(".tmp")) / "records.jsonl"
         lines = committed.read_text(encoding="utf-8").split("\n")[:-1]
-        assert list(records) == [SampleRecord.from_json(json.loads(line)) for line in lines]
+        own = scored_one_by_one(records)
+        assert lines == [
+            json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":"))
+            for record in own
+        ]
+        assert list(records) == own
+        assert [SampleRecord.from_json(json.loads(line)) for line in lines] == own
         assert len(records) == len(lines)
