@@ -26,9 +26,10 @@ import logging
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError, SchemaError
-from .records import Dataset, config_fields, read_json, slice_key
+from .records import Dataset, config_fields, read_json, slice_key, tag_mapping
 
 log = logging.getLogger(__name__)
 
@@ -234,7 +235,9 @@ def load_pool(manifest: PoolManifest) -> Pool:
 
     Each file's rows become windows inside ``read_json``, so an
     unreadable file or a malformed row is a ``DataError`` naming the
-    file, and one file's parsed rows are freed before the next is read.
+    file.  ``read_json`` parses one line at a time, so a row is turned
+    into its windows and dropped before the next line is read: the load
+    holds no parsed file, only the columns it keeps.
     """
     columns: dict[tuple[Dataset, str], WindowColumns] = {}
     window_ids: set[str] = set()
@@ -251,7 +254,7 @@ def load_pool(manifest: PoolManifest) -> Pool:
             for bucket in spec.buckets
         }
 
-        def add_windows(rows: list[dict]) -> None:
+        def add_windows(rows: Iterator[dict]) -> None:
             for row in rows:
                 record_id = row.get("id")
                 if not isinstance(record_id, str) or not record_id:
@@ -271,14 +274,13 @@ def load_pool(manifest: PoolManifest) -> Pool:
                         f"record {record_id!r} references undeclared bucket {bucket_id!r} "
                         f"in dataset {spec.dataset_id.value}"
                     )
-                tags = row.get("tags")
-                if tags is None:
-                    tags = bucket_tags[bucket_id]
-                else:
-                    config_fields(tags, f"record {record_id!r} tags", dict.fromkeys(tags, str))
+                if "tags" in row:
+                    tags = tag_mapping(row["tags"], f"record {record_id!r} tags")
                     for fld, value in bucket_tags[bucket_id].items():
                         tags.setdefault(fld, value)
                     tags = shared_tags.setdefault(frozenset(tags.items()), tags)
+                else:
+                    tags = bucket_tags[bucket_id]
                 if "text" in row:
                     token_count = whitespace_token_count(row["text"])
                     if token_count < 1:

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from .errors import FixtureError, ReplayGapError
 from .pareto import ParetoArchive
@@ -85,7 +86,7 @@ def load_replay_fixture(path: Path | str) -> ReplayFixture:
     )
 
 
-def _fixture_from_rows(raw_rows: list[dict]) -> ReplayFixture:
+def _fixture_from_rows(raw_rows: Iterator[dict]) -> ReplayFixture:
     rows = []
     declared: list[str] | None = None
     for raw in raw_rows:

@@ -33,6 +33,7 @@ import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 from .backend import (
     Backend,
@@ -284,14 +285,20 @@ class RunDirectory:
         return self.read("archive.jsonl", _final_frontier, lines=True)
 
 
-def _final_frontier(rows: list[dict]) -> list[tuple[str, MetricVector]]:
-    frontier_row = [row for row in rows if row.get("kind") == "frontier"][-1]
-    by_label = {
-        row["label"]: MetricVector.from_json(row["metric"])
-        for row in rows
-        if row.get("kind") == "insert"
-    }
-    return [(label, by_label[label]) for label in frontier_row["labels"]]
+def _final_frontier(rows: Iterator[dict]) -> list[tuple[str, MetricVector]]:
+    """The labels of the archive's last frontier row, each with the metric
+    it was inserted with, read in one pass."""
+    labels = None
+    by_label: dict[str, MetricVector] = {}
+    for row in rows:
+        kind = row.get("kind")
+        if kind == "frontier":
+            labels = row["labels"]
+        elif kind == "insert":
+            by_label[row["label"]] = MetricVector.from_json(row["metric"])
+    if labels is None:
+        raise DataError("has no frontier row")
+    return [(label, by_label[label]) for label in labels]
 
 
 def _write_json(path: Path, obj: dict) -> None:

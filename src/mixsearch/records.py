@@ -16,10 +16,11 @@ import hashlib
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import ConfigError, DataError, MixSearchError
 
@@ -488,40 +489,12 @@ def _finite_float(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_no_constant, parse_float=_finite_float)
 
 
-def read_json(
-    path: Path | str,
-    build: Callable | None = None,
-    *,
-    lines: bool = False,
-    error: type[MixSearchError] = DataError,
-    what: str,
-):
-    """Parse the file at ``path``, one JSON document or, with ``lines``,
-    a list of the JSON values on its non-blank lines, and return
-    ``build`` applied to it.
-
-    This is the one place the package reads a JSON input or artifact.
-    Every failure raises ``error`` with a message naming the file and
-    the ``what`` it was read as: the file cannot be opened, is not
-    UTF-8, is not JSON (lines give their number; ``NaN``, ``Infinity``,
-    a number that overflows a float and an integer too long to convert
-    are not JSON), or ``build`` rejects what it parsed.  An ``error``
-    raised by ``build`` keeps its class, and gains the file's name when
-    its message lacks it.
-    """
-    path = Path(path)
+@contextmanager
+def _read_faults(path: Path, error: type[MixSearchError], what: str) -> Iterator[None]:
+    """Raise ``error``, naming ``path`` and ``what``, for a fault met while
+    opening, reading or parsing the file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            if not lines:
-                parsed = _DECODER.decode(handle.read())
-            else:
-                parsed = []
-                for number, line in enumerate(handle, start=1):
-                    if line.strip():
-                        try:
-                            parsed.append(_DECODER.decode(line))
-                        except ValueError as exc:
-                            raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
+        yield
     except FileNotFoundError as exc:
         raise error(f"{what} not found: {path}") from exc
     except OSError as exc:
@@ -530,16 +503,69 @@ def read_json(
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
-    if build is None:
-        return parsed
-    try:
-        return build(parsed)
-    except error as exc:
-        if str(path) not in str(exc):
-            exc.args = (f"{what} {path}: {exc}",)
-        raise
-    except (LookupError, TypeError, ValueError, AttributeError, MixSearchError) as exc:
-        raise error(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _json_lines(
+    handle: TextIO, path: Path, error: type[MixSearchError], what: str
+) -> Iterator[object]:
+    """The JSON value of each non-blank line of ``handle``, parsed as it
+    is read."""
+    with _read_faults(path, error, what):
+        for number, line in enumerate(handle, start=1):
+            if line.strip():
+                try:
+                    value = _DECODER.decode(line)
+                except ValueError as exc:
+                    raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
+                yield value
+
+
+def read_json(
+    path: Path | str,
+    build: Callable | None = None,
+    *,
+    lines: bool = False,
+    error: type[MixSearchError] = DataError,
+    what: str,
+):
+    """Parse the file at ``path`` and return ``build`` applied to what it
+    holds: one JSON document or, with ``lines``, an iterator over the
+    JSON values of its non-blank lines (without ``build``, their list).
+
+    The iterator parses one line at a time, with the file open until
+    ``build`` returns, so ``build`` can turn each value into what it
+    keeps and drop it before the next line is read; a fault on a later
+    line is met only when ``build`` gets there, so the first fault in
+    line order is the one reported.
+
+    This is the one place the package reads a JSON input or artifact.
+    Every failure raises ``error`` with a message naming the file and
+    the ``what`` it was read as: the file cannot be opened or read, is
+    not UTF-8, is not JSON (lines give their number; ``NaN``,
+    ``Infinity``, a number that overflows a float and an integer too long
+    to convert are not JSON), or ``build`` rejects what it parsed.  An
+    ``error`` raised by ``build`` keeps its class, and gains the file's
+    name when its message lacks it.
+    """
+    path = Path(path)
+    with _read_faults(path, error, what):
+        handle = open(path, "r", encoding="utf-8")
+    with handle:
+        if lines:
+            parsed = _json_lines(handle, path, error, what)
+        else:
+            with _read_faults(path, error, what):
+                parsed = _DECODER.decode(handle.read())
+        if build is None:
+            return list(parsed) if lines else parsed
+        try:
+            return build(parsed)
+        except error as exc:
+            if str(path) not in str(exc):
+                exc.args = (f"{what} {path}: {exc}",)
+            raise
+        except (LookupError, TypeError, ValueError, AttributeError, MixSearchError) as exc:
+            raise error(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc
 
 
 _TYPE_NAMES = {
@@ -577,15 +603,14 @@ def config_fields(obj: object, section: str, fields: dict) -> dict:
     """Return ``obj`` once it checks out as the config section ``section``.
 
     Every config parser checks each of its sections here, and so do the
-    readers of the pool manifest and of tag mappings
-    (``dict.fromkeys(obj, str)`` asks for an object of strings).  ``obj``
-    must be a JSON object whose keys all appear in ``fields``, which maps
-    each key to the JSON type of its value: ``int`` (an integer),
-    ``float`` (any number), ``str``, ``bool``, ``dict``, ``list`` or
-    ``None`` (null), a tuple of these for any one of them, or ``[t]`` for
-    a list of ``t``.  A boolean is never a number.  Anything else raises
-    ``ConfigError``, which ``read_json`` reports as a data file's
-    ``DataError``.
+    readers of the pool manifest and of tag mappings (``tag_mapping``).
+    ``obj`` must be a JSON object whose keys all appear in ``fields``,
+    which maps each key to the JSON type of its value: ``int`` (an
+    integer), ``float`` (any number), ``str``, ``bool``, ``dict``,
+    ``list`` or ``None`` (null), a tuple of these for any one of them, or
+    ``[t]`` for a list of ``t``.  A boolean is never a number.  Anything
+    else raises ``ConfigError``, which ``read_json`` reports as a data
+    file's ``DataError``.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{section} must be a JSON object, got {obj!r:.60}")
@@ -597,3 +622,9 @@ def config_fields(obj: object, section: str, fields: dict) -> dict:
                 f"{section}.{key} must be {_type_name(fields[key])}, got {value!r:.60}"
             )
     return obj
+
+
+def tag_mapping(obj: object, section: str) -> dict[str, str]:
+    """Return ``obj`` once it checks out as the tag mapping ``section``: a
+    JSON object of strings.  Anything else raises ``ConfigError``."""
+    return config_fields(obj, section, dict.fromkeys(obj, str) if isinstance(obj, dict) else {})

@@ -30,9 +30,9 @@ from .records import (
     PromptAnnotation,
     SampleRecord,
     SCORE_DECIMALS,
-    config_fields,
     read_json,
     slice_key,
+    tag_mapping,
 )
 
 # Fixed check lists for SAFE and BENIGN.  The leakage channels and
@@ -456,8 +456,7 @@ class EvalSample:
         sample_id = obj.get("id")
         if not isinstance(sample_id, str) or not sample_id:
             raise SchemaError(f"eval sample id is not a non-empty string: {obj!r}")
-        tags = obj.get("tags", {})
-        config_fields(tags, f"eval sample {sample_id!r} tags", dict.fromkeys(tags, str))
+        tags = tag_mapping(obj.get("tags", {}), f"eval sample {sample_id!r} tags")
         return EvalSample(sample_id=sample_id, dataset=dataset, tags=tags)
 
 

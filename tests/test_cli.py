@@ -238,6 +238,12 @@ DAMAGE = {
             run / "archive.jsonl"
         ),
     ),
+    "archive-no-frontier-pareto": (
+        ["pareto", "--in"],
+        lambda run: _edit_lines(lambda lines: [line for line in lines if "frontier" not in line])(
+            run / "archive.jsonl"
+        ),
+    ),
     "metric-mean-bool-extension": (
         ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
         lambda run: _edit_document(lambda obj: _set(obj, "safe", value=True))(
@@ -278,6 +284,18 @@ def _make_directory(path):
 
 def _not_utf8(path):
     path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _not_utf8_at_end(path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+def _both(*damages):
+    def damage(path):
+        for each in damages:
+            each(path)
+
+    return damage
 
 
 def _edit_document(edit):
@@ -523,6 +541,21 @@ FAULTS = {
     "records-id-is-a-window-id": (
         "run", "xguard.jsonl", _edit_line(2, lambda row: _set(row, "id", value="xg-001:w1")), 3
     ),
+    "records-tags-null": (
+        "run", "xguard.jsonl", _edit_line(0, lambda row: _set(row, "tags", value=None)), 3
+    ),
+    # The first fault in line order is the one reported, and a fault met
+    # late in a file keeps its own message.
+    "records-bucket-before-bad-json": (
+        "run",
+        "xguard.jsonl",
+        _both(
+            _edit_line(1, lambda row: _set(row, "bucket", value="no-such-bucket")),
+            _edit_lines(lambda lines: lines + ["{broken"]),
+        ),
+        3,
+    ),
+    "records-not-utf8-at-end": ("run", "xguard.jsonl", _not_utf8_at_end, 3),
     "records-token-count-overflow": (
         "run",
         "xguard.jsonl",
@@ -537,6 +570,10 @@ FAULTS = {
     "eval-set-tags-list": (
         "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "tags", value=["x"])), 3
     ),
+    "eval-set-tags-null": (
+        "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "tags", value=None)), 3
+    ),
+    "eval-set-not-utf8-at-end": ("run", "eval_if.jsonl", _not_utf8_at_end, 3),
     "eval-set-id-number": (
         "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "id", value=5)), 3
     ),
@@ -623,6 +660,10 @@ FAULTS = {
     ),
     "fixture-directory": ("replay", "fixture.jsonl", _make_directory, 3),
     "fixture-not-utf8": ("replay", "fixture.jsonl", _not_utf8, 3),
+    "fixture-not-utf8-at-end": ("replay", "fixture.jsonl", _not_utf8_at_end, 3),
+    "fixture-last-line-not-json": (
+        "replay", "fixture.jsonl", _edit_lines(lambda lines: lines[:-1] + ["{broken"]), 3
+    ),
     "fixture-row-number": ("validate", "fixture.jsonl", _edit_line(0, lambda row: 5), 3),
     "fixture-frontier-number": (
         "validate",
@@ -675,6 +716,17 @@ FAULTS = {
     },
 }
 
+# Cases whose message is checked too, beyond naming the damaged file.
+FAULT_MESSAGES = {
+    "records-tags-null": "tags must be a JSON object, got None",
+    "eval-set-tags-null": "tags must be a JSON object, got None",
+    "records-bucket-before-bad-json": "undeclared bucket 'no-such-bucket'",
+    "records-not-utf8-at-end": "is not UTF-8 text",
+    "eval-set-not-utf8-at-end": "is not UTF-8 text",
+    "fixture-not-utf8-at-end": "is not UTF-8 text",
+    "fixture-last-line-not-json": "fixture.jsonl:7 is not valid JSON",
+}
+
 
 @pytest.fixture
 def fault_inputs(tmp_path):
@@ -711,6 +763,7 @@ def test_bad_input_exits_with_one_error_line(case, fault_inputs, replay_out, tmp
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert str(root / name) in err
+    assert FAULT_MESSAGES.get(case, "") in err
     assert not out.exists()  # inputs are loaded before the run directory is made
 
 

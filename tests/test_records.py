@@ -288,6 +288,20 @@ class TestReadJson:
             read_json(path, lines=lines, what="document")
         assert str(path) in str(caught.value)
 
+    def test_lines_are_parsed_as_build_reads_them(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{broken\n', encoding="utf-8")
+        assert read_json(path, next, lines=True, what="rows") == {"a": 1}
+
+    def test_a_byte_met_while_build_reads_is_not_utf8(self, tmp_path):
+        # Past the text decoder's first chunk, so rows are built before it.
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": 1}\n' * 5000 + b"\xff\n")
+        seen = []
+        with pytest.raises(DataError, match="is not UTF-8 text") as caught:
+            read_json(path, seen.extend, lines=True, what="rows")
+        assert seen and str(path) in str(caught.value)
+
     def test_finite_numbers_parse(self, tmp_path):
         path = tmp_path / "document.json"
         path.write_text('{"a": 1.5e300, "b": -2.5, "c": 1e-400, "d": 12}', encoding="utf-8")
