@@ -45,12 +45,13 @@ def whitespace_token_count(text: str) -> int:
     return len(text.split())
 
 
-def split_windows(token_count: int, window_length: int, stride: int) -> list[tuple[int, int]]:
-    """Split a document of ``token_count`` tokens into (start, length) windows.
+def window_lengths(token_count: int, window_length: int, stride: int) -> list[int]:
+    """Token counts of the windows of a document of ``token_count`` tokens.
 
-    Starts begin at 0 and advance by ``stride``; every window except
-    possibly the last has ``window_length`` tokens, and together they
-    cover every token position at least once.
+    Window starts begin at 0 and advance by ``stride``, so there are
+    ``ceil(token_count / stride)`` windows; every window except possibly
+    the last has ``window_length`` tokens, and together they cover every
+    token position at least once.
     """
     if token_count < 1:
         raise ConfigError(f"token_count must be >= 1, got {token_count}")
@@ -61,12 +62,15 @@ def split_windows(token_count: int, window_length: int, stride: int) -> list[tup
             f"stride must satisfy 1 <= stride <= window_length, got stride={stride} "
             f"window_length={window_length}"
         )
-    windows = []
-    start = 0
-    while start < token_count:
-        windows.append((start, min(window_length, token_count - start)))
-        start += stride
-    return windows
+    return [min(window_length, token_count - start) for start in range(0, token_count, stride)]
+
+
+def split_windows(token_count: int, window_length: int, stride: int) -> list[tuple[int, int]]:
+    """The (start, length) windows of a document of ``token_count``
+    tokens: ``window_lengths`` paired with the starts, 0, ``stride``,
+    ``2 * stride`` and so on."""
+    lengths = window_lengths(token_count, window_length, stride)
+    return list(zip(range(0, token_count, stride), lengths))
 
 
 @dataclass(frozen=True)
@@ -237,50 +241,57 @@ def load_pool(manifest: PoolManifest) -> Pool:
     unreadable file or a malformed row is a ``DataError`` naming the
     file.  ``read_json`` parses one line at a time, so a row is turned
     into its windows and dropped before the next line is read: the load
-    holds no parsed file, only the columns it keeps.
+    holds no parsed file, only the columns it keeps.  A row of at most
+    ``stride`` tokens is one window, the record itself; a longer row's
+    window lengths come from ``window_lengths``.
     """
     columns: dict[tuple[Dataset, str], WindowColumns] = {}
     window_ids: set[str] = set()
+    window_length, stride = manifest.window_length, manifest.stride
     # Keyed by content, so equal tags in another key order share a mapping too.
     shared_tags: dict[frozenset[tuple[str, str]], dict[str, str]] = {}
     for spec in manifest.datasets:
+        dataset = spec.dataset_id.value
+        # Per bucket id: its columns, and the tags of a record without its
+        # own (the bucket's slice fields).
+        targets = {}
         for bucket in spec.buckets:
-            columns[(spec.dataset_id, bucket.bucket_id)] = ([], array("I"), [])
-        # The tags of a record without its own: its bucket's slice fields.
-        bucket_tags = {
-            bucket.bucket_id: shared_tags.setdefault(
+            bucket_columns = columns[(spec.dataset_id, bucket.bucket_id)] = ([], array("I"), [])
+            bucket_tags = shared_tags.setdefault(
                 frozenset(bucket.slice_fields.items()), dict(bucket.slice_fields)
             )
-            for bucket in spec.buckets
-        }
+            targets[bucket.bucket_id] = (*bucket_columns, bucket_tags)
 
-        def add_windows(rows: Iterator[dict]) -> None:
+        def add_windows(rows: Iterator[object]) -> None:
             for row in rows:
+                if not isinstance(row, dict):
+                    raise SchemaError(f"a record must be a JSON object, got {row!r:.60}")
                 record_id = row.get("id")
                 if not isinstance(record_id, str) or not record_id:
                     raise SchemaError(
-                        f"dataset {spec.dataset_id.value}: record id is not a non-empty "
-                        f"string: {row!r}"
+                        f"dataset {dataset}: record id is not a non-empty string: {row!r}"
                     )
                 declared = row.get("dataset")
-                if declared is not None and declared != spec.dataset_id.value:
+                if declared is not None and declared != dataset:
                     raise SchemaError(
                         f"record {record_id!r}: dataset field {declared!r} does not match "
-                        f"file's dataset {spec.dataset_id.value}"
+                        f"file's dataset {dataset}"
                     )
                 bucket_id = row.get("bucket")
-                if bucket_id not in bucket_tags:
+                target = targets.get(bucket_id)
+                if target is None:
                     raise SchemaError(
                         f"record {record_id!r} references undeclared bucket {bucket_id!r} "
-                        f"in dataset {spec.dataset_id.value}"
+                        f"in dataset {dataset}"
                     )
+                ids, lengths, tags_column, bucket_tags = target
                 if "tags" in row:
                     tags = tag_mapping(row["tags"], f"record {record_id!r} tags")
-                    for fld, value in bucket_tags[bucket_id].items():
+                    for fld, value in bucket_tags.items():
                         tags.setdefault(fld, value)
                     tags = shared_tags.setdefault(frozenset(tags.items()), tags)
                 else:
-                    tags = bucket_tags[bucket_id]
+                    tags = bucket_tags
                 if "text" in row:
                     token_count = whitespace_token_count(row["text"])
                     if token_count < 1:
@@ -295,10 +306,16 @@ def load_pool(manifest: PoolManifest) -> Pool:
                         )
                 else:
                     raise SchemaError(f"record {record_id!r} has neither text nor token_count")
-                parts = split_windows(token_count, manifest.window_length, manifest.stride)
-                ids, lengths, tags_column = columns[(spec.dataset_id, bucket_id)]
-                for index, (_, length) in enumerate(parts):
-                    window_id = record_id if len(parts) == 1 else f"{record_id}:w{index}"
+                if token_count <= stride:  # ceil(token_count / stride) == 1 window
+                    if record_id in window_ids:
+                        raise SchemaError(f"duplicate window id {record_id!r}")
+                    window_ids.add(record_id)
+                    ids.append(record_id)
+                    lengths.append(token_count)
+                    tags_column.append(tags)
+                    continue
+                for index, length in enumerate(window_lengths(token_count, window_length, stride)):
+                    window_id = f"{record_id}:w{index}"
                     if window_id in window_ids:
                         raise SchemaError(f"duplicate window id {window_id!r}")
                     window_ids.add(window_id)
@@ -310,7 +327,7 @@ def load_pool(manifest: PoolManifest) -> Pool:
             spec.path,
             add_windows,
             lines=True,
-            what=f"dataset {spec.dataset_id.value} record file",
+            what=f"dataset {dataset} record file",
         )
     pool = Pool({spec.dataset_id: spec.buckets for spec in manifest.datasets}, columns)
     for dataset_id in pool.datasets:

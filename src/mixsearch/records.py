@@ -509,15 +509,29 @@ def _json_lines(
     handle: TextIO, path: Path, error: type[MixSearchError], what: str
 ) -> Iterator[object]:
     """The JSON value of each non-blank line of ``handle``, parsed as it
-    is read."""
+    is read.
+
+    A line is scanned once: a value that starts the line and is followed
+    by nothing but its newline is taken as it is.  Any other line (blank,
+    padded with whitespace, or not JSON) goes to ``_DECODER.decode``,
+    which gives the same value or the error the line is reported with.
+    """
+    raw_decode = _DECODER.raw_decode
     with _read_faults(path, error, what):
         for number, line in enumerate(handle, start=1):
-            if line.strip():
+            try:
                 try:
+                    value, end = raw_decode(line)
+                    scanned = line[end:] in ("\n", "")
+                except ValueError:
+                    scanned = False
+                if not scanned:
+                    if not line.strip():
+                        continue
                     value = _DECODER.decode(line)
-                except ValueError as exc:
-                    raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
-                yield value
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
+            yield value
 
 
 def read_json(

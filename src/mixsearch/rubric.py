@@ -448,7 +448,9 @@ class EvalSample:
     tags: dict[str, str]
 
     @staticmethod
-    def from_json(obj: dict) -> "EvalSample":
+    def from_json(obj: object) -> "EvalSample":
+        if not isinstance(obj, dict):
+            raise SchemaError(f"an eval sample must be a JSON object, got {obj!r:.60}")
         try:
             dataset = Dataset(obj["dataset"])
         except (KeyError, ValueError) as exc:

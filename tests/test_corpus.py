@@ -106,6 +106,24 @@ class TestLoadPool:
         assert ids == ["if-b1-0:w0", "if-b1-0:w1", "if-b1-0:w2"]
         assert list(lengths) == [400, 400, 100]
 
+    def test_overlapping_stride_windows_as_split_windows(self, tmp_path):
+        # A row has ceil(token_count / stride) windows: 301 and 400 tokens
+        # fit one 400-token window but take two 300-token strides.
+        counts = [300, 301, 400, 900]
+        pool = make_pool(tmp_path, {"IF": {"b1": counts}}, window_length=400, stride=300)
+        expected_ids, expected_lengths = [], []
+        for index, count in enumerate(counts):
+            windows = split_windows(count, 400, 300)
+            record_id = f"if-b1-{index}"
+            if len(windows) == 1:
+                expected_ids.append(record_id)
+            else:
+                expected_ids.extend(f"{record_id}:w{number}" for number in range(len(windows)))
+            expected_lengths.extend(length for _, length in windows)
+        ids, lengths, _ = pool.windows(Dataset.IF, "b1")
+        assert ids == expected_ids
+        assert list(lengths) == expected_lengths == [300, 301, 1, 400, 100, 400, 400, 300]
+
     def test_windows_inherit_bucket_slice_tags(self, tmp_path):
         pool = make_pool(tmp_path, {"ORBENCH": {"edge": [10]}})
         _, _, (tags,) = pool.windows(Dataset.ORBENCH, "edge")

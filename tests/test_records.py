@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mixsearch.errors import DataError
 from mixsearch.records import (
+    _DECODER,
     CheckResult,
     Dimension,
     L2State,
@@ -301,6 +302,41 @@ class TestReadJson:
         with pytest.raises(DataError, match="is not UTF-8 text") as caught:
             read_json(path, seen.extend, lines=True, what="rows")
         assert seen and str(path) in str(caught.value)
+
+    def test_a_line_nested_too_deep_names_its_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("[]\n" + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"rows.jsonl:2 is not valid JSON: maximum recursion"):
+            read_json(path, lines=True, what="rows")
+
+    @pytest.mark.parametrize("bad_line", ["", '\n{"d": 4}\x0c'])
+    def test_lines_read_as_each_line_decoded_on_its_own(self, tmp_path, bad_line):
+        # Padding, blank and whitespace-only lines (a form feed is blank to
+        # str.strip(), not to JSON), a last line without a newline and,
+        # with ``bad_line``, a line that fails after all of them.
+        text = (
+            '  {"a": 1}  \n\t[1, 2]\t\n"x"\r\n{"b": null}\r\n\n   \n\x0c\n \t\r\n'
+            '{"c": [true, false]}\n7' + bad_line
+        )
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        expected, failing = [], None
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if line.strip():
+                    try:
+                        expected.append(_DECODER.decode(line))
+                    except ValueError:
+                        failing = number
+                        break
+        assert expected == [{"a": 1}, [1, 2], "x", {"b": None}, {"c": [True, False]}, 7]
+        seen = []
+        if failing is None:
+            read_json(path, seen.extend, lines=True, what="rows")
+        else:
+            with pytest.raises(DataError, match=f"rows.jsonl:{failing} is not valid JSON"):
+                read_json(path, seen.extend, lines=True, what="rows")
+        assert seen == expected
 
     def test_finite_numbers_parse(self, tmp_path):
         path = tmp_path / "document.json"
