@@ -6,22 +6,25 @@ per-sample records with per-slice and per-sample Gaussian noise.  Each
 draw is a Box-Muller transform of the blake2b digest of its seed path,
 ``(round seed, "slice" or "sample", dimension, slice or sample id)``,
 so a sample's score depends on that path alone, not on the other
-samples or their order.  The replay backend re-emits a recorded
-trajectory from a fixture.  Both are stateless: identical requests
-produce identical records no matter the call order.
+samples or their order.  A dimension's sample draws share one hash
+state that has absorbed the path up to the id; each draw continues a
+copy of it with the id, which gives the digest of the whole path.  The
+replay backend re-emits a recorded trajectory from a fixture.  Both
+are stateless: identical requests produce identical records no matter
+the call order.
 
 Synthesized records are scored like real ones: the backend picks a
-check vector whose layer-1 score is the target score, and the rubric
-assigns the state and the score from those checks.  A score of exactly
-1 always carries a floor state and a floor-check failure.  A round
-comes back as columns (``records.RoundRecords``): per dimension, the
-eval set's sample ids and annotations, and each sample's template
-number.  A template is the record scored once for each distinct
-(dimension, score, validity) in the round; it is used only for its
-columns (score, failure modes, encoded checks), which go into the run's
-template table, and the record itself is dropped.  No sample's record
-is scored again: it is its line, which ``records.write_records``
-builds from the columns.
+check vector whose layer-1 score is the target score, and
+``rubric.score_checks`` assigns the state and the score from those
+checks.  A score of exactly 1 always carries a floor state and a
+floor-check failure.  A round comes back as columns
+(``records.RoundRecords``): per dimension, the eval set's sample ids
+and annotations, and each sample's template number.  A template is
+made once for each distinct (dimension, score, validity) in the round:
+its checks, state, score and ``synthetic`` flag go straight into the
+run's template table (``records.TemplateColumns``), and no record is
+built for it.  No sample is scored on its own: its record is its line,
+which ``records.write_records`` builds from the columns.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .errors import BackendError, ConfigError
 from .fixtures import FixtureRow, ReplayFixture
@@ -55,7 +58,7 @@ from .rubric import (
     SAFE_CHECKS,
     AtomicCheckVector,
     EvalColumns,
-    scored_record,
+    score_checks,
 )
 from .sampler import DataAction, SampleManifest
 
@@ -138,37 +141,30 @@ def synthetic_checks(dimension: Dimension, score: float) -> AtomicCheckVector:
     )
 
 
-def _template_maker(dimension: Dimension) -> tuple[Callable[..., int], TemplateColumns]:
-    """The template maker and its table for one dimension of one
-    ``run_round`` call.
+class _Templates(dict):
+    """The template numbers of one dimension of one ``run_round`` call,
+    and their ``table``.
 
-    ``template(score, annotation, sample_id)`` returns the sample's
-    template number in the table, scoring each distinct ``(score,
-    valid)`` once, by ``scored_record(synthetic_checks(dimension,
-    score), ...)`` with the fields of the first sample that has it;
-    every later sample with that key shares that template.  The cache
-    lives only as long as the maker, so no call can reuse another's
-    work.
+    A sample's key is its score, negated when the sample is invalid: a
+    score is at least 1, so one float holds both, where a tuple key
+    would hold an object per template.  Looking up a key that has no template yet makes it: its
+    checks are ``synthetic_checks(dimension, score)``, their state and
+    score are what ``score_checks`` gives them, and ``table`` gets its
+    columns.  Every later sample with that key shares that template.
+    The numbers live only as long as the round, so no call can reuse
+    another's work.
     """
-    table = TemplateColumns()
-    numbers: dict[bool, dict[float, int]] = {True: {}, False: {}}
 
-    def template(score: float, annotation: PromptAnnotation, sample_id: str) -> int:
-        by_score = numbers[annotation.valid]
-        number = by_score.get(score)
-        if number is None:
-            number = by_score[score] = table.add(scored_record(
-                synthetic_checks(dimension, score),
-                sample_id=sample_id,
-                valid=annotation.valid,
-                slice_label=annotation.slice_label,
-                weight=annotation.weight,
-                invalid_reason=annotation.reason,
-                synthetic=True,
-            ))
+    def __init__(self, dimension: Dimension) -> None:
+        super().__init__()
+        self.table = TemplateColumns(dimension)
+
+    def __missing__(self, key: float) -> int:
+        score, valid = abs(key), key > 0
+        vector = synthetic_checks(self.table.dimension, score)
+        state, scored = score_checks(vector, valid=valid)
+        number = self[key] = self.table.add(vector.checks, state, scored, True)
         return number
-
-    return template, table
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +273,31 @@ class SurfaceParams:
         }
 
 
-def _clip(value: float, low: float = 1.0, high: float = 5.0) -> float:
-    return max(low, min(high, value))
-
-
 _UINT64_PAIR = struct.Struct(">QQ").unpack
 _TWO_PI = 2.0 * math.pi
 
 
-def _standard_normal(text: str) -> float:
-    """A standard normal deviate that is a function of ``text`` alone.
+def _deviate(digest: bytes) -> float:
+    """The standard normal deviate of a 16-byte digest.
 
-    The 16-byte blake2b digest of ``text`` gives two 64-bit words; the
-    top 53 bits of each make uniforms ``u1`` and ``u2`` in [0, 1), and the
-    Box-Muller transform returns ``cos(2 pi u1) * sqrt(-2 ln(1 - u2))``.
+    The digest gives two 64-bit words; the top 53 bits of each make
+    uniforms ``u1`` and ``u2`` in [0, 1), and the Box-Muller transform
+    returns ``cos(2 pi u1) * sqrt(-2 ln(1 - u2))``.
     """
-    high, low = _UINT64_PAIR(hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest())
+    high, low = _UINT64_PAIR(digest)
     u1, u2 = (high >> 11) * 2.0**-53, (low >> 11) * 2.0**-53
     return math.cos(_TWO_PI * u1) * math.sqrt(-2.0 * math.log(1.0 - u2))
+
+
+def _hash_state(text: str):
+    """A blake2b state, 16-byte digest, that has absorbed ``text``."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16)
+
+
+def _standard_normal(text: str) -> float:
+    """A standard normal deviate that is a function of ``text`` alone:
+    the ``_deviate`` of the blake2b digest of ``text``."""
+    return _deviate(_hash_state(text).digest())
 
 
 class SimulatorBackend:
@@ -338,11 +341,13 @@ class SimulatorBackend:
         runs = []
         for dimension in DIMENSION_ORDER:
             mean = means[dimension]
-            # A draw's text is the one child_seed would hash for its path.
+            # A draw hashes the text child_seed would hash for its path; a
+            # sample's draw continues a copy of the state that has hashed
+            # the path up to its id.
             slice_text = seed_text(request.seed, "slice", dimension.value, "")
-            sample_text = seed_text(request.seed, "sample", dimension.value, "")
+            sample_draw = _hash_state(seed_text(request.seed, "sample", dimension.value, "")).copy
             slice_noise: dict[str, float] = {}  # one draw per slice per round
-            template, table = _template_maker(dimension)
+            numbers = _Templates(dimension)
             templates = array("I")
             sample_ids, annotations = request.eval_sets.get(dimension, ((), ()))
             for sample_id, annotation in zip(sample_ids, annotations):
@@ -350,9 +355,12 @@ class SimulatorBackend:
                 noise = slice_noise.get(label)
                 if noise is None:
                     noise = slice_noise[label] = sigma * _standard_normal(slice_text + label)
-                raw = mean + noise + sigma * _standard_normal(sample_text + sample_id)
-                templates.append(template(round(_clip(raw), SCORE_DECIMALS), annotation, sample_id))
-            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table))
+                draw = sample_draw()
+                draw.update(sample_id.encode("utf-8"))
+                score = mean + noise + sigma * _deviate(draw.digest())
+                score = round(1.0 if score < 1.0 else 5.0 if score > 5.0 else score, SCORE_DECIMALS)
+                templates.append(numbers[score if annotation.valid else -score])
+            runs.append(RecordRun(dimension, sample_ids, annotations, templates, numbers.table))
         return RoundRecords(runs)
 
 
@@ -411,14 +419,14 @@ class ReplayBackend:
                 PromptAnnotation(dataset, valid=True, slice_label=label, weight=1.0)
                 for label in _REPLAY_SLICES[dimension]
             ]
-            template, table = _template_maker(dimension)
+            numbers = _Templates(dimension)
             scores = _spread_scores(row.metrics.get(dimension), REPLAY_SAMPLES_PER_DIMENSION)
             sample_ids = [
                 f"replay-{row.label}-{dimension.value}-{index:03d}" for index in range(len(scores))
             ]
             annotations = [slices[index % len(slices)] for index in range(len(scores))]
-            templates = [template(*sample) for sample in zip(scores, annotations, sample_ids)]
-            runs.append(RecordRun(dimension, sample_ids, annotations, templates, table))
+            templates = [numbers[score] for score in scores]  # every sample is valid
+            runs.append(RecordRun(dimension, sample_ids, annotations, templates, numbers.table))
         return RoundRecords(runs)
 
 

@@ -269,7 +269,7 @@ def load_pool(manifest: PoolManifest) -> Pool:
                 record_id = row.get("id")
                 if not isinstance(record_id, str) or not record_id:
                     raise SchemaError(
-                        f"dataset {dataset}: record id is not a non-empty string: {row!r}"
+                        f"dataset {dataset}: record id is not a non-empty string: {row!r:.60}"
                     )
                 declared = row.get("dataset")
                 if declared is not None and declared != dataset:

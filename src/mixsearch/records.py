@@ -282,55 +282,95 @@ def _value_text(value: object) -> str:
     return _ENCODER.encode(value)
 
 
-def _check_text(check: CheckResult) -> str:
-    """``check.to_json()`` encoded as ``_ENCODER`` encodes it."""
+def _head_text(check: CheckResult) -> str:
+    """``check.to_json()`` encoded as ``_ENCODER`` encodes it, up to its
+    weight: the id, ``passed``, and any ``family`` and ``hard``."""
     parts = ['{"id":', _value_text(check.check_id), ',"passed":', _value_text(check.passed)]
     if check.family is not None:
         parts += (',"family":', _value_text(check.family))
     if check.hard is not False:
         parts += (',"hard":', _value_text(check.hard))
-    if not _is_float_one(check.weight):
-        parts += (',"weight":', _value_text(check.weight))
-    parts.append("}")
     return "".join(parts)
 
 
 class TemplateColumns:
-    """The templates of one run of samples, as columns.
+    """The templates of one run of samples of ``dimension``, as columns.
 
-    A template is the record whose checks, state, score and
-    ``synthetic`` flag the samples that have it share; only these
-    columns of it are kept.  Template ``t`` is ``scores[t]``;
-    ``modes[t]``, the failed check ids then the state, which a failure
-    profile counts; and ``middles[t]`` and ``ends[t]``, its record line's
-    text from the checks to the score and from the ``synthetic`` flag
-    on.  Every column holds strings, numbers and shared tuples, so a
-    template adds no object for the cyclic garbage collector to scan.
+    A template is the checks, state, score and ``synthetic`` flag that
+    the samples that have it share; only these columns of it are kept.
+    Template ``t`` is ``scores[t]``; ``modes[t]``, the failed check ids
+    then the state, which a failure profile counts; and ``middles[t]``
+    and ``ends[t]``, its record line's text from the checks to the score
+    and from the ``synthetic`` flag on.  Every column holds strings,
+    numbers and shared tuples, so a template adds no object for the
+    cyclic garbage collector to scan.
+
+    A check's text up to its weight (its head) and a state's text are
+    encoded once per table, so a template encodes only its weights and
+    its score.  Only heads whose id and family are strings (or no
+    family) and whose flags are booleans are kept: for those, equal
+    heads encode equally, which ``1 == True`` and ``1 == 1.0`` would
+    break for others.
     """
 
-    __slots__ = ("scores", "modes", "middles", "ends", "_shared_modes")
+    __slots__ = ("dimension", "scores", "modes", "middles", "ends", "_shared_modes",
+                 "_heads", "_states")
 
-    def __init__(self) -> None:
+    def __init__(self, dimension: Dimension) -> None:
+        self.dimension = dimension
         self.scores: list[float] = []
         self.modes: list[tuple[str, ...]] = []
         self.middles: list[str] = []
         self.ends: list[str] = []
         self._shared_modes: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._heads: dict[tuple, str] = {}
+        # Per state of the dimension: its text up to the score's, and its mode.
+        self._states = {
+            state: (f'],"l2_state":{_encode_str(state.value)},"score":', state.value)
+            for state in STATES_FOR_DIMENSION[dimension]
+        }
 
-    def add(self, template: SampleRecord) -> int:
-        """Append ``template``'s columns and return its number."""
-        score, synthetic = template.score, template.synthetic
-        modes = template.failed_check_ids() + (template.l2_state.value,)
-        middle = (
-            f',"checks":[{",".join([_check_text(check) for check in template.checks])}],'
-            f'"l2_state":{_encode_str(template.l2_state.value)},"score":{_value_text(score)}'
-        )
+    def add(
+        self, checks: Sequence[CheckResult], state: L2State, score: float, synthetic: bool
+    ) -> int:
+        """Append the columns of the template with ``checks``, ``state``,
+        ``score`` and ``synthetic`` and return its number.  Like a
+        ``SampleRecord``, a template's score is in [1, 5] and its state
+        is one of its dimension's."""
+        if not 1.0 <= score <= 5.0:
+            raise ValueError(f"score {score} outside [1, 5]")
+        state_parts = self._states.get(state)
+        if state_parts is None:
+            raise ValueError(f"state {state.value} is not a {self.dimension.value} state")
+        heads = self._heads
+        texts = []
+        failed = []
+        for check in checks:
+            check_id, passed, family, hard = check.check_id, check.passed, check.family, check.hard
+            if (type(passed) is bool and type(hard) is bool and type(check_id) is str
+                    and (family is None or type(family) is str)):
+                key = (check_id, passed, family, hard)
+                head = heads.get(key)
+                if head is None:
+                    head = heads[key] = _head_text(check)
+            else:
+                head = _head_text(check)
+            weight = check.weight
+            texts.append(
+                head + "}" if _is_float_one(weight) else f'{head},"weight":{_value_text(weight)}}}'
+            )
+            if not passed:
+                failed.append(check_id)
+        state_text, mode = state_parts
+        middle = f',"checks":[{",".join(texts)}{state_text}{_value_text(score)}'
         if synthetic is True:
             end = ',"synthetic":true}\n'
         elif synthetic is False:
             end = "}\n"
         else:
             end = f',"synthetic":{_value_text(synthetic)}}}\n'
+        failed.append(mode)
+        modes = tuple(failed)
         self.scores.append(score)
         self.modes.append(self._shared_modes.setdefault(modes, modes))
         self.middles.append(middle)
@@ -379,7 +419,7 @@ class RoundRecords:
         for dimension, group in itertools.groupby(records, key=lambda record: record.dimension):
             group = list(group)
             dataset = DATASET_FOR_DIMENSION[dimension]
-            table = TemplateColumns()
+            table = TemplateColumns(dimension)
             runs.append(RecordRun(
                 dimension,
                 [record.sample_id for record in group],
@@ -390,7 +430,10 @@ class RoundRecords:
                     )
                     for record in group
                 ],
-                [table.add(record) for record in group],
+                [
+                    table.add(record.checks, record.l2_state, record.score, record.synthetic)
+                    for record in group
+                ],
                 table,
             ))
         return RoundRecords(runs)
@@ -506,10 +549,11 @@ def _read_faults(path: Path, error: type[MixSearchError], what: str) -> Iterator
 
 
 def _json_lines(
-    handle: TextIO, path: Path, error: type[MixSearchError], what: str
+    handle: TextIO, path: Path, error: type[MixSearchError], what: str, where: list[int | None]
 ) -> Iterator[object]:
     """The JSON value of each non-blank line of ``handle``, parsed as it
-    is read.
+    is read.  While a value is out, ``where[0]`` is its line's number;
+    once the lines run out, it is None.
 
     A line is scanned once: a value that starts the line and is followed
     by nothing but its newline is taken as it is.  Any other line (blank,
@@ -531,7 +575,9 @@ def _json_lines(
                     value = _DECODER.decode(line)
             except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise error(f"{what} {path}:{number} is not valid JSON: {exc}") from exc
+            where[0] = number
             yield value
+    where[0] = None
 
 
 def read_json(
@@ -559,14 +605,17 @@ def read_json(
     ``Infinity``, a number that overflows a float and an integer too long
     to convert are not JSON), or ``build`` rejects what it parsed.  An
     ``error`` raised by ``build`` keeps its class, and gains the file's
-    name when its message lacks it.
+    name when its message lacks it.  With ``lines``, an error ``build``
+    raises while it holds a line's value names that line too; one raised
+    after the last line names none.
     """
     path = Path(path)
     with _read_faults(path, error, what):
         handle = open(path, "r", encoding="utf-8")
+    where: list[int | None] = [None]
     with handle:
         if lines:
-            parsed = _json_lines(handle, path, error, what)
+            parsed = _json_lines(handle, path, error, what, where)
         else:
             with _read_faults(path, error, what):
                 parsed = _DECODER.decode(handle.read())
@@ -576,10 +625,17 @@ def read_json(
             return build(parsed)
         except error as exc:
             if str(path) not in str(exc):
-                exc.args = (f"{what} {path}: {exc}",)
+                exc.args = (f"{what} {_located(path, where[0])}: {exc}",)
             raise
         except (LookupError, TypeError, ValueError, AttributeError, MixSearchError) as exc:
-            raise error(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc
+            raise error(
+                f"{what} {_located(path, where[0])} is malformed ({type(exc).__name__}: {exc})"
+            ) from exc
+
+
+def _located(path: Path, line: int | None) -> str:
+    """``path``, then ``:line`` when there is a line."""
+    return f"{path}" if line is None else f"{path}:{line}"
 
 
 _TYPE_NAMES = {

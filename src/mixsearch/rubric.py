@@ -279,6 +279,13 @@ def score_l1(
     return DimensionScore(round(1.0 + 4.0 * (passed / total), SCORE_DECIMALS))
 
 
+def score_checks(vector: AtomicCheckVector, *, valid: bool) -> tuple[L2State, float]:
+    """The one place checks get their state and score: layer 2 folds the
+    checks into a state, and layer 1 scores the checks plus that state."""
+    state = aggregate_l2(vector)
+    return state, score_l1(vector, state, valid=valid).value
+
+
 def scored_record(
     vector: AtomicCheckVector,
     *,
@@ -289,9 +296,8 @@ def scored_record(
     invalid_reason: str | None = None,
     synthetic: bool = False,
 ) -> SampleRecord:
-    """The one place a record gets its state and score: layer 2 folds the
-    checks into a state, and layer 1 scores the checks plus that state."""
-    state = aggregate_l2(vector)
+    """A record with the state and score ``score_checks`` gives its checks."""
+    state, score = score_checks(vector, valid=valid)
     return SampleRecord(
         sample_id=sample_id,
         dimension=vector.dimension,
@@ -300,7 +306,7 @@ def scored_record(
         weight=weight,
         checks=vector.checks,
         l2_state=state,
-        score=score_l1(vector, state, valid=valid).value,
+        score=score,
         invalid_reason=invalid_reason,
         synthetic=synthetic,
     )
@@ -454,10 +460,10 @@ class EvalSample:
         try:
             dataset = Dataset(obj["dataset"])
         except (KeyError, ValueError) as exc:
-            raise SchemaError(f"eval sample has unknown dataset: {obj!r}") from exc
+            raise SchemaError(f"eval sample has unknown dataset: {obj!r:.60}") from exc
         sample_id = obj.get("id")
         if not isinstance(sample_id, str) or not sample_id:
-            raise SchemaError(f"eval sample id is not a non-empty string: {obj!r}")
+            raise SchemaError(f"eval sample id is not a non-empty string: {obj!r:.60}")
         tags = tag_mapping(obj.get("tags", {}), f"eval sample {sample_id!r} tags")
         return EvalSample(sample_id=sample_id, dataset=dataset, tags=tags)
 

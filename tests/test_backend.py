@@ -34,6 +34,7 @@ from mixsearch.rubric import (
     AtomicCheckVector,
     PromptAnnotation,
     aggregate_l2,
+    score_checks,
     score_l1,
     scored_record,
 )
@@ -313,6 +314,38 @@ class TestNoise:
             slice_draws[(dimension, record.slice_label)] = expected
         assert len(set(slice_draws.values())) == len(slice_draws) == 6
 
+    def test_a_score_is_its_clipped_rounded_draw_exactly(self):
+        sigma, seed = 0.5, 13
+        sample_ids = ["é-1", "数据-2", "emoji-🙂-3", "pipe|4"] + [f"s-{i}" for i in range(12)]
+        sets = {
+            DIMENSION_FOR_DATASET[dataset]: columns(
+                (sample_id, PromptAnnotation(dataset, True, f"tier={'ab'[index % 2]}", 1.0))
+                for index, sample_id in enumerate(sample_ids)
+            )
+            for dataset in Dataset
+        }
+        # Means on both bounds and wide noise: scores clip to 1 and to 5.
+        backend = SimulatorBackend(
+            flat_surface(base={"SAFE": 1.0, "BENIGN": 5.0, "IF": 3.0}, noise_sigma=sigma)
+        )
+        means = backend.dimension_means({dataset: 0.0 for dataset in Dataset})
+        records = list(backend.run_round(request_for(seed=seed, sets=sets)))
+        assert len(records) == 3 * len(sample_ids)
+        for record in records:
+            dimension = record.dimension.value
+            draw = (
+                means[record.dimension]
+                + sigma * backend_module._standard_normal(
+                    seed_text(seed, "slice", dimension, record.slice_label)
+                )
+                + sigma * backend_module._standard_normal(
+                    seed_text(seed, "sample", dimension, record.sample_id)
+                )
+            )
+            assert record.score == round(min(5, max(1, draw)), 4), record.sample_id
+        scores = {record.score for record in records}
+        assert {1.0, 5.0} < scores
+
     def test_the_draw_is_a_standard_normal(self):
         draws = [
             backend_module._standard_normal(seed_text(1, "sample", "SAFE", f"id-{index}"))
@@ -344,6 +377,7 @@ class TestSynthesizedRecords:
         vector = AtomicCheckVector(dimension=record.dimension, checks=record.checks)
         assert aggregate_l2(vector) is record.l2_state
         assert record.score == score_l1(vector, record.l2_state, valid=valid).value
+        assert score_checks(vector, valid=valid) == (record.l2_state, record.score)
         assert record.score == score
 
     @pytest.mark.parametrize("dimension", list(Dimension))
@@ -375,8 +409,9 @@ def _own_and_shared(records):
     gives them, and as the round shares them, in record order."""
     own = []
     for record in scored_one_by_one(records):
-        table = TemplateColumns()
-        own.append(_template_row(table, table.add(record)))
+        table = TemplateColumns(record.dimension)
+        number = table.add(record.checks, record.l2_state, record.score, record.synthetic)
+        own.append(_template_row(table, number))
     shared = [_template_row(run.table, t) for run in records.runs for t in run.templates]
     return own, shared
 

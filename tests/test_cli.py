@@ -720,8 +720,10 @@ FAULTS = {
 FAULT_MESSAGES = {
     "records-tags-null": "tags must be a JSON object, got None",
     "eval-set-tags-null": "tags must be a JSON object, got None",
-    "records-row-list": "a record must be a JSON object, got [{'id': 'xg-001'",
-    "eval-set-row-list": "an eval sample must be a JSON object, got [{'id': 'if-eval-000'",
+    "records-row-list": "xguard.jsonl:1: a record must be a JSON object, got [{'id': 'xg-001'",
+    "eval-set-row-list": (
+        "eval_if.jsonl:1: an eval sample must be a JSON object, got [{'id': 'if-eval-000'"
+    ),
     "records-bucket-before-bad-json": "undeclared bucket 'no-such-bucket'",
     "records-not-utf8-at-end": "is not UTF-8 text",
     "eval-set-not-utf8-at-end": "is not UTF-8 text",

@@ -236,6 +236,12 @@ class TestWriteRecords:
         _record(sample_id=7, synthetic=1, score=True),
         _record(sample_id=None, synthetic=0),
     ])
+    @example([  # checks of one run that differ only by a flag's True against 1
+        _record(checks=(CheckResult("c1", True, hard=True),)),
+        _record(checks=(CheckResult("c1", 1, hard=True),)),
+        _record(checks=(CheckResult("c2", False, hard=True),)),
+        _record(checks=(CheckResult("c2", False, hard=1),)),
+    ])
     def test_lines_are_json_dumps_of_to_json(self, records):
         written = _written(records)
         expected = "".join(_compact_line(record) for record in records)
@@ -337,6 +343,30 @@ class TestReadJson:
             with pytest.raises(DataError, match=f"rows.jsonl:{failing} is not valid JSON"):
                 read_json(path, seen.extend, lines=True, what="rows")
         assert seen == expected
+
+    def test_an_error_build_raises_names_the_line_it_holds(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n{"b": 3}\n', encoding="utf-8")
+
+        def strict(rows):
+            for row in rows:
+                if "a" not in row:
+                    raise DataError(f"row {row!r} has no a")
+
+        def lookup(rows):
+            return [row["a"] for row in rows]
+
+        def counted(rows):
+            if len(list(rows)) > 2:
+                raise DataError("too many rows")
+
+        with pytest.raises(DataError, match=r"rows.jsonl:4: row \{'b': 3\} has no a$"):
+            read_json(path, strict, lines=True, what="rows")
+        with pytest.raises(DataError, match=r"rows.jsonl:4 is malformed \(KeyError: 'a'\)"):
+            read_json(path, lookup, lines=True, what="rows")
+        # Raised after the last row: the file, and no line.
+        with pytest.raises(DataError, match=r"rows.jsonl: too many rows$"):
+            read_json(path, counted, lines=True, what="rows")
 
     def test_finite_numbers_parse(self, tmp_path):
         path = tmp_path / "document.json"
