@@ -214,13 +214,19 @@ class Pool:
         key = (dataset_id, bucket_id)
         groups = self._tag_groups.get(key)
         if groups is None:
-            shortest: dict[int, tuple[dict[str, str], int]] = {}
             _, lengths, tags_column = self.windows(dataset_id, bucket_id)
-            for tags, length in zip(tags_column, lengths):
-                seen = shortest.get(id(tags))
-                if seen is None or length < seen[1]:
-                    shortest[id(tags)] = (tags, length)
-            groups = self._tag_groups[key] = tuple(shortest.values())
+            # Equal mappings are one object, so a bucket whose windows all
+            # equal the first has one group, found without a per-window loop.
+            if tags_column and tags_column.count(tags_column[0]) == len(tags_column):
+                groups = ((tags_column[0], min(lengths)),)
+            else:
+                shortest: dict[int, tuple[dict[str, str], int]] = {}
+                for tags, length in zip(tags_column, lengths):
+                    seen = shortest.get(id(tags))
+                    if seen is None or length < seen[1]:
+                        shortest[id(tags)] = (tags, length)
+                groups = tuple(shortest.values())
+            self._tag_groups[key] = groups
         return groups
 
     def window_count(self, dataset_id: Dataset) -> int:

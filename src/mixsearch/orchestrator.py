@@ -64,6 +64,7 @@ from .profiles import (
 from .proposer import PolicyConfig, RoundHistory, RoundRecord, propose_explained
 from .records import (
     DIMENSION_ORDER,
+    Dataset,
     Dimension,
     child_seed,
     config_fields,
@@ -71,7 +72,14 @@ from .records import (
     read_json,
     write_records,
 )
-from .rubric import EvalColumns, PromptAnnotation, SliceTaxonomy, annotate_prompt, load_eval_set
+from .rubric import (
+    AnnotationKey,
+    EvalColumns,
+    PromptAnnotation,
+    SliceTaxonomy,
+    annotate_prompt,
+    load_eval_set,
+)
 from .sampler import (
     DataAction,
     draw_budgeted,
@@ -415,22 +423,22 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
     eval_sets: dict[Dimension, EvalColumns] = {dim: ([], []) for dim in DIMENSION_ORDER}
     # An annotation depends on the sample's dataset and tags alone, so
     # each distinct pair is annotated once and shared by its samples.
-    by_tags: dict[tuple, PromptAnnotation] = {}
+    by_tags: dict[AnnotationKey, PromptAnnotation] = {}
     seen_ids: set[str] = set()
+
+    def annotate(dataset: Dataset, tags: dict[str, str]) -> PromptAnnotation:
+        return annotate_prompt(dataset, tags, taxonomy)
+
     for path in config.eval_set_paths:
-        for sample in load_eval_set(path):
-            if sample.sample_id in seen_ids:
+        for sample_id, annotation in load_eval_set(path, annotate, by_tags):
+            if sample_id in seen_ids:
                 raise DataError(
-                    f"eval set {path}: sample id {sample.sample_id!r} repeats an id of this "
+                    f"eval set {path}: sample id {sample_id!r} repeats an id of this "
                     "or an earlier eval set"
                 )
-            seen_ids.add(sample.sample_id)
-            key = (sample.dataset, frozenset(sample.tags.items()))
-            annotation = by_tags.get(key)
-            if annotation is None:
-                annotation = by_tags[key] = annotate_prompt(sample, taxonomy)
+            seen_ids.add(sample_id)
             sample_ids, annotations = eval_sets[annotation.dimension]
-            sample_ids.append(sample.sample_id)
+            sample_ids.append(sample_id)
             annotations.append(annotation)
     valid = {annotation.dimension for annotation in by_tags.values() if annotation.valid}
     for dimension in DIMENSION_ORDER:

@@ -132,7 +132,7 @@ def _is_float_one(weight: object) -> bool:
     return type(weight) is float and weight == 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Outcome of one atomic check.
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import SchemaError
 from .fixtures import default_taxonomy_path
@@ -93,7 +93,7 @@ class ConstraintSpec:
                 raise ValueError("STRUCTURE constraint needs min_count and/or max_count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicCheckVector:
     """Ordered layer-3 verdicts for one sample."""
 
@@ -410,65 +410,87 @@ class SliceTaxonomy:
         return {"family": family, "complexity": tags["complexity"]}
 
 
-def annotate_prompt(sample: "EvalSample", taxonomy: SliceTaxonomy) -> PromptAnnotation:
-    """Attach slice, weight, and validity to an eval sample.
+def annotate_prompt(
+    dataset: Dataset, tags: Mapping[str, str], taxonomy: SliceTaxonomy
+) -> PromptAnnotation:
+    """Attach slice, weight, and validity to an eval sample's dataset and tags.
 
     Unmappable tags and flagged-unanswerable benign requests yield
-    ``valid=False`` with a reason instead of an exception; only an
-    unknown dataset is a schema error.
+    ``valid=False`` with a reason instead of an exception.
     """
     try:
-        fields = taxonomy.slice_fields(sample.dataset, sample.tags)
+        fields = taxonomy.slice_fields(dataset, tags)
     except ValueError as exc:
         return PromptAnnotation(
-            dataset=sample.dataset,
+            dataset=dataset,
             valid=False,
             slice_label="unmapped",
             weight=1.0,
             reason=str(exc),
         )
     label = slice_key(fields)
-    weight = taxonomy.weight_for(sample.dataset, label)
-    if sample.dataset is Dataset.ORBENCH and sample.tags.get("answerable", "true") == "false":
+    weight = taxonomy.weight_for(dataset, label)
+    if dataset is Dataset.ORBENCH and tags.get("answerable", "true") == "false":
         return PromptAnnotation(
-            dataset=sample.dataset,
+            dataset=dataset,
             valid=False,
             slice_label=label,
             weight=weight,
             reason="unanswerable",
         )
-    return PromptAnnotation(dataset=sample.dataset, valid=True, slice_label=label, weight=weight)
+    return PromptAnnotation(dataset=dataset, valid=True, slice_label=label, weight=weight)
 
 
 # ---------------------------------------------------------------------------
-# Eval samples
+# Eval sets
 
 
-@dataclass(frozen=True)
-class EvalSample:
-    """One evaluation prompt: its id, dataset and slice tags.  An eval-set
-    row's other keys are ignored."""
+_DATASETS = {dataset.value: dataset for dataset in Dataset}
 
-    sample_id: str
-    dataset: Dataset
-    tags: dict[str, str]
-
-    @staticmethod
-    def from_json(obj: object) -> "EvalSample":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"an eval sample must be a JSON object, got {obj!r:.60}")
-        try:
-            dataset = Dataset(obj["dataset"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"eval sample has unknown dataset: {obj!r:.60}") from exc
-        sample_id = obj.get("id")
-        if not isinstance(sample_id, str) or not sample_id:
-            raise SchemaError(f"eval sample id is not a non-empty string: {obj!r:.60}")
-        tags = tag_mapping(obj.get("tags", {}), f"eval sample {sample_id!r} tags")
-        return EvalSample(sample_id=sample_id, dataset=dataset, tags=tags)
+# What a sample's annotation depends on: its dataset and its tags, in any key order.
+AnnotationKey = tuple[Dataset, frozenset[tuple[str, str]]]
 
 
-def load_eval_set(path: Path | str) -> list[EvalSample]:
-    return read_json(
-        path, lambda rows: [EvalSample.from_json(row) for row in rows], lines=True, what="eval set"
-    )
+def load_eval_set(
+    path: Path | str,
+    annotate: Callable[[Dataset, dict[str, str]], PromptAnnotation],
+    shared: dict[AnnotationKey, PromptAnnotation],
+) -> list[tuple[str, PromptAnnotation]]:
+    """The eval set ``path`` as one (sample id, annotation) pair per row,
+    in file order.
+
+    A row is a JSON object with a known ``dataset``, an ``id`` that is a
+    non-empty string and optional ``tags``, an object of strings; its
+    other keys are ignored.  ``shared`` maps each distinct dataset and
+    tags to one annotation, which ``annotate`` makes the first time the
+    pair is met, so each row keeps only its id and a shared annotation.
+    """
+
+    def build(rows) -> list[tuple[str, PromptAnnotation]]:
+        pairs = []
+        for row in rows:
+            if not isinstance(row, dict):
+                raise SchemaError(f"an eval sample must be a JSON object, got {row!r:.60}")
+            dataset = row.get("dataset")
+            dataset = _DATASETS.get(dataset) if type(dataset) is str else None
+            if dataset is None:
+                raise SchemaError(f"eval sample has unknown dataset: {row!r:.60}")
+            sample_id = row.get("id")
+            if type(sample_id) is not str or not sample_id:
+                raise SchemaError(f"eval sample id is not a non-empty string: {row!r:.60}")
+            tags = row.get("tags", {})
+            try:
+                key = (dataset, frozenset(tags.items()))
+            except (AttributeError, TypeError):  # not an object, or a value a set cannot hold
+                key = None
+            annotation = shared.get(key)
+            if annotation is None:
+                # Every key in ``shared`` came from checked tags, so only a new
+                # key needs the check; ``tag_mapping`` raises its error.
+                if type(tags) is not dict or not all(type(v) is str for v in tags.values()):
+                    tag_mapping(tags, f"eval sample {sample_id!r} tags")
+                annotation = shared[key] = annotate(dataset, tags)
+            pairs.append((sample_id, annotation))
+        return pairs
+
+    return read_json(path, build, lines=True, what="eval set")

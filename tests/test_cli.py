@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 
 import pytest
@@ -10,15 +11,15 @@ import pytest
 import mixsearch.orchestrator as orchestrator
 from mixsearch.cli import main
 from mixsearch.corpus import PoolManifest, load_pool
-from mixsearch.errors import MixSearchError
+from mixsearch.errors import DataError, MixSearchError
 from mixsearch.fixtures import (
     default_fixture_path,
     default_taxonomy_path,
     demo_config_path,
     row_check,
 )
-from mixsearch.records import DIMENSION_FOR_DATASET, DIMENSION_ORDER
-from mixsearch.rubric import SliceTaxonomy, annotate_prompt, load_eval_set
+from mixsearch.records import DIMENSION_FOR_DATASET, DIMENSION_ORDER, Dataset
+from mixsearch.rubric import SliceTaxonomy, annotate_prompt
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
 
@@ -574,6 +575,18 @@ FAULTS = {
         "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "tags", value=None)), 3
     ),
     "eval-set-not-utf8-at-end": ("run", "eval_if.jsonl", _not_utf8_at_end, 3),
+    "eval-set-dataset-unknown": (
+        "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "dataset", value="NOPE")), 3
+    ),
+    "eval-set-dataset-list": (
+        "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "dataset", value=["IF"])), 3
+    ),
+    "eval-set-dataset-missing": (
+        "run",
+        "eval_if.jsonl",
+        _edit_line(0, lambda row: {key: value for key, value in row.items() if key != "dataset"}),
+        3,
+    ),
     "eval-set-id-number": (
         "run", "eval_if.jsonl", _edit_line(0, lambda row: _set(row, "id", value=5)), 3
     ),
@@ -724,6 +737,10 @@ FAULT_MESSAGES = {
     "eval-set-row-list": (
         "eval_if.jsonl:1: an eval sample must be a JSON object, got [{'id': 'if-eval-000'"
     ),
+    **{
+        f"eval-set-dataset-{how}": "eval_if.jsonl:1: eval sample has unknown dataset"
+        for how in ("unknown", "list", "missing")
+    },
     "records-bucket-before-bad-json": "undeclared bucket 'no-such-bucket'",
     "records-not-utf8-at-end": "is not UTF-8 text",
     "eval-set-not-utf8-at-end": "is not UTF-8 text",
@@ -771,10 +788,43 @@ def test_bad_input_exits_with_one_error_line(case, fault_inputs, replay_out, tmp
     assert not out.exists()  # inputs are loaded before the run directory is made
 
 
+class _UnreadableEval(Exception):
+    """An eval file, or the ``file:line`` of an eval row, that
+    ``_eval_samples`` cannot read as a sample."""
+
+
+_DATASET_NAMES = [dataset.value for dataset in Dataset]
+
+
+def _eval_samples(path):
+    """Each row of the eval file ``path`` as its (dataset, id, tags), each
+    line parsed on its own by ``json.loads``.  A file that cannot be read
+    as UTF-8 text, or a row that is not an object with a known dataset, a
+    non-empty string id and tags of strings, raises ``_UnreadableEval``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except (OSError, UnicodeDecodeError):
+        raise _UnreadableEval(str(path)) from None
+    for number, line in enumerate(lines, 1):
+        try:
+            row = json.loads(line)
+        except ValueError:
+            row = None
+        if not isinstance(row, dict) or row.get("dataset") not in _DATASET_NAMES:
+            raise _UnreadableEval(f"{path}:{number}")
+        sample_id, tags = row.get("id"), row.get("tags", {})
+        if not (isinstance(sample_id, str) and sample_id and isinstance(tags, dict)) or not all(
+            isinstance(value, str) for value in tags.values()
+        ):
+            raise _UnreadableEval(f"{path}:{number}")
+        yield Dataset(row["dataset"]), sample_id, tags
+
+
 def _annotated_one_by_one(config):
     """The ``(sample id, annotation)`` pairs of ``_load_runtime(config)``'s
-    eval sets, with ``annotate_prompt`` called on every sample, inputs
-    loaded in the same order."""
+    eval sets, inputs loaded in the same order, with ``annotate_prompt``
+    called on every row that ``_eval_samples`` reads."""
     taxonomy = (
         SliceTaxonomy.from_file(config.taxonomy_path)
         if config.taxonomy_path
@@ -782,9 +832,9 @@ def _annotated_one_by_one(config):
     )
     load_pool(PoolManifest.from_file(config.pool_manifest_path))
     pairs = [
-        (sample.sample_id, annotate_prompt(sample, taxonomy))
+        (sample_id, annotate_prompt(dataset, tags, taxonomy))
         for path in config.eval_set_paths
-        for sample in load_eval_set(path)
+        for dataset, sample_id, tags in _eval_samples(path)
     ]
     return [pair for dim in DIMENSION_ORDER for pair in pairs if pair[1].dimension is dim]
 
@@ -880,12 +930,19 @@ ANNOTATION_CASES = {
 def test_eval_annotations_equal_one_by_one_annotation(case, fault_inputs):
     """``_load_runtime`` annotates each distinct (dataset, tags) pair once;
     every annotation, reason included, and every error equal those of
-    annotating each sample on its own."""
+    annotating each sample on its own.  An eval row the reference cannot
+    read fails the load with a data error naming its file and line."""
     if ANNOTATION_CASES[case] is not None:
         name, damage = ANNOTATION_CASES[case]
         damage(fault_inputs / name)
     config = orchestrator.LoopConfig.from_file(fault_inputs / "config.json")
-    expected = _outcome(_annotated_one_by_one, config)
+    try:
+        expected = _outcome(_annotated_one_by_one, config)
+    except _UnreadableEval as exc:
+        outcome = _outcome(_annotated, config)
+        assert isinstance(outcome, tuple) and issubclass(outcome[0], DataError), outcome
+        assert re.search(re.escape(exc.args[0]) + r"(?!\d)", outcome[1]), outcome
+        return
     assert _outcome(_annotated, config) == expected
     if case.startswith("tag-variety"):
         assert len({a.reason for _, a in expected}) >= 4
@@ -900,15 +957,14 @@ def test_eval_samples_with_one_tag_set_share_one_annotation(case, fault_inputs):
         damage(fault_inputs / name)
     config = orchestrator.LoopConfig.from_file(fault_inputs / "config.json")
     eval_sets = orchestrator._load_runtime(config).eval_sets
-    samples = [sample for path in config.eval_set_paths for sample in load_eval_set(path)]
+    samples = [sample for path in config.eval_set_paths for sample in _eval_samples(path)]
     objects = {}  # (dataset, tags) -> ids of the annotation objects its samples hold
     for dim in DIMENSION_ORDER:
         sample_ids, annotations = eval_sets[dim]
-        ours = [s for s in samples if DIMENSION_FOR_DATASET[s.dataset] is dim]
-        assert sample_ids == [s.sample_id for s in ours]
-        for sample, annotation in zip(ours, annotations, strict=True):
-            key = (sample.dataset, frozenset(sample.tags.items()))
-            objects.setdefault(key, set()).add(id(annotation))
+        ours = [s for s in samples if DIMENSION_FOR_DATASET[s[0]] is dim]
+        assert sample_ids == [sample_id for _, sample_id, _ in ours]
+        for (dataset, _, tags), annotation in zip(ours, annotations, strict=True):
+            objects.setdefault((dataset, frozenset(tags.items())), set()).add(id(annotation))
     assert all(len(ids) == 1 for ids in objects.values())
     assert len(set().union(*objects.values())) == len(objects)
 

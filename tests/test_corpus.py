@@ -221,6 +221,9 @@ class TestSharedTags:
         "XGUARD": {
             "hot": [30, 5, 12, (70, {"difficulty": "3"}), (9, {"difficulty": "3"})],
             "cold": [20, (25, {"tier": "hot"}), (8, {"difficulty": "1"})],
+            # Only plain documents, so every window holds the bucket's mapping.
+            "plain": [40, 7, 12],
+            "empty": [],
         },
         "IF": {"hot": [11, (4, {"difficulty": "3"})]},
     }
@@ -267,6 +270,9 @@ class TestSharedTags:
                 assert len(groups) == len(shortest)
         # XGUARD/hot: plain documents (30, 5, 12) and difficulty=3 ones (32, 32, 6, 9).
         assert [length for _, length in pool.tag_groups(Dataset.XGUARD, "hot")] == [5, 6]
+        # XGUARD/plain: windows of 32, 8, 7 and 12 tokens, all with the bucket's tags.
+        assert pool.tag_groups(Dataset.XGUARD, "plain") == (({"tier": "plain"}, 7),)
+        assert pool.tag_groups(Dataset.XGUARD, "empty") == ()
 
     def test_equal_tags_in_another_key_order_share_one_mapping(self, tmp_path):
         layout = {

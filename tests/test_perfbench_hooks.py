@@ -66,7 +66,7 @@ def test_every_counter_counts_a_demo_run(tmp_path, capsys):
     def recording(name, count):
         def counted(args, result):
             counts = count(args, result)
-            produced[name] = counts
+            produced.setdefault(name, []).append(counts)
             return counts
 
         return counted
@@ -78,10 +78,14 @@ def test_every_counter_counts_a_demo_run(tmp_path, capsys):
         assert cli.main(["run", "--config", str(demo_config_path()), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert produced.keys() == spans.COUNTERS.keys()
-    for name, counts in produced.items():
-        assert counts, name
-        for key, value in counts.items():
-            assert isinstance(value, (int, float)) and tracer.counts[key] >= value >= 0, key
+    for name, calls in produced.items():
+        for counts in calls:
+            assert counts, name
+            for key, value in counts.items():
+                assert isinstance(value, (int, float)) and tracer.counts[key] >= value >= 0, key
+    # Each demo eval file holds 60 samples.
+    eval_sets = orchestrator.LoopConfig.from_file(demo_config_path()).eval_set_paths
+    assert produced["rubric.load_eval_set"] == [{"rubric.samples": 60}] * len(eval_sets)
 
 
 def test_output_checks_pass_on_a_demo_run_and_a_replay_run(tmp_path, capsys):

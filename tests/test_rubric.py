@@ -1,4 +1,6 @@
 """L1-L3 rubric: constraint checks, state aggregation, scoring, annotation."""
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +11,10 @@ from mixsearch.rubric import (
     AtomicCheckVector,
     ConstraintFamily,
     ConstraintSpec,
-    EvalSample,
     SliceTaxonomy,
     aggregate_l2,
     annotate_prompt,
+    load_eval_set,
     score_l1,
     verify_constraints,
     BENIGN_CHECKS,
@@ -326,69 +328,75 @@ def taxonomy():
 
 class TestAnnotatePrompt:
     def test_unanswerable_benign_is_invalid(self, taxonomy):
-        sample = EvalSample(
-            sample_id="s1",
-            dataset=Dataset.ORBENCH,
-            tags={"category": "privacy", "proximity": "NEAR", "answerable": "false"},
-        )
-        annotation = annotate_prompt(sample, taxonomy)
+        tags = {"category": "privacy", "proximity": "NEAR", "answerable": "false"}
+        annotation = annotate_prompt(Dataset.ORBENCH, tags, taxonomy)
         assert not annotation.valid
         assert annotation.reason == "unanswerable"
 
     def test_complexity_is_max_of_pressure_and_concealment(self, taxonomy):
-        sample = EvalSample(
-            sample_id="s2",
-            dataset=Dataset.XGUARD,
-            tags={"pressure": "HIGH", "concealment": "NESTED"},
-        )
-        annotation = annotate_prompt(sample, taxonomy)
+        tags = {"pressure": "HIGH", "concealment": "NESTED"}
+        annotation = annotate_prompt(Dataset.XGUARD, tags, taxonomy)
         assert annotation.valid
         assert annotation.slice_label == "complexity=HIGH"
 
     def test_mixed_grades_take_the_higher(self, taxonomy):
-        sample = EvalSample(
-            sample_id="s3",
-            dataset=Dataset.XGUARD,
-            tags={"pressure": "LOW", "concealment": "OBFUSCATED"},
-        )
-        assert annotate_prompt(sample, taxonomy).slice_label == "complexity=MED"
+        tags = {"pressure": "LOW", "concealment": "OBFUSCATED"}
+        assert annotate_prompt(Dataset.XGUARD, tags, taxonomy).slice_label == "complexity=MED"
 
     def test_if_slice_and_default_weight(self, taxonomy):
-        sample = EvalSample(
-            sample_id="s4",
-            dataset=Dataset.IF,
-            tags={"family": "LENGTH", "complexity": "2"},
-        )
-        annotation = annotate_prompt(sample, taxonomy)
+        annotation = annotate_prompt(Dataset.IF, {"family": "LENGTH", "complexity": "2"}, taxonomy)
         assert annotation.valid
         assert annotation.slice_label == "complexity=2|family=LENGTH"
         assert annotation.weight == 1.0
 
     def test_xguard_weights_grow_with_complexity(self, taxonomy):
         def weight_of(pressure):
-            sample = EvalSample(
-                sample_id="s",
-                dataset=Dataset.XGUARD,
-                tags={"pressure": pressure, "concealment": "NONE"},
-            )
-            return annotate_prompt(sample, taxonomy).weight
+            tags = {"pressure": pressure, "concealment": "NONE"}
+            return annotate_prompt(Dataset.XGUARD, tags, taxonomy).weight
 
         assert weight_of("LOW") < weight_of("MED") < weight_of("HIGH")
 
     def test_unknown_tag_value_marks_invalid(self, taxonomy):
-        sample = EvalSample(
-            sample_id="s5",
-            dataset=Dataset.ORBENCH,
-            tags={"category": "finance", "proximity": "NEAR"},
-        )
-        annotation = annotate_prompt(sample, taxonomy)
+        tags = {"category": "finance", "proximity": "NEAR"}
+        annotation = annotate_prompt(Dataset.ORBENCH, tags, taxonomy)
         assert not annotation.valid
         assert "finance" in annotation.reason
         assert annotation.slice_label == "unmapped"
 
     def test_missing_tag_marks_invalid(self, taxonomy):
-        sample = EvalSample(sample_id="s6", dataset=Dataset.XGUARD, tags={"pressure": "LOW"})
-        annotation = annotate_prompt(sample, taxonomy)
+        annotation = annotate_prompt(Dataset.XGUARD, {"pressure": "LOW"}, taxonomy)
         assert not annotation.valid
         assert "concealment" in annotation.reason
+
+
+class TestLoadEvalSet:
+    ROWS = [
+        {"id": "a", "dataset": "XGUARD", "tags": {"pressure": "LOW", "concealment": "NONE"}},
+        {"id": "b", "dataset": "XGUARD", "tags": {"concealment": "NONE", "pressure": "LOW"}},
+        {"id": "c", "dataset": "IF", "tags": {"pressure": "LOW", "concealment": "NONE"}},
+        {"id": "d", "dataset": "IF", "response_text": 5},
+        {"id": "e", "dataset": "IF", "tags": {}},
+    ]
+
+    def test_each_dataset_and_tag_set_is_annotated_once(self, tmp_path, taxonomy):
+        path = tmp_path / "eval.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in self.ROWS), encoding="utf-8")
+        calls = []
+
+        def annotate(dataset, tags):
+            calls.append((dataset, tags))
+            return annotate_prompt(dataset, tags, taxonomy)
+
+        shared = {}
+        pairs = load_eval_set(path, annotate, shared)
+        assert [sample_id for sample_id, _ in pairs] == ["a", "b", "c", "d", "e"]
+        assert [dataset for dataset, _ in calls] == [Dataset.XGUARD, Dataset.IF, Dataset.IF]
+        assert pairs[0][1] is pairs[1][1] and pairs[3][1] is pairs[4][1]
+        for (_, annotation), row in zip(pairs, self.ROWS):
+            dataset = Dataset(row["dataset"])
+            assert annotation == annotate_prompt(dataset, row.get("tags", {}), taxonomy)
+        # A second file reuses the annotations the first one made.
+        again = load_eval_set(path, annotate, shared)
+        assert all(a is b for (_, a), (_, b) in zip(again, pairs, strict=True))
+        assert len(calls) == 3
 
