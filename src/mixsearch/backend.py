@@ -21,10 +21,11 @@ floor-check failure.  A round comes back as columns
 (``records.RoundRecords``): per dimension, the eval set's sample ids
 and annotations, and each sample's template number.  A template is
 made once for each distinct (dimension, score, validity) in the round:
-its checks, state, score and ``synthetic`` flag go straight into the
-run's template table (``records.TemplateColumns``), and no record is
-built for it.  No sample is scored on its own: its record is its line,
-which ``records.write_records`` builds from the columns.
+its checks, state and score go straight into the run's template table
+(``records.TemplateColumns``), and no record is built for it.  No
+sample is scored on its own: its record is its line, which
+``records.write_records`` builds from the columns and marks
+``synthetic``.
 """
 from __future__ import annotations
 
@@ -163,7 +164,7 @@ class _Templates(dict):
         score, valid = abs(key), key > 0
         vector = synthetic_checks(self.table.dimension, score)
         state, scored = score_checks(vector, valid=valid)
-        number = self[key] = self.table.add(vector.checks, state, scored, True)
+        number = self[key] = self.table.add(vector.checks, state, scored)
         return number
 
 

@@ -65,14 +65,6 @@ def window_lengths(token_count: int, window_length: int, stride: int) -> list[in
     return [min(window_length, token_count - start) for start in range(0, token_count, stride)]
 
 
-def split_windows(token_count: int, window_length: int, stride: int) -> list[tuple[int, int]]:
-    """The (start, length) windows of a document of ``token_count``
-    tokens: ``window_lengths`` paired with the starts, 0, ``stride``,
-    ``2 * stride`` and so on."""
-    lengths = window_lengths(token_count, window_length, stride)
-    return list(zip(range(0, token_count, stride), lengths))
-
-
 @dataclass(frozen=True)
 class Bucket:
     bucket_id: str

@@ -16,7 +16,6 @@ from .records import (
     SCALE,
     Dimension,
     RoundRecords,
-    SampleRecord,
     config_fields,
 )
 
@@ -69,14 +68,14 @@ class MetricVector:
         return " / ".join(format(v, spec) for v in self.as_tuple())
 
 
-def metric_vector(records: RoundRecords | Iterable[SampleRecord]) -> MetricVector:
+def metric_vector(records: RoundRecords) -> MetricVector:
     """Unweighted mean score per dimension over valid records.
 
     Raises ``UndefinedMetricError`` naming the first dimension that has
     no valid records.
     """
     by_dimension: dict[Dimension, list[float]] = {dim: [] for dim in DIMENSION_ORDER}
-    for run in RoundRecords.of(records).runs:
+    for run in records.runs:
         scores = run.table.scores
         by_dimension[run.dimension] += [
             scores[template]
@@ -98,12 +97,12 @@ def metric_vector(records: RoundRecords | Iterable[SampleRecord]) -> MetricVecto
     )
 
 
-def weighted_means(records: RoundRecords | Iterable[SampleRecord]) -> dict[str, float]:
+def weighted_means(records: RoundRecords) -> dict[str, float]:
     """Weight-scaled means, emitted as a diagnostic only.  Each sum adds
     its dimension's records in record order."""
     sums: dict[Dimension, float] = {dim: 0.0 for dim in DIMENSION_ORDER}
     mass: dict[Dimension, float] = {dim: 0.0 for dim in DIMENSION_ORDER}
-    for run in RoundRecords.of(records).runs:
+    for run in records.runs:
         scores = run.table.scores
         total, weights = sums[run.dimension], mass[run.dimension]
         for annotation, template in zip(run.annotations, run.templates):
@@ -184,7 +183,7 @@ class FailureProfile:
 
 
 def build_failure_profiles(
-    records: RoundRecords | Iterable[SampleRecord],
+    records: RoundRecords,
     fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
 ) -> list[FailureProfile]:
     """Group valid records by (dimension, slice) and summarize failures.
@@ -197,7 +196,7 @@ def build_failure_profiles(
     """
     # (dimension, slice) -> (scores, weights, {failure modes: failing samples})
     groups: dict[tuple[Dimension, str], tuple[list, list, dict[tuple[str, ...], int]]] = {}
-    for run in RoundRecords.of(records).runs:
+    for run in records.runs:
         scores_of, modes_of = run.table.scores, run.table.modes
         for annotation, template in zip(run.annotations, run.templates):
             if not annotation.valid:

@@ -1,9 +1,8 @@
 """Shared record vocabulary: datasets, score dimensions, check vectors,
-the per-sample output record that every scoring path emits, and a
-point's records as columns, which is how a round carries them.  A
-sample's record is defined by its line in ``records.jsonl``: the writer
-builds each line from the columns, and iterating the columns reads each
-record back from its line.
+and a point's records as columns, which is the one form a round's
+output takes.  A sample's record is defined by its line in
+``records.jsonl``, which the writer builds from the columns;
+``SampleRecord`` is what such a line parses to.
 
 The three training datasets and the three evaluation dimensions are
 paired one-to-one; mixture vectors and metric vectors both follow
@@ -168,7 +167,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One scored evaluation sample, the unit every downstream module consumes."""
+    """One scored evaluation sample as its record line parses:
+    ``from_json`` reads a line's object, and ``to_json`` gives the object
+    the line encodes.  No run builds one; it stays as the checked form
+    of a written line, which ``perfbench/verify.py`` and the tests read
+    lines with."""
 
     sample_id: str
     dimension: Dimension
@@ -190,9 +193,6 @@ class SampleRecord:
             raise ValueError(
                 f"state {self.l2_state.value} is not a {self.dimension.value} state"
             )
-
-    def failed_check_ids(self) -> tuple[str, ...]:
-        return tuple(check.check_id for check in self.checks if not check.passed)
 
     def to_json(self) -> dict:
         """The record as a JSON object without the fields that hold their
@@ -296,14 +296,13 @@ def _head_text(check: CheckResult) -> str:
 class TemplateColumns:
     """The templates of one run of samples of ``dimension``, as columns.
 
-    A template is the checks, state, score and ``synthetic`` flag that
-    the samples that have it share; only these columns of it are kept.
-    Template ``t`` is ``scores[t]``; ``modes[t]``, the failed check ids
-    then the state, which a failure profile counts; and ``middles[t]``
-    and ``ends[t]``, its record line's text from the checks to the score
-    and from the ``synthetic`` flag on.  Every column holds strings,
-    numbers and shared tuples, so a template adds no object for the
-    cyclic garbage collector to scan.
+    A template is the checks, state and score that the samples that have
+    it share; only these columns of it are kept.  Template ``t`` is
+    ``scores[t]``; ``modes[t]``, the failed check ids then the state,
+    which a failure profile counts; and ``middles[t]``, its record
+    line's text from the checks to the score.  Every column holds
+    strings, numbers and shared tuples, so a template adds no object for
+    the cyclic garbage collector to scan.
 
     A check's text up to its weight (its head) and a state's text are
     encoded once per table, so a template encodes only its weights and
@@ -313,15 +312,14 @@ class TemplateColumns:
     break for others.
     """
 
-    __slots__ = ("dimension", "scores", "modes", "middles", "ends", "_shared_modes",
-                 "_heads", "_states")
+    __slots__ = ("dimension", "scores", "modes", "middles", "_shared_modes", "_heads",
+                 "_states")
 
     def __init__(self, dimension: Dimension) -> None:
         self.dimension = dimension
         self.scores: list[float] = []
         self.modes: list[tuple[str, ...]] = []
         self.middles: list[str] = []
-        self.ends: list[str] = []
         self._shared_modes: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._heads: dict[tuple, str] = {}
         # Per state of the dimension: its text up to the score's, and its mode.
@@ -330,13 +328,11 @@ class TemplateColumns:
             for state in STATES_FOR_DIMENSION[dimension]
         }
 
-    def add(
-        self, checks: Sequence[CheckResult], state: L2State, score: float, synthetic: bool
-    ) -> int:
-        """Append the columns of the template with ``checks``, ``state``,
-        ``score`` and ``synthetic`` and return its number.  Like a
-        ``SampleRecord``, a template's score is in [1, 5] and its state
-        is one of its dimension's."""
+    def add(self, checks: Sequence[CheckResult], state: L2State, score: float) -> int:
+        """Append the columns of the template with ``checks``, ``state``
+        and ``score`` and return its number.  Like a ``SampleRecord``, a
+        template's score is in [1, 5] and its state is one of its
+        dimension's."""
         if not 1.0 <= score <= 5.0:
             raise ValueError(f"score {score} outside [1, 5]")
         state_parts = self._states.get(state)
@@ -362,19 +358,11 @@ class TemplateColumns:
             if not passed:
                 failed.append(check_id)
         state_text, mode = state_parts
-        middle = f',"checks":[{",".join(texts)}{state_text}{_value_text(score)}'
-        if synthetic is True:
-            end = ',"synthetic":true}\n'
-        elif synthetic is False:
-            end = "}\n"
-        else:
-            end = f',"synthetic":{_value_text(synthetic)}}}\n'
         failed.append(mode)
         modes = tuple(failed)
         self.scores.append(score)
         self.modes.append(self._shared_modes.setdefault(modes, modes))
-        self.middles.append(middle)
-        self.ends.append(end)
+        self.middles.append(f',"checks":[{",".join(texts)}{state_text}{_value_text(score)}')
         return len(self.scores) - 1
 
 
@@ -382,8 +370,8 @@ class RecordRun(NamedTuple):
     """One stretch of a point's samples, all of one dimension, as columns.
 
     Sample ``i`` is ``sample_ids[i]`` with the validity, slice, weight and
-    reason of ``annotations[i]``, and the checks, state, score and
-    ``synthetic`` flag of template ``templates[i]`` of ``table``.
+    reason of ``annotations[i]``, and the checks, state and score of
+    template ``templates[i]`` of ``table``.
     """
 
     dimension: Dimension
@@ -399,8 +387,8 @@ class RoundRecords:
     ``runs`` holds the samples in record order, a run per stretch of one
     dimension.  A backend shares each annotation, and each template,
     among the samples that have it, so the columns hold no object per
-    sample.  Iterating reads each sample's ``SampleRecord`` back from the
-    line ``write_records`` writes for it, checked by its constructor.
+    sample.  ``write_records`` writes each sample's line from them, and
+    the profiles and the metric read their scores and failure modes.
     """
 
     __slots__ = ("runs",)
@@ -408,49 +396,8 @@ class RoundRecords:
     def __init__(self, runs: Iterable[RecordRun]) -> None:
         self.runs: tuple[RecordRun, ...] = tuple(runs)
 
-    @staticmethod
-    def of(records: "RoundRecords | Iterable[SampleRecord]") -> "RoundRecords":
-        """``records`` as columns: itself when it is columns already;
-        otherwise each record is its own template, with an annotation of
-        its own, and the runs keep the records' order."""
-        if isinstance(records, RoundRecords):
-            return records
-        runs = []
-        for dimension, group in itertools.groupby(records, key=lambda record: record.dimension):
-            group = list(group)
-            dataset = DATASET_FOR_DIMENSION[dimension]
-            table = TemplateColumns(dimension)
-            runs.append(RecordRun(
-                dimension,
-                [record.sample_id for record in group],
-                [
-                    PromptAnnotation(
-                        dataset, record.valid, record.slice_label, record.weight,
-                        record.invalid_reason,
-                    )
-                    for record in group
-                ],
-                [
-                    table.add(record.checks, record.l2_state, record.score, record.synthetic)
-                    for record in group
-                ],
-                table,
-            ))
-        return RoundRecords(runs)
-
     def __len__(self) -> int:
         return sum(len(run.sample_ids) for run in self.runs)
-
-    def __iter__(self) -> Iterator[SampleRecord]:
-        for line in _record_lines(self):
-            yield SampleRecord.from_json(json.loads(line))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoundRecords):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def _annotation_parts(dimension: Dimension, annotation: PromptAnnotation) -> tuple[str, str]:
@@ -469,16 +416,19 @@ def _annotation_parts(dimension: Dimension, annotation: PromptAnnotation) -> tup
 
 def _record_lines(records: RoundRecords) -> Iterator[str]:
     """Each sample's record line: ``json.dumps(record.to_json(),
-    ensure_ascii=False, separators=(",", ":")) + "\\n"``, byte for byte.
+    ensure_ascii=False, separators=(",", ":")) + "\\n"``, byte for byte,
+    for the ``SampleRecord`` with the sample's id and annotation, its
+    template's checks, state and score, and ``synthetic`` true, which
+    every backend's record is.
 
     Each annotation's text (dimension, validity, slice and weight; the
     invalid reason) is encoded once per run, and each template's (the
-    checks, the state and the score; the ``synthetic`` flag) once, by
-    ``TemplateColumns.add``.  A sample's line joins its id between them.
-    ``test_records.py`` holds the property test of the byte identity.
+    checks, the state and the score) once, by ``TemplateColumns.add``.
+    A sample's line joins its id between them.  ``test_records.py``
+    holds the property test of the byte identity.
     """
     for dimension, sample_ids, annotations, templates, table in records.runs:
-        middles, ends = table.middles, table.ends
+        middles = table.middles
         # Keyed by the id of an annotation the run holds, so no id is
         # reused while it is cached.
         annotation_parts: dict[int, tuple[str, str]] = {}
@@ -487,9 +437,8 @@ def _record_lines(records: RoundRecords) -> Iterator[str]:
             if head is None:
                 head = annotation_parts[id(annotation)] = _annotation_parts(dimension, annotation)
             yield "".join((
-                '{"sample_id":',
-                _encode_str(sample_id) if type(sample_id) is str else _value_text(sample_id),
-                head[0], middles[template], head[1], ends[template],
+                '{"sample_id":', _encode_str(sample_id), head[0], middles[template], head[1],
+                ',"synthetic":true}\n',
             ))
 
 
@@ -505,10 +454,10 @@ def _write_lines(path: Path, lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def write_records(path: Path, records: RoundRecords | Iterable[SampleRecord]) -> str:
-    """Write each record line of ``records`` (columns, or records) to
-    ``path`` and return the sha256 of the bytes written."""
-    return _write_lines(path, _record_lines(RoundRecords.of(records)))
+def write_records(path: Path, records: RoundRecords) -> str:
+    """Write each record line of ``records`` to ``path`` and return the
+    sha256 of the bytes written."""
+    return _write_lines(path, _record_lines(records))
 
 
 def dump_jsonl(path: Path, rows: Iterable[dict]) -> str:

@@ -28,7 +28,6 @@ from .records import (
     FLOOR_STATES,
     L2State,
     PromptAnnotation,
-    SampleRecord,
     SCORE_DECIMALS,
     read_json,
     slice_key,
@@ -284,32 +283,6 @@ def score_checks(vector: AtomicCheckVector, *, valid: bool) -> tuple[L2State, fl
     checks into a state, and layer 1 scores the checks plus that state."""
     state = aggregate_l2(vector)
     return state, score_l1(vector, state, valid=valid).value
-
-
-def scored_record(
-    vector: AtomicCheckVector,
-    *,
-    sample_id: str,
-    valid: bool,
-    slice_label: str,
-    weight: float,
-    invalid_reason: str | None = None,
-    synthetic: bool = False,
-) -> SampleRecord:
-    """A record with the state and score ``score_checks`` gives its checks."""
-    state, score = score_checks(vector, valid=valid)
-    return SampleRecord(
-        sample_id=sample_id,
-        dimension=vector.dimension,
-        valid=valid,
-        slice_label=slice_label,
-        weight=weight,
-        checks=vector.checks,
-        l2_state=state,
-        score=score,
-        invalid_reason=invalid_reason,
-        synthetic=synthetic,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -230,32 +230,14 @@ def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, fl
     return {key: value / total for key, value in raw.items()}
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One drawn window, as iterating a manifest's entries yields it and
-    as its line in ``manifest.jsonl`` reads."""
-
-    window_id: str
-    dataset: Dataset
-    bucket_id: str
-    token_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "window_id": self.window_id,
-            "dataset": self.dataset.value,
-            "bucket": self.bucket_id,
-            "token_count": self.token_count,
-        }
-
-
 class DrawnWindows:
     """The windows one draw accepted, in draw order, as columns.
 
     Window ``i`` is window ``indices[i]`` of the bucket at
     ``support[positions[i]]``, the draw's ``(bucket key, window
     columns)`` list.  ``dataset_tokens`` holds the tokens drawn from each
-    dataset.  Iterating yields a ``ManifestEntry`` per window.
+    dataset.  ``write_manifest`` writes a line per window from these
+    columns; no object per window is made.
     """
 
     __slots__ = ("support", "positions", "indices", "dataset_tokens")
@@ -274,18 +256,6 @@ class DrawnWindows:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def __iter__(self) -> Iterator[ManifestEntry]:
-        for position, index in zip(self.positions, self.indices):
-            (dataset, bucket_id), (ids, lengths, _) = self.support[position]
-            yield ManifestEntry(ids[index], dataset, bucket_id, lengths[index])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DrawnWindows):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -448,11 +418,13 @@ def draw_budgeted(
 
 
 def write_manifest(path: Path, manifest: SampleManifest) -> str:
-    """Write ``json.dumps(entry.to_json(), ensure_ascii=False)`` for each of
-    the manifest's entries, one a line, to ``path`` and return the sha256
-    of the bytes written.  The text after a window's id is encoded once
-    per bucket on the support, and each line splices in the window's id
-    and token count."""
+    """Write one line per window the manifest's draw accepted, in draw
+    order, to ``path`` and return the sha256 of the bytes written.  A
+    window's line is ``json.dumps(row, ensure_ascii=False) + "\\n"`` for
+    its row ``{"window_id": id, "dataset": dataset.value, "bucket":
+    bucket id, "token_count": length}``.  The text after a window's id
+    is encoded once per bucket on the support, and each line splices in
+    the window's id and token count."""
     drawn = manifest.entries
     buckets = [
         (

@@ -4,8 +4,10 @@
 fixture: a six-point search trace (base plus five rounds) whose
 non-dominated set is {base, round 2, round 4}.
 """
+import itertools
 import json
 from pathlib import Path
+from typing import Sequence
 
 from hypothesis import settings
 
@@ -13,7 +15,17 @@ from mixsearch.backend import SurfaceParams, synthetic_checks
 from mixsearch.corpus import Pool, PoolManifest, load_pool
 from mixsearch.orchestrator import LoopConfig
 from mixsearch.profiles import MetricVector
-from mixsearch.rubric import scored_record
+from mixsearch.records import (
+    DATASET_FOR_DIMENSION,
+    PromptAnnotation,
+    RecordRun,
+    RoundRecords,
+    SampleRecord,
+    TemplateColumns,
+    _record_lines,
+)
+from mixsearch.rubric import AtomicCheckVector, score_checks
+from mixsearch.sampler import DrawnWindows
 
 settings.register_profile("package", deadline=None, max_examples=100)
 settings.load_profile("package")
@@ -181,3 +193,79 @@ def scored_one_by_one(records) -> list:
         for run in records.runs
         for sample_id, annotation, template in zip(run.sample_ids, run.annotations, run.templates)
     ]
+
+
+def scored_record(
+    vector: AtomicCheckVector,
+    *,
+    sample_id: str,
+    valid: bool,
+    slice_label: str,
+    weight: float,
+    invalid_reason: str | None = None,
+    synthetic: bool = False,
+) -> SampleRecord:
+    """A record with the state and score ``score_checks`` gives its checks:
+    one sample scored on its own, the reference the round's shared
+    templates are compared with."""
+    state, score = score_checks(vector, valid=valid)
+    return SampleRecord(
+        sample_id=sample_id,
+        dimension=vector.dimension,
+        valid=valid,
+        slice_label=slice_label,
+        weight=weight,
+        checks=vector.checks,
+        l2_state=state,
+        score=score,
+        invalid_reason=invalid_reason,
+        synthetic=synthetic,
+    )
+
+
+def columns_of(records: Sequence[SampleRecord]) -> RoundRecords:
+    """``records`` as the columns a round carries, in their order: a run
+    per stretch of one dimension, and each record its own template, with
+    an annotation of its own.  The writer marks every line ``synthetic``,
+    so every record must be."""
+    runs = []
+    for dimension, group in itertools.groupby(records, key=lambda record: record.dimension):
+        group = list(group)
+        if not all(record.synthetic is True for record in group):
+            raise ValueError("every record a round writes is synthetic")
+        table = TemplateColumns(dimension)
+        runs.append(RecordRun(
+            dimension,
+            [record.sample_id for record in group],
+            [
+                PromptAnnotation(
+                    DATASET_FOR_DIMENSION[dimension], record.valid, record.slice_label,
+                    record.weight, record.invalid_reason,
+                )
+                for record in group
+            ],
+            [table.add(record.checks, record.l2_state, record.score) for record in group],
+            table,
+        ))
+    return RoundRecords(runs)
+
+
+def read_back(records: RoundRecords) -> list[SampleRecord]:
+    """Each sample's record as its line in ``records.jsonl`` reads back,
+    checked by the ``SampleRecord`` constructor, in record order."""
+    return [SampleRecord.from_json(json.loads(line)) for line in _record_lines(records)]
+
+
+def drawn_rows(drawn: DrawnWindows) -> list[dict]:
+    """Each window a draw accepted, in draw order, as its row in
+    ``manifest.jsonl``."""
+    rows = []
+    for position, index in zip(drawn.positions, drawn.indices):
+        (dataset, bucket_id), (ids, lengths, _) = drawn.support[position]
+        rows.append({
+            "window_id": ids[index],
+            "dataset": dataset.value,
+            "bucket": bucket_id,
+            "token_count": lengths[index],
+        })
+    return rows

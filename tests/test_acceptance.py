@@ -3,7 +3,8 @@
 Each test exercises one criterion end to end at its stated tolerance
 and prints a ``criterion N: PASS`` line with the measured numbers.  The
 last test checks the three-layer scoring invariant over every record a
-simulated and a replayed run write.
+simulated and a replayed run write, with the independent record-line
+oracle.
 Run ``pytest tests/test_acceptance.py -v`` for one verdict line per
 criterion (add ``-s`` to see the measurement lines as they print).
 """
@@ -20,6 +21,7 @@ import pytest
 from mixsearch.backend import SurfaceParams
 from mixsearch.cli import main
 from mixsearch.fixtures import demo_config_path
+from mixsearch.oracles import record_lines
 from mixsearch.oracles.naive_checker import naive_verdict
 from mixsearch.orchestrator import LoopConfig, round_dir_name, run
 from mixsearch.pareto import ParetoArchive, dominates
@@ -55,6 +57,7 @@ from conftest import (
     REPLAY_FRONTIER,
     REPLAY_MIXTURES,
     REPLAY_TRAJECTORY,
+    columns_of,
     make_pool,
     simulate_config,
     trajectory_vector,
@@ -472,7 +475,7 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
     checked = 0
     for label, records, metric, profiles in evaluations:
         if profiles is None:
-            profiles = build_failure_profiles(records)
+            profiles = build_failure_profiles(columns_of(records))
         valid = [record for record in records if record.valid]
         assert sum(p.sample_count for p in profiles) == len(valid), label
         counts = Counter(record.dimension for record in valid)
@@ -497,7 +500,8 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
 
 
 # ---------------------------------------------------------------------------
-# Every record a run writes is scored by layer 1 from its own checks.
+# Every record a run writes is scored by layer 1 from its own checks, as
+# the independent record-line oracle works them out.
 
 
 def _records(run_dir, point):
@@ -508,25 +512,21 @@ def _records(run_dir, point):
     )
 
 
-def _run_records(run_dir):
-    yield from _records(run_dir, "base")
-    for index in run_dir.round_indices():
-        yield from _records(run_dir, round_dir_name(index))
-
-
 def test_every_written_record_is_scored_from_its_own_checks(simulated_run, tmp_path):
     replayed = run(LoopConfig(rounds=5, backend_kind="replay"), tmp_path)
     counts = []
     for run_dir in (simulated_run[0], replayed):
-        records = list(_run_records(run_dir))
-        assert records
-        for record in records:
-            vector = AtomicCheckVector(dimension=record.dimension, checks=record.checks)
-            assert record.l2_state is aggregate_l2(vector), record.sample_id
-            expected = score_l1(vector, record.l2_state, valid=record.valid).value
-            assert record.score == expected, record.sample_id
-        counts.append(len(records))
+        points = ["base"] + [round_dir_name(index) for index in run_dir.round_indices()]
+        read = 0
+        for point in points:
+            path = run_dir.path / point / "records.jsonl"
+            with open(path, encoding="utf-8") as handle:
+                point_read, found = record_lines.mismatches(handle)
+            assert point_read, path
+            assert not found, f"{path}: {found[:5]}"
+            read += point_read
+        counts.append(read)
     print(
         f"three-layer invariant: PASS — {counts[0]} simulated and {counts[1]} replayed "
-        "records all carry score_l1 of their own checks"
+        "records all carry the state and score the record-line oracle gives their own checks"
     )

@@ -36,10 +36,15 @@ from mixsearch.rubric import (
     aggregate_l2,
     score_checks,
     score_l1,
-    scored_record,
 )
 
-from conftest import REPLAY_MIXTURES, REPLAY_TRAJECTORY, scored_one_by_one
+from conftest import (
+    REPLAY_MIXTURES,
+    REPLAY_TRAJECTORY,
+    read_back,
+    scored_one_by_one,
+    scored_record,
+)
 
 
 def flat_surface(**overrides):
@@ -172,7 +177,7 @@ class TestSimulatorRounds:
         backend = SimulatorBackend(SurfaceParams.from_json({"noise_sigma": 2.0}))
         records = backend.run_round(request_for(seed=3))
         assert records
-        for record in records:
+        for record in read_back(records):
             assert 1.0 <= record.score <= 5.0
 
     def test_saturated_dimension_pins_samples_at_the_boundary(self, tmp_path):
@@ -193,7 +198,7 @@ class TestSimulatorRounds:
         )
         safe_scores = {
             record.score
-            for record in backend.run_round(request)
+            for record in read_back(backend.run_round(request))
             if record.dimension is Dimension.SAFE
         }
         assert safe_scores == {5.0}
@@ -203,16 +208,16 @@ class TestSimulatorRounds:
         first = backend.run_round(request_for(seed=1))
         backend.run_round(request_for(seed=99))  # unrelated call in between
         second = backend.run_round(request_for(seed=1))
-        assert first == second
+        assert read_back(first) == read_back(second)
 
     def test_two_backends_agree(self):
-        assert SimulatorBackend().run_round(request_for(seed=4)) == SimulatorBackend().run_round(
-            request_for(seed=4)
+        assert read_back(SimulatorBackend().run_round(request_for(seed=4))) == read_back(
+            SimulatorBackend().run_round(request_for(seed=4))
         )
 
     def test_different_seeds_differ(self):
         scores = {
-            seed: [r.score for r in SimulatorBackend().run_round(request_for(seed=seed))]
+            seed: [r.score for r in read_back(SimulatorBackend().run_round(request_for(seed=seed)))]
             for seed in (0, 1)
         }
         assert scores[0] != scores[1]
@@ -227,7 +232,7 @@ class TestSimulatorRounds:
             SurfaceParams.from_json({"noise_sigma": 0.3, "gain": {d.value: 0.0 for d in Dimension}, "interference": {}})
         )
         records = [
-            r for r in backend.run_round(request_for(seed=7, sets=sets))
+            r for r in read_back(backend.run_round(request_for(seed=7, sets=sets)))
             if r.dimension is Dimension.SAFE
         ]
         mean = sum(r.score for r in records) / len(records)
@@ -249,7 +254,7 @@ class TestSimulatorRounds:
             for a in annotations_
         ]
         sets[Dimension.BENIGN] = (sample_ids, tagged)
-        records = SimulatorBackend().run_round(request_for(seed=2, sets=sets))
+        records = read_back(SimulatorBackend().run_round(request_for(seed=2, sets=sets)))
         benign = [r for r in records if r.dimension is Dimension.BENIGN]
         assert all(not r.valid and r.invalid_reason == "unanswerable" for r in benign)
 
@@ -261,7 +266,7 @@ class TestNoise:
         backend = SimulatorBackend(flat_surface(noise_sigma=0.05))
         return {
             record.sample_id: record.score
-            for record in backend.run_round(request_for(seed=seed, sets=sets))
+            for record in read_back(backend.run_round(request_for(seed=seed, sets=sets)))
         }
 
     def test_a_score_ignores_the_other_samples_and_their_order(self):
@@ -301,7 +306,7 @@ class TestNoise:
         )
         base = backend.params.base
         slice_draws = {}
-        for record in backend.run_round(request_for(seed=seed, sets=sets)):
+        for record in read_back(backend.run_round(request_for(seed=seed, sets=sets))):
             dimension = record.dimension.value
             sample = sigma * backend_module._standard_normal(
                 seed_text(seed, "sample", dimension, record.sample_id)
@@ -329,7 +334,7 @@ class TestNoise:
             flat_surface(base={"SAFE": 1.0, "BENIGN": 5.0, "IF": 3.0}, noise_sigma=sigma)
         )
         means = backend.dimension_means({dataset: 0.0 for dataset in Dataset})
-        records = list(backend.run_round(request_for(seed=seed, sets=sets)))
+        records = read_back(backend.run_round(request_for(seed=seed, sets=sets)))
         assert len(records) == 3 * len(sample_ids)
         for record in records:
             dimension = record.dimension.value
@@ -388,20 +393,21 @@ class TestSynthesizedRecords:
             L2State.EXPLICIT_REFUSAL,
             L2State.HARD_FAIL,
         )
-        assert record.failed_check_ids()
+        assert _failed_check_ids(record)
 
     @pytest.mark.parametrize("dimension", list(Dimension))
     def test_top_scores_pass_everything(self, dimension):
         record = synthetic_record(dimension, 5.0)
-        assert record.failed_check_ids() == ()
+        assert _failed_check_ids(record) == ()
         assert record.synthetic
 
 
+def _failed_check_ids(record):
+    return tuple(check.check_id for check in record.checks if not check.passed)
+
+
 def _template_row(table, template):
-    return (
-        table.scores[template], table.modes[template], table.middles[template],
-        table.ends[template],
-    )
+    return table.scores[template], table.modes[template], table.middles[template]
 
 
 def _own_and_shared(records):
@@ -410,7 +416,7 @@ def _own_and_shared(records):
     own = []
     for record in scored_one_by_one(records):
         table = TemplateColumns(record.dimension)
-        number = table.add(record.checks, record.l2_state, record.score, record.synthetic)
+        number = table.add(record.checks, record.l2_state, record.score)
         own.append(_template_row(table, number))
     shared = [_template_row(run.table, t) for run in records.runs for t in run.templates]
     return own, shared
@@ -450,9 +456,9 @@ class TestRecordTemplates:
         assert len(records) == 180
         own, shared = _own_and_shared(records)
         assert shared == own
-        assert list(records) == scored_one_by_one(records)
-        assert {1.0, 5.0} <= {record.score for record in records}
-        assert {record.valid for record in records} == {True, False}
+        assert read_back(records) == scored_one_by_one(records)
+        assert {1.0, 5.0} <= {record.score for record in read_back(records)}
+        assert {record.valid for record in read_back(records)} == {True, False}
         assert _template_count(records) < len(records)
 
     def test_a_shared_template_yields_the_record_its_fields_construct(self):
@@ -479,7 +485,9 @@ class TestRecordTemplates:
             invalid_reason="unanswerable",
             synthetic=True,
         )
-        yielded = [record for record in records if record.dimension is Dimension.BENIGN]
+        yielded = [
+            record for record in read_back(records) if record.dimension is Dimension.BENIGN
+        ]
         assert all(type(record) is SampleRecord for record in yielded)
         assert yielded == [
             dataclasses.replace(
@@ -496,7 +504,7 @@ class TestRecordTemplates:
         assert len(records) == 3 * 30
         own, shared = _own_and_shared(records)
         assert shared == own
-        assert list(records) == scored_one_by_one(records)
+        assert read_back(records) == scored_one_by_one(records)
         assert _template_count(records) < len(records)
 
     def test_columns_hold_no_object_per_sample(self):
@@ -561,6 +569,6 @@ class TestReplayBackend:
             request = BackendRequest(
                 round_index=round_index, manifest=None, eval_sets={}, seed=0
             )
-            for record in backend.run_round(request):
+            for record in read_back(backend.run_round(request)):
                 assert 1.0 <= record.score <= 5.0
 

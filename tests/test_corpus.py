@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsearch.corpus import PoolManifest, load_pool, split_windows, whitespace_token_count
+from mixsearch.corpus import PoolManifest, load_pool, whitespace_token_count, window_lengths
 from mixsearch.errors import ConfigError, SchemaError
 from mixsearch.records import Dataset
 from mixsearch.oracles.window_enum import check_coverage, expected_windows
 
 from conftest import make_pool
+
+
+def split_windows(token_count: int, window_length: int, stride: int) -> list[tuple[int, int]]:
+    """The (start, length) windows of a document, as the oracle lists
+    them: ``window_lengths`` paired with the starts, 0, ``stride``,
+    ``2 * stride`` and so on."""
+    lengths = window_lengths(token_count, window_length, stride)
+    return list(zip(range(0, token_count, stride), lengths))
 
 
 class TestTokenCount:

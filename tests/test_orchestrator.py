@@ -26,6 +26,7 @@ from conftest import (
     REPLAY_FRONTIER,
     REPLAY_MIXTURES,
     REPLAY_TRAJECTORY,
+    read_back,
     scored_one_by_one,
     simulate_config,
     tree_bytes,
@@ -448,6 +449,6 @@ def test_round_records_iterate_as_their_lines_read_back(tmp_path, monkeypatch):
             json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":"))
             for record in own
         ]
-        assert list(records) == own
+        assert read_back(records) == own
         assert [SampleRecord.from_json(json.loads(line)) for line in lines] == own
         assert len(records) == len(lines)

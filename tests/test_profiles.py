@@ -17,6 +17,8 @@ from mixsearch.profiles import (
 )
 from mixsearch.records import CheckResult, Dimension, L2State, SampleRecord
 
+from conftest import columns_of
+
 _DEFAULT_STATES = {
     Dimension.SAFE: (L2State.LEAKAGE, L2State.BARE_REFUSAL, L2State.SAFE_HELPFUL_REFUSAL),
     Dimension.BENIGN: (L2State.EXPLICIT_REFUSAL, L2State.GATED, L2State.HELPFUL),
@@ -34,7 +36,8 @@ def record(
     weight=1.0,
     failed=(),
 ):
-    """Scored-record factory with a state consistent with the score."""
+    """Scored-record factory with a state consistent with the score,
+    marked synthetic as every record a round writes is."""
     low, mid, high = _DEFAULT_STATES[dimension]
     state = low if score == 1.0 else high if score == 5.0 else mid
     checks = tuple(CheckResult(check_id, passed=False) for check_id in failed) or (
@@ -50,6 +53,7 @@ def record(
         l2_state=state,
         score=score,
         invalid_reason=None if valid else "unanswerable",
+        synthetic=True,
     )
 
 
@@ -70,23 +74,23 @@ class TestMetricVector:
         records = [
             record(Dimension.SAFE, float(v), sample_id=f"s{v}") for v in (1, 2, 3, 4, 5)
         ] + one_of_each()[1:]
-        assert metric_vector(records).safe == pytest.approx(3.0)
+        assert metric_vector(columns_of(records)).safe == pytest.approx(3.0)
 
     def test_missing_dimension_raises_with_its_name(self):
         records = one_of_each()[:2]  # no IF records at all
         with pytest.raises(UndefinedMetricError, match="IF"):
-            metric_vector(records)
+            metric_vector(columns_of(records))
 
     def test_invalid_records_excluded(self):
         records = one_of_each(safe=5.0)
         records.append(record(Dimension.SAFE, 1.0, sample_id="bad", valid=False))
-        assert metric_vector(records).safe == 5.0
+        assert metric_vector(columns_of(records)).safe == 5.0
 
     def test_all_invalid_dimension_is_undefined(self):
         records = one_of_each()[1:]
         records.append(record(Dimension.SAFE, 3.0, valid=False))
         with pytest.raises(UndefinedMetricError, match="SAFE"):
-            metric_vector(records)
+            metric_vector(columns_of(records))
 
     def test_scaled_fixed_point(self):
         vector = MetricVector(safe=2.76, benign=4.6667, if_score=3.43)
@@ -121,11 +125,11 @@ class TestWeightedMeans:
         records = one_of_each()[1:]
         records.append(record(Dimension.SAFE, 5.0, sample_id="w3", weight=3.0))
         records.append(record(Dimension.SAFE, 1.0, sample_id="w1", weight=1.0))
-        means = weighted_means(records)
+        means = weighted_means(columns_of(records))
         assert means["safe"] == pytest.approx(4.0)  # (3*5 + 1*1) / 4
 
     def test_empty_dimension_is_nan_not_error(self):
-        means = weighted_means(one_of_each()[:2])
+        means = weighted_means(columns_of(one_of_each()[:2]))
         assert math.isnan(means["if"])
 
 
@@ -139,7 +143,7 @@ class TestBuildFailureProfiles:
             record(Dimension.IF, 5.0, "family=LENGTH", sample_id="a"),
             record(Dimension.IF, 5.0, "family=LENGTH", sample_id="b"),
         ]
-        (profile,) = build_failure_profiles(records)
+        (profile,) = build_failure_profiles(columns_of(records))
         assert profile.fail_rate == 0.0
         assert profile.breakdown == {}
         assert profile.mean_score == 5.0
@@ -151,16 +155,16 @@ class TestBuildFailureProfiles:
             record(Dimension.IF, 1.0, "family=LENGTH", sample_id="a", failed=("c7",)),
             record(Dimension.IF, 5.0, "family=LENGTH", sample_id="b"),
         ]
-        (profile,) = build_failure_profiles(records)
+        (profile,) = build_failure_profiles(columns_of(records))
         assert profile.mean_score == pytest.approx(3.0)
         assert profile.fail_rate == 0.5
         assert profile.breakdown == {"c7": 1, "HARD_FAIL": 1}
 
     def test_fail_threshold_is_strict(self):
         records = [record(Dimension.IF, DEFAULT_FAIL_THRESHOLD, "family=LENGTH")]
-        (profile,) = build_failure_profiles(records)
+        (profile,) = build_failure_profiles(columns_of(records))
         assert profile.fail_rate == 0.0
-        looser = build_failure_profiles(records, fail_threshold=3.0001)
+        looser = build_failure_profiles(columns_of(records), fail_threshold=3.0001)
         assert looser[0].fail_rate == 1.0
 
     def test_profiles_ordered_by_dimension_then_slice(self):
@@ -170,7 +174,8 @@ class TestBuildFailureProfiles:
             record(Dimension.SAFE, 4.0, "complexity=HIGH", sample_id="c"),
             record(Dimension.BENIGN, 4.0, "proximity=EDGE", sample_id="d"),
         ]
-        ordered = [(p.dimension, p.slice_label) for p in build_failure_profiles(records)]
+        profiles = build_failure_profiles(columns_of(records))
+        ordered = [(p.dimension, p.slice_label) for p in profiles]
         assert ordered == [
             (Dimension.SAFE, "complexity=HIGH"),
             (Dimension.SAFE, "complexity=MED"),
@@ -183,7 +188,7 @@ class TestBuildFailureProfiles:
             record(Dimension.SAFE, 1.0, "complexity=MED", sample_id="a", valid=False),
             record(Dimension.SAFE, 5.0, "complexity=MED", sample_id="b"),
         ]
-        (profile,) = build_failure_profiles(records)
+        (profile,) = build_failure_profiles(columns_of(records))
         assert profile.sample_count == 1
         assert profile.fail_rate == 0.0
 
@@ -192,7 +197,7 @@ class TestBuildFailureProfiles:
             record(Dimension.SAFE, 1.0, "complexity=HIGH", sample_id="a", weight=2.0),
             record(Dimension.SAFE, 1.0, "complexity=HIGH", sample_id="b", weight=1.5),
         ]
-        (profile,) = build_failure_profiles(records)
+        (profile,) = build_failure_profiles(columns_of(records))
         assert profile.weight_mass == pytest.approx(3.5)
         assert profile.fail_mass == pytest.approx(3.5)
 
@@ -210,7 +215,7 @@ class TestBuildFailureProfiles:
 
     def test_json_roundtrip(self):
         records = [record(Dimension.IF, 1.0, "family=LENGTH", failed=("c1",))]
-        (profile,) = build_failure_profiles(records)
+        (profile,) = build_failure_profiles(columns_of(records))
         assert FailureProfile.from_json(profile.to_json()) == profile
 
     def test_validation(self):
@@ -286,7 +291,7 @@ def record_batches(draw):
 class TestProfileConsistency:
     @given(record_batches())
     def test_sample_counts_partition_valid_records(self, records):
-        profiles = build_failure_profiles(records)
+        profiles = build_failure_profiles(columns_of(records))
         for dimension in Dimension:
             valid = [r for r in records if r.valid and r.dimension is dimension]
             counted = sum(p.sample_count for p in profiles if p.dimension is dimension)
@@ -296,8 +301,8 @@ class TestProfileConsistency:
 
     @given(record_batches())
     def test_count_weighted_slice_means_recover_metric(self, records):
-        profiles = build_failure_profiles(records)
-        metric = metric_vector(records)
+        profiles = build_failure_profiles(columns_of(records))
+        metric = metric_vector(columns_of(records))
         for dimension in Dimension:
             mine = [p for p in profiles if p.dimension is dimension]
             total = sum(p.sample_count for p in mine)

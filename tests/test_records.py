@@ -17,6 +17,7 @@ from mixsearch.records import (
     L2State,
     STATES_FOR_DIMENSION,
     SampleRecord,
+    TemplateColumns,
     child_seed,
     read_json,
     DATASET_FOR_DIMENSION,
@@ -25,6 +26,8 @@ from mixsearch.records import (
     slice_key,
     write_records,
 )
+
+from conftest import columns_of
 
 
 class TestSliceKey:
@@ -104,6 +107,7 @@ def _record(**overrides) -> SampleRecord:
         checks=(CheckResult("c1", True, family="FORMAT", hard=True),),
         l2_state=L2State.FULL,
         score=5.0,
+        synthetic=True,
     )
     defaults.update(overrides)
     return SampleRecord(**defaults)
@@ -122,12 +126,16 @@ class TestSampleRecord:
         assert SampleRecord.from_json(record.to_json()) == record
 
     def test_failed_check_ids(self):
+        """A record's failed check ids head its template's failure mode,
+        which ends with its state."""
         record = _record(
             checks=(CheckResult("c1", True, hard=True), CheckResult("c2", False)),
             l2_state=L2State.PARTIAL,
             score=1.0,
         )
-        assert record.failed_check_ids() == ("c2",)
+        table = TemplateColumns(record.dimension)
+        template = table.add(record.checks, record.l2_state, record.score)
+        assert table.modes[template] == ("c2", "PARTIAL")
 
     @pytest.mark.parametrize("score", [0.9, 5.1, -1.0])
     def test_score_range_enforced(self, score):
@@ -195,7 +203,7 @@ def _records(draw):
                 l2_state=draw(st.sampled_from(STATES_FOR_DIMENSION[dimension])),
                 score=draw(st.sampled_from([1.0, 3.25, 5.0, 2]) | st.floats(1.0, 5.0)),
                 invalid_reason=draw(st.none() | _text),
-                synthetic=draw(st.booleans()),
+                synthetic=True,  # the writer marks every record synthetic
             )
         )
     return records
@@ -208,7 +216,7 @@ _PLAIN_CHECKS = (CheckResult("c1", True), CheckResult("c2", False, weight=1))
 def _written(records) -> bytes:
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "records.jsonl"
-        digest = write_records(path, records)
+        digest = write_records(path, columns_of(records))
         written = path.read_bytes()
     assert digest == hashlib.sha256(written).hexdigest()
     return written
@@ -232,9 +240,9 @@ class TestWriteRecords:
         _record(sample_id="é漢-🙂", invalid_reason="unanswerable", synthetic=True),
         _record(sample_id="s2", valid=False),
     ])
-    @example([  # an id that is not a string, an integer flag, a boolean score
-        _record(sample_id=7, synthetic=1, score=True),
-        _record(sample_id=None, synthetic=0),
+    @example([  # an empty id, a boolean score
+        _record(sample_id="", score=True),
+        _record(sample_id="s2"),
     ])
     @example([  # checks of one run that differ only by a flag's True against 1
         _record(checks=(CheckResult("c1", True, hard=True),)),
@@ -252,9 +260,10 @@ class TestWriteRecords:
         assert _written([record]).decode("utf-8") == (
             '{"sample_id":"s1","dimension":"IF","valid":true,'
             '"slice":"complexity=1|family=FORMAT","checks":[{"id":"c1","passed":true},'
-            '{"id":"c2","passed":false,"weight":1}],"l2_state":"PARTIAL","score":3.0}\n'
+            '{"id":"c2","passed":false,"weight":1}],"l2_state":"PARTIAL","score":3.0,'
+            '"synthetic":true}\n'
         )
-        set_fields = _record(weight=2.5, invalid_reason="unmapped", synthetic=True)
+        set_fields = _record(weight=2.5, invalid_reason="unmapped")
         assert json.loads(_written([set_fields])) == {
             "sample_id": "s1",
             "dimension": "IF",

@@ -1,4 +1,5 @@
 """Data actions, effective distributions, and token-budgeted drawing."""
+import dataclasses
 import json
 import math
 import random
@@ -21,13 +22,12 @@ from mixsearch.sampler import (
     effective_distribution,
     uniform_bucket_weights,
     DrawnWindows,
-    ManifestEntry,
     SampleManifest,
     slice_pairs,
     write_manifest,
 )
 
-from conftest import make_pool
+from conftest import drawn_rows, make_pool
 
 
 @pytest.fixture
@@ -288,12 +288,16 @@ class TestDrawBudgeted:
         distribution = effective_distribution(flat_action(), flat_pool)
         first = draw_budgeted(distribution, flat_pool, budget_tokens=200, seed=9)
         second = draw_budgeted(distribution, flat_pool, budget_tokens=200, seed=9)
-        assert first == second
+        assert drawn_rows(first.entries) == drawn_rows(second.entries)
+        assert dataclasses.replace(first, entries=()) == dataclasses.replace(second, entries=())
 
     def test_different_seeds_diverge(self, flat_pool):
         distribution = effective_distribution(flat_action(), flat_pool)
         ids = {
-            seed: [e.window_id for e in draw_budgeted(distribution, flat_pool, 200, seed).entries]
+            seed: [
+                row["window_id"]
+                for row in drawn_rows(draw_budgeted(distribution, flat_pool, 200, seed).entries)
+            ]
             for seed in (0, 1)
         }
         assert ids[0] != ids[1]
@@ -324,7 +328,9 @@ class TestDrawBudgeted:
         )
         distribution = effective_distribution(action, pool)
         manifest = draw_budgeted(distribution, pool, budget_tokens=100, seed=3, focus=[focus])
-        hot_tokens = sum(e.token_count for e in manifest.entries if e.bucket_id == "hot")
+        hot_tokens = sum(
+            row["token_count"] for row in drawn_rows(manifest.entries) if row["bucket"] == "hot"
+        )
         assert hot_tokens <= 30  # cap_fraction * budget
         assert manifest.total_tokens <= 100
 
@@ -346,9 +352,9 @@ class TestDrawBudgeted:
         distribution = effective_distribution(flat_action(), flat_pool)
         manifest = draw_budgeted(distribution, flat_pool, budget_tokens=50_000, seed=11)
         counts = {}
-        for entry in manifest.entries:
-            counts[entry.dataset] = counts.get(entry.dataset, 0) + 1
-        observed = [counts[ds] for ds in (Dataset.XGUARD, Dataset.ORBENCH, Dataset.IF)]
+        for row in drawn_rows(manifest.entries):
+            counts[row["dataset"]] = counts.get(row["dataset"], 0) + 1
+        observed = [counts[ds.value] for ds in (Dataset.XGUARD, Dataset.ORBENCH, Dataset.IF)]
         total = sum(observed)
         expected = [0.35 * total, 0.45 * total, 0.20 * total]
         result = stats.chisquare(observed, expected)
@@ -477,8 +483,8 @@ class TestDrawOracle:
             expected = oracle_draw(as_plain_data(pool, distribution, budget, seed, focus))
             manifest = draw_budgeted(distribution, pool, budget, seed, focus=focus)
             entries = [
-                [e.dataset.value, e.bucket_id, e.window_id, e.token_count]
-                for e in manifest.entries
+                [row["dataset"], row["bucket"], row["window_id"], row["token_count"]]
+                for row in drawn_rows(manifest.entries)
             ]
             assert entries == expected["entries"], f"trial {trial}"
             assert [list(r) for r in manifest.rejections] == expected["rejections"]
@@ -562,10 +568,11 @@ class TestManifest:
         assert "rejections" not in summary
 
     def test_total_above_budget_rejected(self):
-        entry = ManifestEntry("w", Dataset.XGUARD, "b", 50)
+        entry = ((Dataset.XGUARD, "b"), (["w"], array("I", [50]), [{}]))
+        drawn = DrawnWindows([entry], array("I", [0]), array("I", [0]), {Dataset.XGUARD: 50})
         with pytest.raises(ValueError, match="exceeds budget"):
             SampleManifest(
-                entries=(entry,), total_tokens=50, budget_tokens=40, seed=0, distribution={}
+                entries=drawn, total_tokens=50, budget_tokens=40, seed=0, distribution={}
             )
 
     def test_file_roundtrip(self, tmp_path, flat_pool):
@@ -574,7 +581,7 @@ class TestManifest:
         path = tmp_path / "manifest.jsonl"
         write_manifest(path, manifest)
         rows = read_json(path, lines=True, what="manifest")
-        assert rows == [entry.to_json() for entry in manifest.entries]
+        assert rows == drawn_rows(manifest.entries)
 
 
 # Ids with the characters JSON escapes or passes through unescaped; no
@@ -642,7 +649,7 @@ class TestManifestLines:
             json.dumps(row, ensure_ascii=False) + "\n" for row in rows
         ]
         assert lines[-1] == ""
-        assert [entry.to_json() for entry in drawn] == rows
+        assert drawn_rows(drawn) == rows
 
 
 def test_token_shares_equal_the_written_manifest(tmp_path):
