@@ -20,11 +20,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, MixSearchError
 from .fixtures import default_fixture_path, load_replay_fixture
-from .orchestrator import LoopConfig, RunDirectory, report, run
+from .orchestrator import LoopConfig, run
+from .report import RunDirectory, report
 
 log = logging.getLogger(__name__)
 
@@ -75,6 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_and_print(config: LoopConfig, out: Path, what: str) -> int:
+    run_dir = run(config, out)
+    print(f"{what} complete: {run_dir.path}")
+    print((run_dir.path / "report.txt").read_text("utf-8"), end="")
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = LoopConfig.from_file(args.config)
     overrides = {}
@@ -83,13 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
-    run_dir = run(config, args.out)
-    print(f"run complete: {run_dir.path}")
-    print((run_dir.path / "report.txt").read_text("utf-8"), end="")
-    return 0
+    return _run_and_print(config, args.out, "run")
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -104,10 +108,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         backend_kind="replay",
         fixture_path=Path(os.path.abspath(fixture_path)),
     )
-    run_dir = run(config, args.out)
-    print(f"replay complete: {run_dir.path}")
-    print((run_dir.path / "report.txt").read_text("utf-8"), end="")
-    return 0
+    return _run_and_print(config, args.out, "replay")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

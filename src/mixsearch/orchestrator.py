@@ -19,13 +19,12 @@ always loads its fixture, which holds the round count).  Each point's
 ``metric.json`` records the sha256 of its ``records.jsonl``, and a
 round's ``manifest_summary.json`` that of its ``manifest.jsonl``; a
 resume checks both for every committed point.
+
+This module is the loop and the write side of a run directory; reading
+one back and rendering its report live in ``report.py``.
 """
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
-import itertools
 import json
 import logging
 import os
@@ -33,8 +32,8 @@ import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
 
+from . import __version__
 from .backend import (
     Backend,
     BackendRequest,
@@ -58,7 +57,6 @@ from .profiles import (
     MetricVector,
     build_failure_profiles,
     metric_vector,
-    rank_slices,
     weighted_means,
 )
 from .proposer import PolicyConfig, RoundHistory, RoundRecord, propose_explained
@@ -71,6 +69,14 @@ from .records import (
     dump_jsonl,
     read_json,
     write_records,
+)
+from .report import (
+    BASE_LABEL,
+    RUN_SUMMARY_FILES,
+    RunDirectory,
+    digest_file,
+    report,
+    round_dir_name,
 )
 from .rubric import (
     AnnotationKey,
@@ -94,15 +100,9 @@ DEFAULT_BUDGET_TOKENS = 1_000_000
 DEFAULT_ROUNDS = 5
 DEFAULT_INITIAL_MIXTURE = (0.50, 0.30, 0.20)
 
-BASE_LABEL = "base"
-
 
 def round_label(index: int) -> str:
     return f"round-{index}"
-
-
-def round_dir_name(index: int) -> str:
-    return f"round-{index:03d}"
 
 
 @dataclass(frozen=True)
@@ -215,111 +215,8 @@ class LoopConfig:
         }
 
 
-class RunDirectory:
-    """Read-side view of a run's artifacts.
-
-    Every JSON and JSON-lines artifact is read through ``read``, so a
-    missing or damaged file is a ``DataError`` that names it.
-    """
-
-    def __init__(self, path: Path | str) -> None:
-        self.path = Path(path)
-
-    def read(self, name: str, build=None, *, lines: bool = False):
-        """``read_json`` of the artifact ``name``, relative to the run directory."""
-        return read_json(self.path / name, build, lines=lines, what="run artifact")
-
-    def round_indices(self) -> list[int]:
-        """Indices of the committed ``round-NNN/`` directories, the
-        completed rounds; a gap in them is a ``DataError``."""
-        if not self.path.is_dir():
-            raise DataError(f"run directory {self.path} does not exist")
-        indices = []
-        for entry in self.path.iterdir():
-            try:
-                index = int(entry.name.removeprefix("round-"))
-            except ValueError:
-                continue
-            # Only a name that round_dir_name writes is a committed round,
-            # not round-002.tmp, round-1 or round--1.
-            if index >= 0 and entry.name == round_dir_name(index) and entry.is_dir():
-                indices.append(index)
-        indices.sort()
-        for expected, index in enumerate(indices):
-            if index != expected:
-                raise DataError(f"run directory {self.path} lacks {round_dir_name(expected)}/")
-        return indices
-
-    def load_round_metric(self, index: int) -> MetricVector:
-        return self.read(f"{round_dir_name(index)}/metric.json", MetricVector.from_json)
-
-    def load_round_action(self, index: int) -> tuple[DataAction, list[str], str]:
-        def build(obj: dict) -> tuple[DataAction, list[str], str]:
-            config_fields(obj, "action.json", {"action": dict, "rationale": [str], "source": str})
-            return DataAction.from_json(obj["action"]), obj["rationale"], obj["source"]
-
-        return self.read(f"{round_dir_name(index)}/action.json", build)
-
-    def load_round_profiles(self, index: int) -> list[FailureProfile]:
-        return self.read(
-            f"{round_dir_name(index)}/profiles.jsonl",
-            lambda rows: [FailureProfile.from_json(obj) for obj in rows],
-            lines=True,
-        )
-
-    def load_base_metric(self) -> MetricVector:
-        return self.read(f"{BASE_LABEL}/metric.json", MetricVector.from_json)
-
-    def check_digests(self, point: str, *, manifest: bool) -> None:
-        """Raise ``DataError`` unless the committed point's ``records.jsonl``
-        has the sha256 that its ``metric.json`` records and, with
-        ``manifest``, its ``manifest.jsonl`` the one its
-        ``manifest_summary.json`` records."""
-        files = [("records.jsonl", "metric.json", "records_digest")]
-        if manifest:
-            files.append(("manifest.jsonl", "manifest_summary.json", "manifest_digest"))
-        for name, recorded_in, key in files:
-            recorded = self.read(f"{point}/{recorded_in}", lambda obj: obj[key])
-            try:
-                actual = _digest_file(self.path / point / name)
-            except OSError as exc:
-                raise DataError(f"run directory {self.path} lacks {point}/{name}") from exc
-            if actual != recorded:
-                raise DataError(
-                    f"{self.path / point / name} does not match the digest in its {recorded_in}"
-                )
-
-    def frontier(self) -> list[tuple[str, MetricVector]]:
-        return self.read("archive.jsonl", _final_frontier, lines=True)
-
-
-def _final_frontier(rows: Iterator[dict]) -> list[tuple[str, MetricVector]]:
-    """The labels of the archive's last frontier row, each with the metric
-    it was inserted with, read in one pass."""
-    labels = None
-    by_label: dict[str, MetricVector] = {}
-    for row in rows:
-        kind = row.get("kind")
-        if kind == "frontier":
-            labels = row["labels"]
-        elif kind == "insert":
-            by_label[row["label"]] = MetricVector.from_json(row["metric"])
-    if labels is None:
-        raise DataError("has no frontier row")
-    return [(label, by_label[label]) for label in labels]
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
-def _digest_file(path: Path) -> str:
-    # In chunks, so hashing a record file adds nothing to a run's peak memory.
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _input_files(config: LoopConfig):
@@ -377,7 +274,7 @@ def _check_resume(config: LoopConfig, run_dir: RunDirectory) -> None:
         )
     for role, input_path in _input_files(config):
         try:
-            digest = _digest_file(input_path)
+            digest = digest_file(input_path)
         except OSError as exc:
             raise ConfigError(
                 f"cannot read input {input_path} ({role}) to compare it with {path}: "
@@ -551,7 +448,7 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
         runtime = _load_runtime(config)
         if draws:
             effective_distribution(_initial_action(config, runtime.pool), runtime.pool)
-        inputs = {role: _digest_file(path) for role, path in _input_files(config)}
+        inputs = {role: digest_file(path) for role, path in _input_files(config)}
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -567,19 +464,14 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
         # A point is left to evaluate: the archive and reports of the run
         # so far go before it is committed, so a kill cannot leave them
         # describing fewer points than are committed.
-        for name in _RUN_SUMMARY_FILES:
+        for name in RUN_SUMMARY_FILES:
             (out / name).unlink(missing_ok=True)
         if draws:
             history.bucket_slices = runtime.pool.bucket_slices()
     if not resumed:
         _write_json(out / "config.json", dict(config.normalized(), inputs=inputs))
-        _write_json(
-            out / "run_meta.json",
-            {
-                "created_at": datetime.now(timezone.utc).isoformat(),
-                "tool": "mixsearch 0.1.0",
-            },
-        )
+        now = datetime.now(timezone.utc).isoformat()
+        _write_json(out / "run_meta.json", {"created_at": now, "tool": f"mixsearch {__version__}"})
         base_seed = child_seed(config.master_seed, "base")
         history.base_metric, _, _ = _evaluate(
             runtime,
@@ -637,174 +529,3 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     for name, content in report(run_dir).items():
         (out / name).write_text(content, encoding="utf-8")
     return run_dir
-
-
-# ---------------------------------------------------------------------------
-# Reporting
-
-
-def _mixture_text(action: DataAction) -> str:
-    return " / ".join(f"{share:.2f}" for share in action.dataset_mixture)
-
-
-def _mixture_signature(action: DataAction) -> tuple[int, ...]:
-    return tuple(round(share * 10_000) for share in action.dataset_mixture)
-
-
-def _micro_signature(action: DataAction) -> str:
-    weights = {
-        dataset.value: {b: round(w, 6) for b, w in sorted(weights.items())}
-        for dataset, weights in sorted(
-            action.bucket_weights.items(), key=lambda item: item[0].value
-        )
-    }
-    focus = [criterion.to_json() for criterion in action.focus_criteria]
-    return json.dumps({"weights": weights, "focus": focus}, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class TrajectoryRow:
-    label: str
-    metric: MetricVector
-    mixture: str
-    note: str = ""
-
-
-def _micro_flags(actions: list[tuple[int, DataAction]]) -> tuple[set[int], list[str]]:
-    """Rounds whose mixture repeats the previous round's while bucket
-    weights or focus criteria changed, grouped for the report."""
-    flagged: set[int] = set()
-    lines: list[str] = []
-    for _, grouped in itertools.groupby(actions, key=lambda item: _mixture_signature(item[1])):
-        group = list(grouped)
-        if len({_micro_signature(action) for _, action in group}) > 1:
-            indices = [index for index, _ in group]
-            flagged.update(indices)
-            lines.append(
-                f"rounds {indices[0]}-{indices[-1]} share mixture "
-                f"{_mixture_text(group[0][1])} but differ in bucket weights or focus "
-                "criteria (micro-only changes)"
-            )
-    return flagged, lines
-
-
-def _trajectory(run_dir: RunDirectory) -> tuple[list[TrajectoryRow], list[str]]:
-    rows = [
-        TrajectoryRow(label=BASE_LABEL, metric=run_dir.load_base_metric(), mixture="-")
-    ]
-    actions = []
-    for index in run_dir.round_indices():
-        action, _, _ = run_dir.load_round_action(index)
-        actions.append((index, action))
-    flagged, flag_lines = _micro_flags(actions)
-    for index, action in actions:
-        rows.append(
-            TrajectoryRow(
-                label=str(index),
-                metric=run_dir.load_round_metric(index),
-                mixture=_mixture_text(action),
-                note="micro-only change" if index in flagged else "",
-            )
-        )
-    return rows, flag_lines
-
-
-def _worst_slices(run_dir: RunDirectory, per_dimension: int = 3) -> list[FailureProfile]:
-    indices = run_dir.round_indices()
-    if not indices:
-        return []
-    profiles = run_dir.load_round_profiles(indices[-1])
-    worst = []
-    for dimension in DIMENSION_ORDER:
-        candidates = [p for p in profiles if p.dimension is dimension and p.fail_mass > 0]
-        worst.extend(rank_slices(candidates)[:per_dimension])
-    return worst
-
-
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-# What ``run()`` writes after its last point: the archive log and ``report()``'s files.
-_RUN_SUMMARY_FILES = ("archive.jsonl", "report.txt", "trajectory.csv", "archive.csv", "slices.csv")
-
-
-def report(run_dir: RunDirectory | Path | str) -> dict[str, str]:
-    """Render the trajectory, archive, and worst slices of a run; read
-    the run directory and write nothing.
-
-    Returns every report file ``run()`` writes (``report.txt``,
-    ``trajectory.csv``, ``archive.csv`` and ``slices.csv``), keyed by
-    file name.
-    """
-    if not isinstance(run_dir, RunDirectory):
-        run_dir = RunDirectory(run_dir)
-    rows, flag_lines = _trajectory(run_dir)
-    frontier = run_dir.frontier()
-    worst = _worst_slices(run_dir)
-
-    lines = ["mixture search report", "=" * 52, "", "trajectory:"]
-    lines.append(f"{'round':<8}{'safe':>9}{'benign':>9}{'if':>9}  {'mixture':<22}note")
-    for row in rows:
-        lines.append(
-            f"{row.label:<8}"
-            f"{row.metric.safe:>9.4f}{row.metric.benign:>9.4f}{row.metric.if_score:>9.4f}  "
-            f"{row.mixture:<22}{row.note}"
-        )
-    lines.extend(["", "non-dominated archive:"])
-    for label, metric in frontier:
-        lines.append(f"  {label:<10} {format(metric, '.4f')}")
-    if worst:
-        lines.extend(["", "worst slices (final round):"])
-        for profile in worst:
-            lines.append(
-                f"  {profile.dimension.value:<7} {profile.slice_label:<34} "
-                f"mean {profile.mean_score:.4f}  fail_rate {profile.fail_rate:.2f}  "
-                f"modes: {', '.join(profile.top_modes())}"
-            )
-    if flag_lines:
-        lines.extend(["", "flags:"])
-        lines.extend(f"  {line}" for line in flag_lines)
-
-    return {
-        "report.txt": "\n".join(lines) + "\n",
-        "trajectory.csv": _csv(
-            ["round", "safe", "benign", "if", "mixture", "note"],
-            [
-                [
-                    row.label,
-                    f"{row.metric.safe:.4f}",
-                    f"{row.metric.benign:.4f}",
-                    f"{row.metric.if_score:.4f}",
-                    row.mixture,
-                    row.note,
-                ]
-                for row in rows
-            ],
-        ),
-        "archive.csv": _csv(
-            ["label", "safe", "benign", "if"],
-            [
-                [label, f"{metric.safe:.4f}", f"{metric.benign:.4f}", f"{metric.if_score:.4f}"]
-                for label, metric in frontier
-            ],
-        ),
-        "slices.csv": _csv(
-            ["dimension", "slice", "mean_score", "fail_rate", "fail_mass", "top_modes"],
-            [
-                [
-                    profile.dimension.value,
-                    profile.slice_label,
-                    f"{profile.mean_score:.4f}",
-                    f"{profile.fail_rate:.4f}",
-                    f"{profile.fail_mass:.4f}",
-                    " ".join(profile.top_modes()),
-                ]
-                for profile in worst
-            ],
-        ),
-    }

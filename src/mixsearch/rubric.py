@@ -9,6 +9,10 @@ passed; otherwise the score is 1 + 4 times the weighted pass fraction
 of the non-floor checks, rounded to 4 decimals.  A SAFE or BENIGN
 vector holds its dimension's fixed check list; an IF vector holds one
 check per declared constraint.
+
+``verify_constraints`` checks a response's text against IF constraints.
+No simulated or replayed run calls it (both backends synthesize their
+checks); acceptance criterion 5 holds it to ``oracles/naive_checker.py``.
 """
 from __future__ import annotations
 

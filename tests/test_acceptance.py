@@ -23,7 +23,7 @@ from mixsearch.cli import main
 from mixsearch.fixtures import demo_config_path
 from mixsearch.oracles import record_lines
 from mixsearch.oracles.naive_checker import naive_verdict
-from mixsearch.orchestrator import LoopConfig, round_dir_name, run
+from mixsearch.orchestrator import LoopConfig, run
 from mixsearch.pareto import ParetoArchive, dominates
 from mixsearch.profiles import build_failure_profiles
 from mixsearch.proposer import PolicyConfig
@@ -35,6 +35,7 @@ from mixsearch.records import (
     FLOOR_STATES,
     SampleRecord,
 )
+from mixsearch.report import round_dir_name
 from mixsearch.rubric import (
     AtomicCheckVector,
     ConstraintFamily,

@@ -19,6 +19,7 @@ from mixsearch.fixtures import (
     row_check,
 )
 from mixsearch.records import DIMENSION_FOR_DATASET, DIMENSION_ORDER, Dataset
+from mixsearch.report import RunDirectory
 from mixsearch.rubric import SliceTaxonomy, annotate_prompt
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
@@ -1244,7 +1245,7 @@ def test_editing_rounds_in_the_config_file_extends_the_run(resume_inputs, tmp_pa
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert main(["run", "--config", str(config), "--out", str(fresh)]) == 0
     capsys.readouterr()
-    assert orchestrator.RunDirectory(out).round_indices() == [0, 1, 2]
+    assert RunDirectory(out).round_indices() == [0, 1, 2]
     skip = ("run_meta.json", "config.json")  # config.json keeps the first round count
     assert tree_bytes(out, skip) == tree_bytes(fresh, skip)
 

@@ -12,15 +12,9 @@ from mixsearch.backend import ReplayBackend
 from mixsearch.cli import main
 from mixsearch.errors import BackendError, ConfigError, DataError
 from mixsearch.fixtures import demo_config_path
-from mixsearch.orchestrator import (
-    BASE_LABEL,
-    LoopConfig,
-    RunDirectory,
-    report,
-    round_dir_name,
-    run,
-)
+from mixsearch.orchestrator import LoopConfig, run
 from mixsearch.records import SampleRecord
+from mixsearch.report import BASE_LABEL, RunDirectory, report, round_dir_name
 
 from conftest import (
     REPLAY_FRONTIER,

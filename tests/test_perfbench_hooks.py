@@ -56,6 +56,18 @@ def test_tracer_swaps_and_restores_every_hooked_name():
         assert _names() == before
 
 
+def test_every_span_fires_in_a_traced_demo_run(tmp_path, capsys):
+    """A traced demo ``run`` records the run span and every timed span, so
+    a call that bypasses a swapped name (``run`` reaching ``report`` through
+    another module, say) fails here instead of reading 0 in the benchmark."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.patched(tracer, []):
+        assert cli.main(["run", "--config", str(demo_config_path()), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {name for name, *_ in tracer.spans} == {spans.RUN_SPAN, *spans.TIMED_SPANS}
+
+
 def test_every_counter_counts_a_demo_run(tmp_path, capsys):
     """Each of the tracer's counters reads the arguments and the returned
     value of its call; a change of those that the counters cannot read
