@@ -36,8 +36,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import BackendError, ConfigError
-from .fixtures import FixtureRow, ReplayFixture
+from .errors import ConfigError
+from .fixtures import ReplayFixture
 from .records import (
     DATASET_FOR_DIMENSION,
     DIMENSION_FOR_DATASET,
@@ -61,7 +61,7 @@ from .rubric import (
     EvalColumns,
     score_checks,
 )
-from .sampler import DataAction, SampleManifest
+from .sampler import SampleManifest
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,10 @@ class ReplayBackend:
         self.fixture = fixture
 
     def run_round(self, request: BackendRequest) -> RoundRecords:
-        row = self.fixture.row_for(request.round_index)
+        round_index = request.round_index
+        point = "base" if round_index == -1 else str(round_index)
+        fixture = self.fixture
+        metrics = fixture.base if round_index == -1 else fixture.rounds[round_index].metrics
         runs = []
         for dimension in DIMENSION_ORDER:
             dataset = DATASET_FOR_DIMENSION[dimension]
@@ -421,19 +424,12 @@ class ReplayBackend:
                 for label in _REPLAY_SLICES[dimension]
             ]
             numbers = _Templates(dimension)
-            scores = _spread_scores(row.metrics.get(dimension), REPLAY_SAMPLES_PER_DIMENSION)
+            scores = _spread_scores(metrics.get(dimension), REPLAY_SAMPLES_PER_DIMENSION)
             sample_ids = [
-                f"replay-{row.label}-{dimension.value}-{index:03d}" for index in range(len(scores))
+                f"replay-{point}-{dimension.value}-{index:03d}" for index in range(len(scores))
             ]
             annotations = [slices[index % len(slices)] for index in range(len(scores))]
             templates = [numbers[score] for score in scores]  # every sample is valid
             runs.append(RecordRun(dimension, sample_ids, annotations, templates, numbers.table))
         return RoundRecords(runs)
 
-
-def replay_action(row: FixtureRow) -> DataAction:
-    """Reconstruct the action a fixture row records (macro mixture plus
-    any focus criteria; bucket weights are not recorded)."""
-    if row.mixture is None:
-        raise BackendError(f"fixture row {row.label!r} has no mixture to act on")
-    return DataAction(dataset_mixture=row.mixture, focus_criteria=row.focus)

@@ -100,7 +100,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     fixture_path = args.fixture or default_fixture_path()
     if args.validate_only:
         fixture = load_replay_fixture(fixture_path)
-        print(f"fixture ok: {len(fixture.rows)} rows, frontier {{{', '.join(fixture.frontier)}}}")
+        rows = 1 + len(fixture.rounds)  # the base row and one per round
+        print(f"fixture ok: {rows} rows, frontier {{{', '.join(fixture.frontier)}}}")
         return 0
     if args.out is None:
         raise ConfigError("replay needs --out (or use --validate-only)")

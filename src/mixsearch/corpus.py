@@ -69,10 +69,7 @@ def window_lengths(token_count: int, window_length: int, stride: int) -> list[in
 class Bucket:
     bucket_id: str
     slice_fields: dict[str, str]
-
-    @property
-    def slice_label(self) -> str:
-        return slice_key(self.slice_fields)
+    slice_label: str  # slice_key(slice_fields), made as the manifest is read
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,11 @@ def _manifest_from_json(raw: dict, base_dir: Path) -> PoolManifest:
                     )
             if bucket_id in buckets:
                 raise SchemaError(f"dataset {dataset_id.value}: duplicate bucket id {bucket_id!r}")
-            buckets[bucket_id] = Bucket(bucket_id=bucket_id, slice_fields=slice_fields)
+            try:
+                label = slice_key(slice_fields)
+            except ValueError as exc:
+                raise SchemaError(f"{section} {bucket_id!r}: {exc}") from exc
+            buckets[bucket_id] = Bucket(bucket_id, slice_fields, label)
         if not buckets:
             raise SchemaError(f"dataset {dataset_id.value} declares no buckets")
         specs.append(

@@ -42,7 +42,3 @@ class FixtureError(DataError):
 
 class UndefinedMetricError(DataError):
     """A dimension has no valid records, so its mean is undefined."""
-
-
-class ReplayGapError(BackendError):
-    """The replay fixture has no row for the requested round."""

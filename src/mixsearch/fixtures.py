@@ -8,9 +8,12 @@ a self-check digest.  A trailing ``frontier`` row declares which rounds
 the non-dominated set must contain, so loading recomputes dominance
 rather than trusting the file.  Rows, focus descriptors and the frontier
 take only their own keys, each of its JSON type: a string ``"3"`` is not
-a boost, nor ``true`` a cap fraction.  Each focus descriptor becomes a
-focus criterion as the file is read, so one that cannot be (an
-unparseable slice, a boost below 1) fails the load, not a round.
+a boost, nor ``true`` a cap fraction.  A numbered row's mixture and
+focus descriptors become the ``DataAction`` it replays as the row is
+read, so a row that cannot be one (shares that are not three, a negative
+share or a sum other than 1, an unparseable slice, a boost below 1)
+fails the load, not a round.  A ``base`` row's mixture, when it has one,
+meets the same rule.
 """
 from __future__ import annotations
 
@@ -21,11 +24,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .errors import FixtureError, ReplayGapError
+from .errors import FixtureError
 from .pareto import ParetoArchive
 from .profiles import MetricVector
 from .records import config_fields, read_json
-from .sampler import FocusCriterion, slice_pairs
+from .sampler import DataAction, FocusCriterion, slice_pairs
 
 CHECK_DIGEST_CHARS = 8
 ROW_FIELDS = {
@@ -48,32 +51,16 @@ def row_check(row: dict) -> str:
 
 
 @dataclass(frozen=True)
-class FixtureRow:
-    label: str  # "base" or the round index as a string
+class ReplayRound:
     metrics: MetricVector
-    mixture: tuple[float, float, float] | None
-    focus: tuple[FocusCriterion, ...]
-
-    @property
-    def round_index(self) -> int:
-        return -1 if self.label == "base" else int(self.label)
+    action: DataAction  # the row's mixture and focus criteria; bucket weights are not recorded
 
 
 @dataclass(frozen=True)
 class ReplayFixture:
-    rows: tuple[FixtureRow, ...]
+    base: MetricVector
+    rounds: tuple[ReplayRound, ...]  # round i is rounds[i]
     frontier: tuple[str, ...]  # the recomputed non-dominated labels, sorted
-
-    def row_for(self, round_index: int) -> FixtureRow:
-        for row in self.rows:
-            if row.round_index == round_index:
-                return row
-        label = "base" if round_index == -1 else str(round_index)
-        raise ReplayGapError(f"replay fixture has no row for round {label!r}")
-
-    @property
-    def round_count(self) -> int:
-        return sum(1 for row in self.rows if row.label != "base")
 
 
 def load_replay_fixture(path: Path | str) -> ReplayFixture:
@@ -87,38 +74,42 @@ def load_replay_fixture(path: Path | str) -> ReplayFixture:
 
 
 def _fixture_from_rows(raw_rows: Iterator[dict]) -> ReplayFixture:
-    rows = []
+    points: dict[str, tuple[MetricVector, DataAction | None]] = {}  # by label, in file order
     declared: list[str] | None = None
     for raw in raw_rows:
         if isinstance(raw, dict) and "frontier" in raw:
             config_fields(raw, "replay fixture frontier row", {"frontier": [str]})
             declared = raw["frontier"]
-        else:
-            rows.append(_fixture_row(raw))
+            continue
+        label, metrics, action = _fixture_row(raw)
+        if label in points:
+            raise FixtureError(f"row {label!r} appears more than once")
+        points[label] = metrics, action
     if declared is None:
         raise FixtureError("lacks a frontier row")
-    labels = [row.label for row in rows]
-    duplicate = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
-    if duplicate is not None:
-        raise FixtureError(f"row {duplicate!r} appears more than once")
-    if "base" not in labels:
+    if "base" not in points:
         raise FixtureError("row 'base' is missing")
-    numbered = sorted(int(label) for label in labels if label != "base")
+    numbered = sorted(int(label) for label in points if label != "base")
     gap = next((index for index, number in enumerate(numbered) if number != index), None)
     if gap is not None:
         raise FixtureError(f"row for round {gap} is missing")
     archive = ParetoArchive()
-    for row in rows:
-        archive.insert(row.label, row.metrics)
+    for label, (metrics, _) in points.items():
+        archive.insert(label, metrics)
     frontier = tuple(sorted(archive.labels()))
     if frontier != tuple(sorted(declared)):
         raise FixtureError(
             f"frontier mismatch: declared {sorted(declared)}, recomputed {list(frontier)}"
         )
-    return ReplayFixture(rows=tuple(rows), frontier=frontier)
+    rounds = tuple(ReplayRound(*points[str(index)]) for index in range(len(numbered)))
+    return ReplayFixture(base=points["base"][0], rounds=rounds, frontier=frontier)
 
 
-def _fixture_row(raw: dict) -> FixtureRow:
+def _fixture_row(raw: dict) -> tuple[str, MetricVector, DataAction | None]:
+    """A row's label, its metrics, and the action its mixture and focus
+    descriptors record (None for a ``base`` row without a mixture).  A
+    ``ConfigError`` from ``DataAction`` reaches ``read_json``, which
+    reports it as a ``FixtureError`` naming the row's line."""
     config_fields(raw, "replay fixture row", ROW_FIELDS)
     try:
         label = str(raw["round"])
@@ -137,11 +128,11 @@ def _fixture_row(raw: dict) -> FixtureRow:
             f"row {label!r} failed its self-check "
             f"(declared {declared!r}, content hashes to {actual!r})"
         )
-    if label != "base" and mixture is None:
-        raise FixtureError(f"row {label!r} lacks a mixture")
-    if mixture is not None and abs(sum(mixture) - 1.0) > 1e-9:
-        raise FixtureError(f"row {label!r} mixture does not sum to 1")
-    return FixtureRow(label, metrics, mixture, focus)  # type: ignore[arg-type]
+    if mixture is None:
+        if label != "base":
+            raise FixtureError(f"row {label!r} lacks a mixture")
+        return label, metrics, None
+    return label, metrics, DataAction(dataset_mixture=mixture, focus_criteria=focus)
 
 
 def _focus_criterion(descriptor: dict) -> FocusCriterion:

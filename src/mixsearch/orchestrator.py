@@ -29,7 +29,7 @@ import json
 import logging
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,7 +40,6 @@ from .backend import (
     ReplayBackend,
     SimulatorBackend,
     SurfaceParams,
-    replay_action,
 )
 from .corpus import Pool, PoolManifest, load_pool
 from .errors import ConfigError, DataError
@@ -121,6 +120,7 @@ class LoopConfig:
     initial_mixture: tuple[float, float, float] = DEFAULT_INITIAL_MIXTURE
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     fail_threshold: float = DEFAULT_FAIL_THRESHOLD
+    source: Path | None = field(default=None, compare=False)  # its file, named in run errors
 
     def __post_init__(self) -> None:
         if self.budget_tokens < 1:
@@ -144,7 +144,7 @@ class LoopConfig:
         base_dir = Path(os.path.abspath(Path(path).parent))
         return read_json(
             path,
-            lambda raw: LoopConfig.from_json(raw, base_dir=base_dir),
+            lambda raw: replace(LoopConfig.from_json(raw, base_dir=base_dir), source=Path(path)),
             error=ConfigError,
             what="config file",
         )
@@ -311,11 +311,7 @@ def _load_runtime(config: LoopConfig) -> _Runtime:
     if config.backend_kind == "replay":
         fixture = load_replay_fixture(config.fixture_path or default_fixture_path())
         return _Runtime(config, ReplayBackend(fixture), pool=None, fixture=fixture, eval_sets={})
-    taxonomy = (
-        SliceTaxonomy.from_file(config.taxonomy_path)
-        if config.taxonomy_path
-        else SliceTaxonomy.default()
-    )
+    taxonomy = SliceTaxonomy.from_file(config.taxonomy_path or default_taxonomy_path())
     pool = load_pool(PoolManifest.from_file(config.pool_manifest_path))
     eval_sets: dict[Dimension, EvalColumns] = {dim: ([], []) for dim in DIMENSION_ORDER}
     # An annotation depends on the sample's dataset and tags alone, so
@@ -356,7 +352,7 @@ def _round_action(
     runtime: _Runtime, history: RoundHistory, index: int
 ) -> tuple[DataAction, list[str], str]:
     if runtime.fixture is not None:
-        action = replay_action(runtime.fixture.row_for(index))
+        action = runtime.fixture.rounds[index].action
         return action, [f"action replayed from fixture row {index}"], "fixture"
     if index == 0:
         action = _initial_action(runtime.config, runtime.pool)
@@ -412,13 +408,14 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     """Execute (or resume) a full search run into ``out_dir``.
 
     A fresh run loads and checks every input, and that the pool can
-    serve the initial action, before it creates ``out_dir``.  A resume
-    (``out_dir`` holds a committed ``base/``) checks the config and the
-    input digests against ``config.json``, checks each committed point's
-    ``records.jsonl`` (and a drawn round's ``manifest.jsonl``) against
-    the digest its point records, reads the committed points, and loads
-    the inputs only when a point is left to evaluate; a replay always
-    loads its fixture.
+    serve the initial action within the budget, before it creates
+    ``out_dir``; a fault in that check names the config file.  A
+    resume (``out_dir`` holds a committed ``base/``) checks the config
+    and the input digests against ``config.json``, checks each committed
+    point's ``records.jsonl`` (and a drawn round's ``manifest.jsonl``)
+    against the digest its point records, reads the committed points,
+    and loads the inputs only when a point is left to evaluate; a replay
+    always loads its fixture.
     """
     out = Path(out_dir)
     run_dir = RunDirectory(out)
@@ -447,7 +444,12 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
     else:
         runtime = _load_runtime(config)
         if draws:
-            effective_distribution(_initial_action(config, runtime.pool), runtime.pool)
+            initial = _initial_action(config, runtime.pool)
+            try:
+                effective_distribution(initial, runtime.pool, config.budget_tokens)
+            except ConfigError as exc:
+                source = f"config file {config.source}" if config.source else "config"
+                raise ConfigError(f"{source}: initial action: {exc}") from exc
         inputs = {role: digest_file(path) for role, path in _input_files(config)}
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -458,7 +460,7 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
             raise DataError(f"run directory {out} has round directories but no {BASE_LABEL}/")
     rounds = config.rounds
     if runtime is not None and runtime.fixture is not None:
-        rounds = min(rounds, runtime.fixture.round_count)
+        rounds = min(rounds, len(runtime.fixture.rounds))
 
     if not resumed or len(completed) < rounds:
         # A point is left to evaluate: the archive and reports of the run
@@ -494,7 +496,7 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
         backend_seed = child_seed(config.master_seed, "round", index, "backend")
         manifest = None
         if draws:
-            distribution = effective_distribution(action, runtime.pool)
+            distribution = effective_distribution(action, runtime.pool, config.budget_tokens)
             manifest = draw_budgeted(
                 distribution,
                 runtime.pool,

@@ -235,9 +235,10 @@ def report(run_dir: RunDirectory | Path | str) -> dict[str, str]:
     lines += ["", "non-dominated archive:"]
     lines += [f"  {label:<10} {' / '.join(cells)}" for label, *cells in archive[1:]]
     if worst:
+        width = max(34, *(len(p.slice_label) for p in worst))
         lines += ["", "worst slices (final round):"]
         lines += [
-            f"  {p.dimension.value:<7} {p.slice_label:<34} mean {p.mean_score:.4f}  "
+            f"  {p.dimension.value:<7} {p.slice_label:<{width}} mean {p.mean_score:.4f}  "
             f"fail_rate {p.fail_rate:.2f}  modes: {', '.join(p.top_modes())}"
             for p in worst
         ]

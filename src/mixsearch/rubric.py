@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemaError
-from .fixtures import default_taxonomy_path
 from .records import (
     CheckResult,
     Dataset,
@@ -339,10 +338,6 @@ class SliceTaxonomy:
     @staticmethod
     def from_file(path: Path | str) -> "SliceTaxonomy":
         return read_json(path, SliceTaxonomy, what="taxonomy file")
-
-    @staticmethod
-    def default() -> "SliceTaxonomy":
-        return SliceTaxonomy.from_file(default_taxonomy_path())
 
     def _section(self, dataset: Dataset) -> dict:
         return self._spec[dataset.value]

@@ -185,11 +185,15 @@ def uniform_bucket_weights(pool: Pool) -> dict[Dataset, dict[str, float]]:
     return weights
 
 
-def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, float]:
+def effective_distribution(
+    action: DataAction, pool: Pool, budget_tokens: int | None = None
+) -> dict[BucketKey, float]:
     """Bucket-level sampling distribution an action induces on a pool.
 
     Empty buckets contribute nothing; a dataset with positive mixture
-    share but no sampleable windows makes the action infeasible.
+    share but no sampleable windows makes the action infeasible, and so
+    does a ``budget_tokens`` smaller than every window on the support,
+    whose draw would be empty.
     """
     action.validate_against(pool)
     raw: dict[BucketKey, float] = {}
@@ -225,6 +229,13 @@ def effective_distribution(action: DataAction, pool: Pool) -> dict[BucketKey, fl
             raise ConfigError(
                 f"action is infeasible: dataset {dataset.value} has positive mixture "
                 "share but no sampleable windows under its bucket weights"
+            )
+    if budget_tokens is not None:
+        shortest = min(length for key in raw for _, length in pool.tag_groups(*key))
+        if shortest > budget_tokens:
+            raise ConfigError(
+                f"budget {budget_tokens} is smaller than every window on the support "
+                f"(the shortest has {shortest} tokens); the manifest would be empty"
             )
     total = math.fsum(raw.values())
     return {key: value / total for key, value in raw.items()}
@@ -310,8 +321,9 @@ def draw_budgeted(
 ) -> SampleManifest:
     """Draw windows i.i.d. until the budget is exhausted.
 
-    Deterministic in (distribution, pool, seed).  Raises ``ConfigError``
-    when no window on the support fits the budget at all.
+    Deterministic in (distribution, pool, seed).  A budget smaller than
+    every window on the support draws nothing: ``effective_distribution``
+    given the budget rejects such an action.
     """
     if budget_tokens < 1:
         raise ConfigError(f"budget_tokens must be >= 1, got {budget_tokens}")
@@ -356,11 +368,6 @@ def draw_budgeted(
             matched = signature(tags)
             if length < shortest.get(matched, length + 1):
                 shortest[matched] = length
-    if min(shortest.values()) > budget_tokens:
-        raise ConfigError(
-            f"budget {budget_tokens} is smaller than every window on the support; "
-            "the manifest would be empty"
-        )
 
     rng = random.Random(seed)
     caps = [int(criterion.cap_fraction * budget_tokens) for criterion in focus]

@@ -15,12 +15,11 @@ from mixsearch.backend import (
     ReplayBackend,
     SimulatorBackend,
     SurfaceParams,
-    replay_action,
     synthetic_checks,
 )
-from mixsearch.errors import BackendError, ConfigError, ReplayGapError
+from mixsearch.errors import ConfigError
 from mixsearch.fixtures import default_fixture_path, load_replay_fixture
-from mixsearch.profiles import metric_vector
+from mixsearch.profiles import MetricVector, metric_vector
 from mixsearch.records import (
     DIMENSION_FOR_DATASET,
     Dataset,
@@ -543,25 +542,36 @@ class TestReplayBackend:
         expected = REPLAY_TRAJECTORY[label]
         assert tuple(round(v, 4) for v in metric.as_tuple()) == expected
 
-    def test_rounds_beyond_the_fixture_raise_gap_error(self, fixture):
+    def test_a_point_replays_its_own_fixture_row(self, fixture):
+        # Round i replays fixture.rounds[i] and the base point fixture.base;
+        # each sample id names the row it came from.
         backend = ReplayBackend(fixture)
-        request = BackendRequest(
-            round_index=5, manifest=None, eval_sets={}, seed=0
-        )
-        with pytest.raises(ReplayGapError, match="5"):
-            backend.run_round(request)
+        for round_index, point, metrics in [
+            (-1, "base", fixture.base),
+            *((index, str(index), row.metrics) for index, row in enumerate(fixture.rounds)),
+        ]:
+            records = backend.run_round(
+                BackendRequest(round_index=round_index, manifest=None, eval_sets={}, seed=0)
+            )
+            assert metric_vector(records).as_tuple() == pytest.approx(metrics.as_tuple())
+            ids = [record.sample_id for record in read_back(records)]
+            assert all(sample_id.startswith(f"replay-{point}-") for sample_id in ids)
 
-    def test_replay_action_reconstructs_mixture_and_focus(self, fixture):
-        row = fixture.row_for(2)
-        action = replay_action(row)
+    def test_round_action_carries_mixture_and_focus(self, fixture):
+        action = fixture.rounds[2].action
         assert action.dataset_mixture == pytest.approx(REPLAY_MIXTURES["2"])
-        for criterion in action.focus_criteria:
-            assert criterion.boost >= 1.0
-            assert criterion.label
+        assert action.bucket_weights == {}  # the fixture records none
+        assert [criterion.label for criterion in action.focus_criteria] == [
+            "SAFE:complexity=HIGH:no_step_disclosure"
+        ]
+        assert [len(fixture.rounds[index].action.focus_criteria) for index in range(5)] == [
+            0, 1, 1, 1, 2
+        ]
 
     def test_base_row_has_no_action(self, fixture):
-        with pytest.raises(BackendError, match="base"):
-            replay_action(fixture.row_for(-1))
+        # The base point is its metrics alone; only numbered rows are rounds.
+        assert isinstance(fixture.base, MetricVector)
+        assert len(fixture.rounds) == len(REPLAY_MIXTURES)
 
     def test_scores_stay_in_range_for_extreme_rows(self, fixture):
         backend = ReplayBackend(fixture)

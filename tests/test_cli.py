@@ -372,6 +372,13 @@ FIXTURE_INTEGRITY_FAULTS = {
     "mixture-missing": _edit_line(
         1, _sealed(lambda row: {key: value for key, value in row.items() if key != "mixture"})
     ),
+    # Summing to 1 is not enough: a mixture is three shares, each >= 0.
+    "mixture-negative-share": _edit_line(
+        4, _sealed(lambda row: _set(row, "mixture", value=[1.2, -0.2, 0.0]))
+    ),
+    "mixture-two-shares": _edit_line(
+        4, _sealed(lambda row: _set(row, "mixture", value=[0.6, 0.4]))
+    ),
     "frontier-mismatch": _edit_line(
         -1, lambda row: _set(row, "frontier", value=["base", "1", "4"])
     ),
@@ -434,6 +441,10 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "initial_mixture", value=[1.2, -0.2, 0.0])),
         2,
     ),
+    # The demo's shortest window has more than 5 tokens.
+    "config-budget-below-every-window": (
+        "run", "config.json", _edit_document(lambda obj: _set(obj, "budget_tokens", value=5)), 2
+    ),
     "config-policy-list": (
         "run", "config.json", _edit_document(lambda obj: _set(obj, "policy", value=[1])), 2
     ),
@@ -465,6 +476,23 @@ FAULTS = {
         "run",
         "pool_manifest.json",
         _edit_document(lambda obj: _set(obj, "datasets", 0, "buckets", 0, value={"id": "b"})),
+        3,
+    ),
+    "manifest-bucket-slice-empty": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(lambda obj: _set(obj, "datasets", 0, "buckets", 0, "slice", value={})),
+        3,
+    ),
+    "manifest-bucket-slice-reserved": (
+        "run",
+        "pool_manifest.json",
+        _edit_document(
+            lambda obj: _set(
+                _set(obj, "datasets", 0, "enumerations", "complexity", value=["LOW|MED", "HIGH"]),
+                "datasets", 0, "buckets", 0, "slice", "complexity", value="LOW|MED",
+            )
+        ),
         3,
     ),
     "manifest-window-length-string": (
@@ -747,6 +775,17 @@ FAULT_MESSAGES = {
     "eval-set-not-utf8-at-end": "is not UTF-8 text",
     "fixture-not-utf8-at-end": "is not UTF-8 text",
     "fixture-last-line-not-json": "fixture.jsonl:7 is not valid JSON",
+    "config-budget-below-every-window": "budget 5 is smaller than every window",
+    "manifest-bucket-slice-empty": "bucket 'xg_low': slice descriptor must have at least one field",
+    "manifest-bucket-slice-reserved": "bucket 'xg_low': slice field 'complexity'='LOW|MED'",
+    **{
+        f"fixture-mixture-{case}-{command}": message
+        for case, message in (
+            ("negative-share", "fixture.jsonl:5 is malformed (ConfigError: mixture shares must"),
+            ("two-shares", "fixture.jsonl:5 is malformed (ConfigError: dataset_mixture needs 3"),
+        )
+        for command in ("validate", "replay")
+    },
 }
 
 
@@ -826,11 +865,7 @@ def _annotated_one_by_one(config):
     """The ``(sample id, annotation)`` pairs of ``_load_runtime(config)``'s
     eval sets, inputs loaded in the same order, with ``annotate_prompt``
     called on every row that ``_eval_samples`` reads."""
-    taxonomy = (
-        SliceTaxonomy.from_file(config.taxonomy_path)
-        if config.taxonomy_path
-        else SliceTaxonomy.default()
-    )
+    taxonomy = SliceTaxonomy.from_file(config.taxonomy_path or default_taxonomy_path())
     load_pool(PoolManifest.from_file(config.pool_manifest_path))
     pairs = [
         (sample_id, annotate_prompt(dataset, tags, taxonomy))

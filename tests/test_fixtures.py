@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mixsearch.errors import FixtureError, ReplayGapError
+from mixsearch.errors import FixtureError
 from mixsearch.fixtures import (
     load_replay_fixture,
     data_path,
@@ -49,33 +49,36 @@ class TestShippedFixture:
 
     def test_validates_clean(self):
         fixture = load_replay_fixture(default_fixture_path())
-        assert len(fixture.rows) == 6
+        assert len(fixture.rounds) == 5
         assert fixture.frontier == tuple(sorted(REPLAY_FRONTIER))
 
     def test_rows_carry_the_reference_trajectory(self):
         fixture = load_replay_fixture(default_fixture_path())
-        for row in fixture.rows:
-            assert tuple(round(v, 4) for v in row.metrics.as_tuple()) == REPLAY_TRAJECTORY[
-                row.label
-            ]
-            if row.label != "base":
-                assert row.mixture == pytest.approx(REPLAY_MIXTURES[row.label])
+        assert tuple(round(v, 4) for v in fixture.base.as_tuple()) == REPLAY_TRAJECTORY["base"]
+        for index, row in enumerate(fixture.rounds):
+            label = str(index)
+            assert tuple(round(v, 4) for v in row.metrics.as_tuple()) == REPLAY_TRAJECTORY[label]
+            assert row.action.dataset_mixture == pytest.approx(REPLAY_MIXTURES[label])
 
     def test_late_rounds_share_a_mixture(self):
         # The shipped trace freezes the macro ratios after round 1; only
         # micro levers move.  This is a property of the trace, not a rule
         # for fixtures in general.
         fixture = load_replay_fixture(default_fixture_path())
-        late = {fixture.row_for(index).mixture for index in (2, 3, 4)}
+        late = {fixture.rounds[index].action.dataset_mixture for index in (2, 3, 4)}
         assert len(late) == 1
 
-    def test_row_lookup_by_round_index(self):
+    def test_row_lookup_by_round_index(self, tmp_path):
+        # Round i is rounds[i], whatever the order of the file's rows.
+        lines = default_fixture_path().read_text(encoding="utf-8").splitlines()
+        reversed_path = tmp_path / "reversed.jsonl"
+        reversed_path.write_text("\n".join(lines[::-1]) + "\n", encoding="utf-8")
         fixture = load_replay_fixture(default_fixture_path())
-        assert fixture.row_for(-1).label == "base"
-        assert fixture.row_for(3).label == "3"
-        assert fixture.round_count == 5
-        with pytest.raises(ReplayGapError, match="7"):
-            fixture.row_for(7)
+        reversed_fixture = load_replay_fixture(reversed_path)
+        assert fixture.base.as_tuple() == REPLAY_TRAJECTORY["base"]
+        assert fixture.rounds[3].metrics.as_tuple() == REPLAY_TRAJECTORY["3"]
+        assert fixture.rounds[3].action.focus_criteria[0].cap_fraction == 0.4
+        assert reversed_fixture == fixture
 
     def test_row_check_is_stable(self):
         # The digest covers the canonical JSON of everything but "check".
@@ -140,7 +143,18 @@ class TestValidationFailures:
                 row["mixture"] = [0.5, 0.3, 0.1]
 
         path = rewrite(tmp_path, mutate=break_simplex, reseal=True)
-        with pytest.raises(FixtureError, match="does not sum to 1"):
+        with pytest.raises(FixtureError, match="must sum to 1"):
+            load_replay_fixture(path)
+
+    def test_a_base_mixture_meets_the_action_rule(self, tmp_path):
+        # A base row needs no mixture, but one it has is checked as an
+        # action's: three shares, each >= 0, summing to 1.
+        def two_shares(row):
+            if row["round"] == "base":
+                row["mixture"] = [0.6, 0.4]
+
+        path = rewrite(tmp_path, mutate=two_shares, reseal=True)
+        with pytest.raises(FixtureError, match=r"fixture.jsonl:1 .*needs 3 entries"):
             load_replay_fixture(path)
 
     def test_numbered_round_needs_a_mixture(self, tmp_path):

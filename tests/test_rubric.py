@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mixsearch.fixtures import default_taxonomy_path
 from mixsearch.oracles.naive_checker import naive_verdict
 from mixsearch.records import CheckResult, Dataset, Dimension, L2State
 from mixsearch.rubric import (
@@ -323,7 +324,7 @@ class TestScoringInvariants:
 
 @pytest.fixture(scope="module")
 def taxonomy():
-    return SliceTaxonomy.default()
+    return SliceTaxonomy.from_file(default_taxonomy_path())
 
 
 class TestAnnotatePrompt:

@@ -303,9 +303,11 @@ class TestDrawBudgeted:
         assert ids[0] != ids[1]
 
     def test_budget_smaller_than_every_window_rejected(self, flat_pool):
-        distribution = effective_distribution(flat_action(), flat_pool)
-        with pytest.raises(ConfigError, match="smaller than every window"):
-            draw_budgeted(distribution, flat_pool, budget_tokens=9, seed=0)
+        # The rule lives in effective_distribution, so an action is rejected
+        # before anything is drawn; the shortest window has 10 tokens.
+        with pytest.raises(ConfigError, match="smaller than every window.*shortest has 10"):
+            effective_distribution(flat_action(), flat_pool, budget_tokens=9)
+        assert effective_distribution(flat_action(), flat_pool, budget_tokens=10)
 
     def test_nonpositive_budget_rejected(self, flat_pool):
         distribution = effective_distribution(flat_action(), flat_pool)

@@ -1,5 +1,8 @@
-"""Source hygiene of the package: no module imports a name it never uses."""
+"""Source hygiene of the package: no module imports a name it never uses,
+the lower layers import nothing from the upper ones, and the modules'
+imports form no cycle."""
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import mixsearch
@@ -49,3 +52,60 @@ def test_an_unused_import_is_found():
         "    return os.path.join(*rows)\n"
     )
     assert unused_imports(source) == ["csv", "It", "read_json"]
+
+
+# The loop's parts, which import nothing from what wires them together.
+LOWER_LAYERS = {"records", "errors", "corpus", "sampler", "profiles", "pareto", "rubric"}
+UPPER_LAYERS = {"fixtures", "backend", "proposer", "report", "orchestrator", "cli"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The top-level modules of the package that the module at ``path``
+    imports (``from .x import y``, ``from . import x``, ``import mixsearch.x``),
+    at any depth of its syntax tree; a name ``from . import`` takes that is
+    not a module (``__version__``) comes from ``__init__``."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                imported.add(node.module.split(".")[0])
+            elif node.level == 1:
+                imported.update(
+                    alias.name if (path.parent / f"{alias.name}.py").is_file() else "__init__"
+                    for alias in node.names
+                )
+            elif node.module and node.module.startswith("mixsearch."):
+                imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("mixsearch.")
+            )
+    return imported
+
+
+def import_graph() -> dict[str, set[str]]:
+    """Each top-level module of the package -> the package modules it imports."""
+    return {path.stem: package_imports(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
+def test_lower_layers_import_no_upper_layer():
+    graph = import_graph()
+    assert LOWER_LAYERS | UPPER_LAYERS <= set(graph)
+    upward = {module: sorted(graph[module] & UPPER_LAYERS) for module in sorted(LOWER_LAYERS)}
+    assert upward == {module: [] for module in upward}
+
+
+def test_the_package_imports_form_no_cycle():
+    TopologicalSorter(import_graph()).prepare()  # a cycle raises CycleError naming it
+
+
+def test_a_package_import_at_any_depth_is_found(tmp_path):
+    (tmp_path / "records.py").write_text("", encoding="utf-8")
+    (tmp_path / "rubric.py").write_text(
+        "from . import __version__, records\n"
+        "def f():\n"
+        "    from .fixtures import data_path\n",
+        encoding="utf-8",
+    )
+    assert package_imports(tmp_path / "rubric.py") == {"__init__", "records", "fixtures"}
