@@ -9,9 +9,8 @@ Subcommands:
 
 ``report`` and ``pareto`` only read the run directory.
 
-Exit codes: 0 success, 2 config problems, 3 data problems, 4 backend
-problems.  Set ``MIXSEARCH_LOG`` (DEBUG/INFO/WARNING/ERROR) to control
-log verbosity.
+Exit codes: 0 success, 2 config problems, 3 data problems.  Set
+``MIXSEARCH_LOG`` (DEBUG/INFO/WARNING/ERROR) to control log verbosity.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
-Three broad classes map onto distinct CLI exit codes: configuration
-problems, data problems (pools, fixtures, record files), and backend
-problems.  Plain ``ValueError`` is reserved for caller contract
+Two broad classes map onto distinct CLI exit codes: configuration
+problems and data problems (pools, fixtures, record files, run
+artifacts).  Plain ``ValueError`` is reserved for caller contract
 violations that indicate a programming mistake rather than bad input.
 """
 from __future__ import annotations
@@ -24,12 +24,6 @@ class DataError(MixSearchError):
     """Unreadable or malformed pools, eval sets, fixtures, or run artifacts."""
 
     exit_code = 3
-
-
-class BackendError(MixSearchError):
-    """Backend construction or execution failure."""
-
-    exit_code = 4
 
 
 class SchemaError(DataError):

@@ -1,24 +1,25 @@
 """Closed-loop driver: evaluate the base point, then run fixed-budget
 rounds of act, draw, evaluate, profile, archive.
 
-Each point (the base or a round) is written to ``<name>.tmp/`` and
-renamed into place, so its committed directory, the run's only record
-of progress, is whole: a killed process leaves completed points readable
-and a rerun with the same output directory continues instead of starting
-over.  All randomness flows from one master seed through named child
-seeds, and no artifact except ``run_meta.json`` contains a timestamp,
-so two runs with the same config and seed are byte-identical.  A run
-with a point left to evaluate removes the archive and report files
-first, so they never describe fewer points than are committed.
+A run is one loop over its points, the base (point -1) and each round.
+Each point is written to ``<name>.tmp/`` and renamed into place, so its
+committed directory, the run's only record of progress, is whole: a
+killed process leaves completed points readable, and a rerun with the
+same output directory reads them back and evaluates the rest instead of
+starting over.  All randomness flows from one master seed through named
+child seeds, and no artifact except ``run_meta.json`` contains a
+timestamp, so two runs with the same config and seed are byte-identical.
+At the first point left to evaluate a run removes the archive and report
+files, so they never describe fewer points than are committed.
 
 ``config.json`` records the config and the sha256 of every input file
 the backend reads, keyed by role.  A resume compares both before it
-reads anything else, so a changed input cannot mix two trajectories,
-and loads the inputs only when a point is left to evaluate (a replay
-always loads its fixture, which holds the round count).  Each point's
-``metric.json`` records the sha256 of its ``records.jsonl``, and a
-round's ``manifest_summary.json`` that of its ``manifest.jsonl``; a
-resume checks both for every committed point.
+reads anything else, so a changed input cannot mix two trajectories.
+Each point's ``metric.json`` records the sha256 of its
+``records.jsonl``, and a round's ``manifest_summary.json`` that of its
+``manifest.jsonl``; a resume checks both for every committed point
+before it loads any input (a replay loads its fixture first, since it
+holds the round count).
 
 This module is the loop and the write side of a run directory; reading
 one back and rendering its report live in ``report.py``.
@@ -49,7 +50,7 @@ from .fixtures import (
     default_taxonomy_path,
     load_replay_fixture,
 )
-from .pareto import InsertVerdict, ParetoArchive
+from .pareto import ParetoArchive
 from .profiles import (
     DEFAULT_FAIL_THRESHOLD,
     FailureProfile,
@@ -98,10 +99,6 @@ log = logging.getLogger(__name__)
 DEFAULT_BUDGET_TOKENS = 1_000_000
 DEFAULT_ROUNDS = 5
 DEFAULT_INITIAL_MIXTURE = (0.50, 0.30, 0.20)
-
-
-def round_label(index: int) -> str:
-    return f"round-{index}"
 
 
 @dataclass(frozen=True)
@@ -361,89 +358,38 @@ def _round_action(
     return action, rationale, "policy"
 
 
-def _evaluate(
-    runtime: _Runtime,
-    archive: ParetoArchive,
-    label: str,
-    directory: Path,
-    request: BackendRequest,
-    seeds: dict[str, int],
-    action_json: dict | None = None,
-) -> tuple[MetricVector, list[FailureProfile], InsertVerdict]:
-    """Evaluate one point (the base or a round) and commit its directory.
+def _point(index: int) -> tuple[str, str]:
+    """Point ``index``'s archive label and directory name; the base is point -1."""
+    if index < 0:
+        return BASE_LABEL, BASE_LABEL
+    return f"round-{index}", round_dir_name(index)
 
-    Runs the backend, profiles the records (columns from end to end, no
-    object per sample), inserts the point into the archive, then writes
-    the request's manifest and summary (when it has a manifest), the
-    records, metric, profiles and ``action_json`` (for a round) into a
-    fresh ``<directory>.tmp/`` and renames it to ``directory``.
+
+def _start(
+    config: LoopConfig, run_dir: RunDirectory, runtime: _Runtime | None, first: int, end: int
+) -> _Runtime:
+    """Make ready to evaluate points ``first`` to ``end - 1``, the points left.
+
+    Each one's name and its ``.tmp`` name must be free or a directory (a
+    ``.tmp/`` a kill left behind is removed when its point is evaluated),
+    else nothing is written.  Then the inputs load (a replay's fixture
+    already has), and a fresh run (``first`` is the base) checks that
+    the pool can serve the initial action, creates the run directory and
+    writes ``config.json`` and ``run_meta.json``.  Last, the archive and
+    reports of the run so far go before a point is committed, so a kill
+    cannot leave them describing fewer points than are committed.
     """
-    records = runtime.backend.run_round(request)
-    metric = metric_vector(records)
-    profiles = build_failure_profiles(records, runtime.config.fail_threshold)
-    verdict = archive.insert(label, metric)
-    temp = directory.with_name(directory.name + ".tmp")
-    if temp.exists():
-        shutil.rmtree(temp)
-    temp.mkdir()
-    if request.manifest is not None:
-        summary = request.manifest.summary()
-        summary["manifest_digest"] = write_manifest(temp / "manifest.jsonl", request.manifest)
-        _write_json(temp / "manifest_summary.json", summary)
-    records_digest = write_records(temp / "records.jsonl", records)
-    _write_json(
-        temp / "metric.json",
-        dict(metric.to_json(), weighted=weighted_means(records), seeds=seeds,
-             verdict=verdict.status, replaced=list(verdict.replaced),
-             records_digest=records_digest),
-    )
-    dump_jsonl(temp / "profiles.jsonl", (profile.to_json() for profile in profiles))
-    if action_json is not None:
-        _write_json(temp / "action.json", action_json)
-    os.replace(temp, directory)
-    return metric, profiles, verdict
-
-
-def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
-    """Execute (or resume) a full search run into ``out_dir``.
-
-    A fresh run loads and checks every input, and that the pool can
-    serve the initial action within the budget, before it creates
-    ``out_dir``; a fault in that check names the config file.  A
-    resume (``out_dir`` holds a committed ``base/``) checks the config
-    and the input digests against ``config.json``, checks each committed
-    point's ``records.jsonl`` (and a drawn round's ``manifest.jsonl``)
-    against the digest its point records, reads the committed points,
-    and loads the inputs only when a point is left to evaluate; a replay
-    always loads its fixture.
-    """
-    out = Path(out_dir)
-    run_dir = RunDirectory(out)
-    draws = config.backend_kind == "simulate"
-    archive = ParetoArchive()
-    history = RoundHistory()
-    resumed = (out / BASE_LABEL).is_dir()
-    if resumed:
-        _check_resume(config, run_dir)
-        completed = run_dir.round_indices()
-        run_dir.check_digests(BASE_LABEL, manifest=False)
-        history.base_metric = run_dir.load_base_metric()
-        archive.insert(BASE_LABEL, history.base_metric)
-        for index in completed:
-            run_dir.check_digests(round_dir_name(index), manifest=draws)
-            action, _, _ = run_dir.load_round_action(index)
-            metric = run_dir.load_round_metric(index)
-            archive.insert(round_label(index), metric)
-            history.append(
-                RoundRecord(index, action, metric, tuple(run_dir.load_round_profiles(index)))
-            )
-        log.info("resuming run at round %d", len(completed))
-        # A replay's round count is its fixture's, so a replay always loads it.
-        left = not draws or len(completed) < config.rounds
-        runtime = _load_runtime(config) if left else None
-    else:
-        runtime = _load_runtime(config)
-        if draws:
+    out = run_dir.path
+    for index in range(first, end):
+        name = _point(index)[1]
+        for path in (out / name, out / f"{name}.tmp"):
+            if os.path.lexists(path) and (path.is_symlink() or not path.is_dir()):
+                raise DataError(
+                    f"{path} is not a plain directory, so point {name} cannot be written"
+                )
+    runtime = runtime or _load_runtime(config)
+    if first < 0:
+        if runtime.pool is not None:
             initial = _initial_action(config, runtime.pool)
             try:
                 effective_distribution(initial, runtime.pool, config.budget_tokens)
@@ -455,77 +401,126 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use {out} as a run directory: {exc.strerror}") from exc
-        completed = run_dir.round_indices()
-        if completed:
+        if run_dir.round_indices():
             raise DataError(f"run directory {out} has round directories but no {BASE_LABEL}/")
-    rounds = config.rounds
-    if runtime is not None and runtime.fixture is not None:
-        rounds = min(rounds, len(runtime.fixture.rounds))
-
-    if not resumed or len(completed) < rounds:
-        # A point is left to evaluate: the archive and reports of the run
-        # so far go before it is committed, so a kill cannot leave them
-        # describing fewer points than are committed.
-        for name in RUN_SUMMARY_FILES:
-            (out / name).unlink(missing_ok=True)
-        if draws:
-            history.bucket_slices = runtime.pool.bucket_slices()
-    if not resumed:
         _write_json(out / "config.json", dict(config.normalized(), inputs=inputs))
         now = datetime.now(timezone.utc).isoformat()
         _write_json(out / "run_meta.json", {"created_at": now, "tool": f"mixsearch {__version__}"})
-        base_seed = child_seed(config.master_seed, "base")
-        history.base_metric, _, _ = _evaluate(
-            runtime,
-            archive,
-            BASE_LABEL,
-            out / BASE_LABEL,
-            BackendRequest(
-                round_index=-1,
-                manifest=None,
-                eval_sets=runtime.eval_sets,
-                seed=base_seed,
-            ),
-            {"backend": base_seed},
-        )
-        log.info("base point evaluated: %s", format(history.base_metric, ".4f"))
+    for name in RUN_SUMMARY_FILES:
+        (out / name).unlink(missing_ok=True)
+    return runtime
 
-    for index in range(len(completed), rounds):
+
+def _evaluate(
+    runtime: _Runtime, archive: ParetoArchive, history: RoundHistory, index: int, out: Path
+) -> tuple[MetricVector, DataAction | None, list[FailureProfile]]:
+    """Evaluate point ``index`` (-1 the base) and commit its directory.
+
+    A round takes its action and, in a simulation, draws its manifest;
+    the base has neither.  Then the backend runs, the records are
+    profiled (columns from end to end, no object per sample) and the
+    point goes into the archive.  Its manifest and summary (a drawn
+    round), records, metric, profiles and ``action.json`` (a round) are
+    written into a fresh ``<name>.tmp/``, which is renamed to ``<name>``.
+    Returns the point's metric, action (None for the base) and profiles.
+    """
+    config = runtime.config
+    label, name = _point(index)
+    action = manifest = None
+    if index < 0:
+        seeds = {"backend": child_seed(config.master_seed, "base")}
+    else:
         action, rationale, source = _round_action(runtime, history, index)
-        draw_seed = child_seed(config.master_seed, "round", index, "draw")
-        backend_seed = child_seed(config.master_seed, "round", index, "backend")
-        manifest = None
-        if draws:
+        seeds = {
+            purpose: child_seed(config.master_seed, "round", index, purpose)
+            for purpose in ("draw", "backend")
+        }
+        if runtime.pool is not None:
             distribution = effective_distribution(action, runtime.pool, config.budget_tokens)
             manifest = draw_budgeted(
                 distribution,
                 runtime.pool,
                 config.budget_tokens,
-                draw_seed,
+                seeds["draw"],
                 focus=action.focus_criteria,
             )
-        metric, profiles, verdict = _evaluate(
-            runtime,
-            archive,
-            round_label(index),
-            out / round_dir_name(index),
-            BackendRequest(
-                round_index=index,
-                manifest=manifest,
-                eval_sets=runtime.eval_sets,
-                seed=backend_seed,
-            ),
-            {"draw": draw_seed, "backend": backend_seed},
-            {"action": action.to_json(), "rationale": rationale, "source": source},
+    records = runtime.backend.run_round(
+        BackendRequest(
+            round_index=index, manifest=manifest, eval_sets=runtime.eval_sets, seed=seeds["backend"]
         )
-        history.append(RoundRecord(index, action, metric, tuple(profiles)))
-        log.info(
-            "round %d (%s): metric %s, archive verdict %s",
-            index,
-            source,
-            format(metric, ".4f"),
-            verdict.status,
-        )
+    )
+    metric = metric_vector(records)
+    profiles = build_failure_profiles(records, config.fail_threshold)
+    verdict = archive.insert(label, metric)
+    temp = out / f"{name}.tmp"
+    if temp.exists():  # a kill left it behind; _start saw that it is a plain directory
+        shutil.rmtree(temp)
+    temp.mkdir()
+    if manifest is not None:
+        summary = manifest.summary()
+        summary["manifest_digest"] = write_manifest(temp / "manifest.jsonl", manifest)
+        _write_json(temp / "manifest_summary.json", summary)
+    records_digest = write_records(temp / "records.jsonl", records)
+    _write_json(
+        temp / "metric.json",
+        dict(metric.to_json(), weighted=weighted_means(records), seeds=seeds,
+             verdict=verdict.status, replaced=list(verdict.replaced),
+             records_digest=records_digest),
+    )
+    dump_jsonl(temp / "profiles.jsonl", (profile.to_json() for profile in profiles))
+    if action is not None:
+        action_json = {"action": action.to_json(), "rationale": rationale, "source": source}
+        _write_json(temp / "action.json", action_json)
+    os.replace(temp, out / name)
+    log.info("%s: metric %s, archive verdict %s", label, format(metric, ".4f"), verdict.status)
+    return metric, action, profiles
+
+
+def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
+    """Execute (or resume) a full search run into ``out_dir``.
+
+    Each point, the base first, is read back or evaluated; inputs load
+    at the first point left.  A resume (``out_dir`` holds a committed
+    ``base/``) first checks the config and the input digests against
+    ``config.json``.  A committed point is read back: its
+    ``records.jsonl`` (and a drawn round's ``manifest.jsonl``) is
+    checked against the digest its point records, then its metric,
+    action and profiles load.  A replay loads its fixture before any
+    point, since the fixture holds the round count.  A fresh run loads
+    and checks every input, and that the pool can serve the initial
+    action within the budget, before it creates ``out_dir``; a fault in
+    that check names the config file.
+    """
+    run_dir = RunDirectory(out_dir)
+    out = run_dir.path
+    draws = config.backend_kind == "simulate"
+    archive = ParetoArchive()
+    history = RoundHistory()
+    done = -1  # points -1 (the base) to done - 1 are committed
+    if (out / BASE_LABEL).is_dir():
+        _check_resume(config, run_dir)
+        done = len(run_dir.round_indices())
+    runtime = None if draws else _load_runtime(config)
+    rounds = config.rounds if draws else min(config.rounds, len(runtime.fixture.rounds))
+    for index in range(-1, max(rounds, done)):
+        if index < done:
+            label, name = _point(index)
+            run_dir.check_digests(name, manifest=draws and index >= 0)
+            metric = run_dir.load_metric(name)
+            archive.insert(label, metric)
+            if index >= 0:
+                action = run_dir.load_round_action(index)[0]
+                profiles = run_dir.load_round_profiles(index)
+        else:
+            if index == done:
+                runtime = _start(config, run_dir, runtime, index, rounds)
+                if draws:
+                    history.bucket_slices = runtime.pool.bucket_slices()
+            metric, action, profiles = _evaluate(runtime, archive, history, index, out)
+        if index < 0:
+            history.base_metric = metric
+        else:
+            history.append(RoundRecord(index, action, metric, tuple(profiles)))
 
     dump_jsonl(out / "archive.jsonl", archive.snapshot_rows())
     for name, content in report(run_dir).items():

@@ -76,8 +76,9 @@ class RunDirectory:
                 raise DataError(f"run directory {self.path} lacks {round_dir_name(expected)}/")
         return indices
 
-    def load_round_metric(self, index: int) -> MetricVector:
-        return self.read(f"{round_dir_name(index)}/metric.json", MetricVector.from_json)
+    def load_metric(self, point: str) -> MetricVector:
+        """The metric of the committed point ``point`` (``base`` or ``round-NNN``)."""
+        return self.read(f"{point}/metric.json", MetricVector.from_json)
 
     def load_round_action(self, index: int) -> tuple[DataAction, list[str], str]:
         def build(obj: dict) -> tuple[DataAction, list[str], str]:
@@ -92,9 +93,6 @@ class RunDirectory:
             lambda rows: [FailureProfile.from_json(obj) for obj in rows],
             lines=True,
         )
-
-    def load_base_metric(self) -> MetricVector:
-        return self.read(f"{BASE_LABEL}/metric.json", MetricVector.from_json)
 
     def check_digests(self, point: str, *, manifest: bool) -> None:
         """Raise ``DataError`` unless the committed point's ``records.jsonl``
@@ -180,13 +178,13 @@ def _trajectory(run_dir: RunDirectory) -> tuple[list[list[str]], list[str]]:
     """The trajectory table (a header, the base, then each round) and the flag lines."""
     rows = [
         ["round", "safe", "benign", "if", "mixture", "note"],
-        [BASE_LABEL, *_metric_cells(run_dir.load_base_metric()), "-", ""],
+        [BASE_LABEL, *_metric_cells(run_dir.load_metric(BASE_LABEL)), "-", ""],
     ]
     actions = [(index, run_dir.load_round_action(index)[0]) for index in run_dir.round_indices()]
     flagged, flag_lines = _micro_flags(actions)
     for index, action in actions:
         note = "micro-only change" if index in flagged else ""
-        metric = run_dir.load_round_metric(index)
+        metric = run_dir.load_metric(round_dir_name(index))
         rows.append([str(index), *_metric_cells(metric), _mixture_text(action), note])
     return rows, flag_lines
 

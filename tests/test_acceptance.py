@@ -376,8 +376,8 @@ def test_criterion_7_simulated_loop_recovers_from_the_tradeoff(simulated_run):
     penalty = SurfaceParams.from_json({}).to_json()["interference"]["BENIGN"]["SAFE"]
     assert penalty > 0, "default surface must penalize BENIGN as SAFE data grows"
 
-    base = run_dir.load_base_metric()
-    round0 = run_dir.load_round_metric(0)
+    base = run_dir.load_metric("base")
+    round0 = run_dir.load_metric(round_dir_name(0))
     assert round0.safe > base.safe, f"round 0 SAFE {round0.safe} vs base {base.safe}"
     assert round0.benign < base.benign, f"round 0 BENIGN {round0.benign} vs base {base.benign}"
 
@@ -460,7 +460,7 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
         (
             "base",
             _records(run_dir, "base"),
-            run_dir.load_base_metric(),
+            run_dir.load_metric("base"),
             None,
         )
     ]
@@ -469,7 +469,7 @@ def test_criterion_9_profiles_partition_and_reconstruct_metric(simulated_run):
             (
                 f"round {index}",
                 _records(run_dir, round_dir_name(index)),
-                run_dir.load_round_metric(index),
+                run_dir.load_metric(round_dir_name(index)),
                 run_dir.load_round_profiles(index),
             )
         )

@@ -1334,6 +1334,72 @@ def test_a_damaged_artifact_stops_a_finished_resume(name, damage, demo_out, tmp_
     assert tree_bytes(damaged, exclude=()) == before
 
 
+def _listing(path):
+    """Every entry under ``path`` (files, directories, symlinks) -> a
+    file's bytes, or None for any other entry."""
+    return {
+        str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+        for p in sorted(path.rglob("*"))
+    }
+
+
+# case -> (the run copied into place, None for a fresh run; the name that a
+# file or a dangling symlink holds; the round count asked for)
+HELD_NAMES = {
+    "base-file": (None, "base", 1),
+    "round-file": ("one_round_out", "round-001", 2),
+    "tmp-file": (None, "round-000.tmp", 1),
+    "tmp-dangling-symlink": ("demo_out", "round-002.tmp", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_NAMES))
+def test_a_point_name_held_by_a_non_directory_exits_three(case, request, tmp_path, capsys):
+    """A point's name or its ``.tmp`` name held by something that is not a
+    directory stops the run before it writes or removes anything."""
+    source, name, rounds = HELD_NAMES[case]
+    out = tmp_path / "run"
+    if source is None:
+        out.mkdir()
+    else:
+        shutil.copytree(request.getfixturevalue(source), out)
+    held = out / name
+    if case.endswith("symlink"):
+        held.symlink_to(tmp_path / "absent")
+    else:
+        held.write_text("not a point\n", encoding="utf-8")
+    before = _listing(out)
+    capsys.readouterr()
+    argv = ["run", "--config", str(demo_config_path()), "--rounds", str(rounds), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert str(held) in err, err
+    assert _listing(out) == before
+
+
+def test_a_resume_checks_every_committed_point_before_it_loads_an_input(
+    demo_out, tmp_path, monkeypatch, capsys
+):
+    """An extension of a run whose round-000 records no longer match their
+    digest stops before it loads the pool or an eval set, and changes nothing."""
+    out = tmp_path / "run"
+    shutil.copytree(demo_out, out)
+    _flip_byte(out / "round-000" / "records.jsonl")
+    before = _listing(out)
+    loads = []
+    monkeypatch.setattr(orchestrator, "load_pool", lambda *a, **k: loads.append("pool"))
+    monkeypatch.setattr(orchestrator, "load_eval_set", lambda *a, **k: loads.append("eval"))
+    capsys.readouterr()
+    argv = ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "round-000/records.jsonl" in err, err
+    assert loads == []
+    assert _listing(out) == before
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

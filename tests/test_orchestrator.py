@@ -10,7 +10,7 @@ import pytest
 import mixsearch.orchestrator as orchestrator
 from mixsearch.backend import ReplayBackend
 from mixsearch.cli import main
-from mixsearch.errors import BackendError, ConfigError, DataError
+from mixsearch.errors import ConfigError, DataError
 from mixsearch.fixtures import demo_config_path
 from mixsearch.orchestrator import LoopConfig, run
 from mixsearch.records import SampleRecord
@@ -110,10 +110,10 @@ def run_dir(tmp_path_factory):
 
 class TestReplayRun:
     def test_trajectory_matches_recorded_rows(self, run_dir):
-        base = run_dir.load_base_metric()
+        base = run_dir.load_metric(BASE_LABEL)
         assert tuple(round(v, 4) for v in base.as_tuple()) == REPLAY_TRAJECTORY["base"]
         for index in range(5):
-            metric = run_dir.load_round_metric(index)
+            metric = run_dir.load_metric(round_dir_name(index))
             expected = REPLAY_TRAJECTORY[str(index)]
             assert tuple(round(v, 4) for v in metric.as_tuple()) == expected
 
@@ -165,8 +165,8 @@ class TestSimulateRun:
     def test_flat_surface_round_equals_base(self, tmp_path):
         config = simulate_config(tmp_path / "in", rounds=1)
         run_directory = run(config, tmp_path / "out")
-        base = run_directory.load_base_metric()
-        round0 = run_directory.load_round_metric(0)
+        base = run_directory.load_metric(BASE_LABEL)
+        round0 = run_directory.load_metric(round_dir_name(0))
         assert base.as_tuple() == pytest.approx((2.8, 4.7, 3.4))
         assert round0.as_tuple() == pytest.approx((2.8, 4.7, 3.4))
 
@@ -398,11 +398,11 @@ def test_a_failed_round_keeps_the_rounds_before_it(tmp_path, monkeypatch):
 
     def run_round(self, request):
         if request.round_index == 1:
-            raise BackendError("round 1 failed")
+            raise DataError("round 1 failed")
         return real_run_round(self, request)
 
     monkeypatch.setattr(ReplayBackend, "run_round", run_round)
-    with pytest.raises(BackendError, match="round 1"):
+    with pytest.raises(DataError, match="round 1"):
         run(replay_config(), tmp_path / "out")
     assert RunDirectory(tmp_path / "out").round_indices() == [0]
 
@@ -413,7 +413,7 @@ class TestRunDirectory:
         with pytest.raises(DataError, match="archive.jsonl"):
             empty.frontier()
         with pytest.raises(DataError, match="base/metric.json"):
-            empty.load_base_metric()
+            empty.load_metric(BASE_LABEL)
 
 
 def test_round_records_iterate_as_their_lines_read_back(tmp_path, monkeypatch):

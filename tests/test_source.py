@@ -1,6 +1,6 @@
 """Source hygiene of the package: no module imports a name it never uses,
-the lower layers import nothing from the upper ones, and the modules'
-imports form no cycle."""
+the lower layers import nothing from the upper ones, the modules'
+imports form no cycle, and every error class is used."""
 import ast
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -109,3 +109,24 @@ def test_a_package_import_at_any_depth_is_found(tmp_path):
         encoding="utf-8",
     )
     assert package_imports(tmp_path / "rubric.py") == {"__init__", "records", "fixtures"}
+
+
+def test_every_error_class_is_named_outside_errors_py():
+    """Each ``MixSearchError`` subclass is named by some other module of the
+    package, so no exit code is documented that nothing can produce."""
+    classes = {"MixSearchError"}
+    for node in ast.parse((PACKAGE_DIR / "errors.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in classes for base in node.bases
+        ):
+            classes.add(node.name)
+    named = set()
+    for path in PACKAGE_DIR.rglob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    assert {"ConfigError", "DataError"} < classes
+    assert sorted(classes - named) == []
