@@ -8,10 +8,14 @@ draw is a Box-Muller transform of the blake2b digest of its seed path,
 so a sample's score depends on that path alone, not on the other
 samples or their order.  A dimension's sample draws share one hash
 state that has absorbed the path up to the id; each draw continues a
-copy of it with the id, which gives the digest of the whole path.  The
-replay backend re-emits a recorded trajectory from a fixture.  Both
-are stateless: identical requests produce identical records no matter
-the call order.
+copy of it with the id, which gives the digest of the whole path.  A
+sample's score is ``mean + slice noise + sample noise`` clipped into
+[1, 5] and rounded to 4 decimals.  No deviate exceeds ``_MAX_DEVIATE``
+(about 8.57) in magnitude, so when a slice's centre (mean plus slice
+noise) is more than ``noise_sigma * _MAX_DEVIATE`` above 5 or below 1,
+every sample of the slice clips to that bound, and the simulator draws
+no sample noise for it.  The replay backend re-emits a recorded
+trajectory from a fixture.
 
 Synthesized records are scored like real ones: the backend picks a
 check vector whose layer-1 score is the target score, and
@@ -19,12 +23,17 @@ check vector whose layer-1 score is the target score, and
 checks.  A score of exactly 1 always carries a floor state and a
 floor-check failure.  A round comes back as columns
 (``records.RoundRecords``): per dimension, the eval set's sample ids
-and annotations, and each sample's template number.  A template is
-made once for each distinct (dimension, score, validity) in the round:
-its checks, state and score go straight into the run's template table
-(``records.TemplateColumns``), and no record is built for it.  No
-sample is scored on its own: its record is its line, which
-``records.write_records`` builds from the columns and marks
+and annotations, and each sample's template number.  A round numbers
+its templates in the order their (dimension, score, validity) is first
+met, and puts each template's checks, state and score straight into
+the run's template table (``records.TemplateColumns``); no record is
+built for it.  The simulator keeps each dimension's templates of its
+last round: a template that round holds is copied from it, and only
+the others are made from their checks.  The copy is the same columns that
+making it gives, so identical requests produce identical records no
+matter the call order, and the replay backend makes every round's
+templates afresh.  No sample is scored on its own: its record is its
+line, which ``records.write_records`` builds from the columns and marks
 ``synthetic``.
 """
 from __future__ import annotations
@@ -148,19 +157,28 @@ class _Templates(dict):
 
     A sample's key is its score, negated when the sample is invalid: a
     score is at least 1, so one float holds both, where a tuple key
-    would hold an object per template.  Looking up a key that has no template yet makes it: its
-    checks are ``synthetic_checks(dimension, score)``, their state and
-    score are what ``score_checks`` gives them, and ``table`` gets its
-    columns.  Every later sample with that key shares that template.
-    The numbers live only as long as the round, so no call can reuse
-    another's work.
+    would hold an object per template.  Looking up a key that has no
+    template yet adds one to ``table``.  If ``previous``, the same
+    dimension's numbers of an earlier round, has the key, its template
+    is copied from there; otherwise it is made: its checks are
+    ``synthetic_checks(dimension, score)``, and their state and score
+    are what ``score_checks`` gives them.  Either way it gets the same
+    columns, since a key's template depends on the dimension and the key
+    alone.  Every later sample with that key shares that template.
     """
 
-    def __init__(self, dimension: Dimension) -> None:
+    def __init__(self, dimension: Dimension, previous: _Templates | None = None) -> None:
         super().__init__()
         self.table = TemplateColumns(dimension)
+        self.previous = previous
 
     def __missing__(self, key: float) -> int:
+        previous = self.previous
+        if previous is not None:
+            template = previous.get(key)
+            if template is not None:
+                number = self[key] = self.table.add_copy(previous.table, template)
+                return number
         score, valid = abs(key), key > 0
         vector = synthetic_checks(self.table.dimension, score)
         state, scored = score_checks(vector, valid=valid)
@@ -276,6 +294,10 @@ class SurfaceParams:
 
 _UINT64_PAIR = struct.Struct(">QQ").unpack
 _TWO_PI = 2.0 * math.pi
+# The largest deviate ``_deviate`` returns, by the float operations it
+# performs at its extreme digest (u1 = 0 and 1 - u2 = 2**-53); no
+# deviate is larger in magnitude, since |cos| <= 1.
+_MAX_DEVIATE = math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 def _deviate(digest: bytes) -> float:
@@ -307,6 +329,9 @@ class SimulatorBackend:
 
     def __init__(self, params: SurfaceParams | None = None) -> None:
         self.params = params or SurfaceParams()
+        # Each dimension's template numbers of the last round, which the
+        # next round copies templates from; none links to an older round.
+        self._last_round: dict[Dimension, _Templates] = {}
 
     def dimension_means(self, token_shares: dict[Dataset, float]) -> dict[Dimension, float]:
         """mu_d = b_d + g_d * (1 - exp(-x_d / tau_d)) - interference.
@@ -339,6 +364,7 @@ class SimulatorBackend:
         )
         means = self.dimension_means(shares)
         sigma = self.params.noise_sigma
+        reach = sigma * _MAX_DEVIATE  # no sample noise is larger
         runs = []
         for dimension in DIMENSION_ORDER:
             mean = means[dimension]
@@ -347,20 +373,33 @@ class SimulatorBackend:
             # the path up to its id.
             slice_text = seed_text(request.seed, "slice", dimension.value, "")
             sample_draw = _hash_state(seed_text(request.seed, "sample", dimension.value, "")).copy
-            slice_noise: dict[str, float] = {}  # one draw per slice per round
-            numbers = _Templates(dimension)
+            # Per slice, one draw per round: its centre, and the score every
+            # sample of it clips to, or None when the samples need draws.
+            # Rounding is monotone, so centre + sigma * deviate is above 5
+            # (below 1) for every deviate when centre - reach is (centre +
+            # reach is).
+            slices: dict[str, tuple[float, float | None]] = {}
+            numbers = _Templates(dimension, self._last_round.get(dimension))
             templates = array("I")
             sample_ids, annotations = request.eval_sets.get(dimension, ((), ()))
             for sample_id, annotation in zip(sample_ids, annotations):
                 label = annotation.slice_label
-                noise = slice_noise.get(label)
-                if noise is None:
-                    noise = slice_noise[label] = sigma * _standard_normal(slice_text + label)
-                draw = sample_draw()
-                draw.update(sample_id.encode("utf-8"))
-                score = mean + noise + sigma * _deviate(draw.digest())
-                score = round(1.0 if score < 1.0 else 5.0 if score > 5.0 else score, SCORE_DECIMALS)
+                centre_score = slices.get(label)
+                if centre_score is None:
+                    centre = mean + sigma * _standard_normal(slice_text + label)
+                    clipped = 5.0 if centre - reach > 5.0 else 1.0 if centre + reach < 1.0 else None
+                    centre_score = slices[label] = (centre, clipped)
+                centre, score = centre_score
+                if score is None:
+                    draw = sample_draw()
+                    draw.update(sample_id.encode("utf-8"))
+                    score = centre + sigma * _deviate(draw.digest())
+                    score = round(
+                        1.0 if score < 1.0 else 5.0 if score > 5.0 else score, SCORE_DECIMALS
+                    )
                 templates.append(numbers[score if annotation.valid else -score])
+            numbers.previous = None
+            self._last_round[dimension] = numbers
             runs.append(RecordRun(dimension, sample_ids, annotations, templates, numbers.table))
         return RoundRecords(runs)
 

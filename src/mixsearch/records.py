@@ -365,6 +365,21 @@ class TemplateColumns:
         self.middles.append(f',"checks":[{",".join(texts)}{state_text}{_value_text(score)}')
         return len(self.scores) - 1
 
+    def add_copy(self, source: "TemplateColumns", template: int) -> int:
+        """Append template ``template`` of ``source``, a table of the same
+        dimension, and return its number here.  Its score, modes and
+        middle are ``source``'s objects; its modes are shared inside this
+        table as ``add`` shares them."""
+        if source.dimension is not self.dimension:
+            raise ValueError(
+                f"a {source.dimension.value} template copied into a {self.dimension.value} table"
+            )
+        modes = source.modes[template]
+        self.scores.append(source.scores[template])
+        self.modes.append(self._shared_modes.setdefault(modes, modes))
+        self.middles.append(source.middles[template])
+        return len(self.scores) - 1
+
 
 class RecordRun(NamedTuple):
     """One stretch of a point's samples, all of one dimension, as columns.

@@ -1,6 +1,7 @@
 """Simulated and replay backends."""
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 import statistics
@@ -22,12 +23,14 @@ from mixsearch.fixtures import default_fixture_path, load_replay_fixture
 from mixsearch.profiles import MetricVector, metric_vector
 from mixsearch.records import (
     DIMENSION_FOR_DATASET,
+    DIMENSION_ORDER,
     Dataset,
     Dimension,
     L2State,
     SampleRecord,
     TemplateColumns,
     seed_text,
+    write_records,
 )
 from mixsearch.rubric import (
     AtomicCheckVector,
@@ -509,7 +512,8 @@ class TestRecordTemplates:
     def test_columns_hold_no_object_per_sample(self):
         """Without noise each dimension has one template, and holding a
         round's result adds fewer than 100 tracked objects, for 200
-        samples per dimension as for 20,000."""
+        samples per dimension as for 20,000.  Round over round, the
+        templates the backend carries add none."""
         backend = SimulatorBackend(flat_surface())
         added, held = {}, []
         for count in (200, 20_000):
@@ -522,6 +526,166 @@ class TestRecordTemplates:
             assert len(held[-1]) == 3 * count
         assert max(added.values()) < 100, added
         assert [_template_count(records) for records in held] == [3, 3]
+        held.clear()
+        tracked = []
+        for seed in range(5):
+            backend.run_round(request)
+            gc.collect()
+            tracked.append(len(gc.get_objects()))
+        assert max(tracked) <= tracked[0], tracked
+
+
+class _Shares:
+    """A manifest stand-in: the simulator reads only its token shares."""
+
+    def __init__(self, shares):
+        self.shares = shares
+
+    def dataset_token_shares(self):
+        return dict(self.shares)
+
+
+def mixed_sets(slices=3, per_slice=40):
+    """Per dimension, ``per_slice`` samples in each of ``slices`` slices,
+    every third sample invalid."""
+    return {
+        DIMENSION_FOR_DATASET[dataset]: columns(
+            (
+                f"{dataset.value.lower()}-{index}",
+                PromptAnnotation(
+                    dataset, index % 3 != 0, f"tier={index % slices}", 1.0 + index % 2
+                ),
+            )
+            for index in range(slices * per_slice)
+        )
+        for dataset in Dataset
+    }
+
+
+def _table_columns(table):
+    return table.dimension, table.scores, table.modes, table.middles
+
+
+# Bases on both bounds and narrow noise: keys repeat from round to round.
+CARRY_SURFACE = flat_surface(base={"SAFE": 5.0, "BENIGN": 1.0, "IF": 3.0}, noise_sigma=0.002)
+
+
+class TestTemplateCarry:
+    """A round copies the templates its backend's last round holds, and
+    gives the records a fresh backend gives."""
+
+    def _round(self, backend, seed):
+        return backend.run_round(
+            BackendRequest(round_index=0, manifest=None, eval_sets=mixed_sets(), seed=seed)
+        )
+
+    @pytest.mark.parametrize(
+        "earlier_surface",
+        [CARRY_SURFACE,
+         flat_surface(base={"SAFE": 4.999, "BENIGN": 1.002, "IF": 3.001}, noise_sigma=0.003)],
+        ids=["same-surface", "other-surface"],
+    )
+    def test_a_round_after_another_equals_a_fresh_backend_round(self, earlier_surface, tmp_path):
+        backend = SimulatorBackend(earlier_surface)
+        earlier = self._round(backend, seed=1)
+        backend.params = CARRY_SURFACE
+        carried = self._round(backend, seed=2)
+        fresh = self._round(SimulatorBackend(CARRY_SURFACE), seed=2)
+        assert [list(run.templates) for run in carried.runs] == [
+            list(run.templates) for run in fresh.runs
+        ]
+        assert [_table_columns(run.table) for run in carried.runs] == [
+            _table_columns(run.table) for run in fresh.runs
+        ]
+        write_records(tmp_path / "carried.jsonl", carried)
+        write_records(tmp_path / "fresh.jsonl", fresh)
+        assert (tmp_path / "carried.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+        # Some templates are the earlier round's objects, and some are new.
+        for before, after in zip(earlier.runs, carried.runs):
+            earlier_middles = {id(middle) for middle in before.table.middles}
+            copied = sum(id(middle) in earlier_middles for middle in after.table.middles)
+            assert 0 < copied < len(after.table.middles), after.dimension
+
+    def test_the_backend_holds_one_earlier_table_per_dimension(self):
+        backend = SimulatorBackend(CARRY_SURFACE)
+        for seed in range(3):
+            records = self._round(backend, seed)
+        held = backend._last_round
+        assert list(held) == list(DIMENSION_ORDER)
+        for run in records.runs:
+            assert held[run.dimension].table is run.table
+            assert held[run.dimension].previous is None
+
+
+class TestClipShortcut:
+    """A slice whose every sample clips to a bound draws no sample noise,
+    and its samples get the scores their draws would give."""
+
+    def test_no_deviate_exceeds_the_largest(self):
+        extreme_low = b"\xff" * 8
+        assert backend_module._deviate(bytes(8) + extreme_low) == backend_module._MAX_DEVIATE
+        assert backend_module._deviate(
+            (2**63).to_bytes(8, "big") + extreme_low
+        ) == -backend_module._MAX_DEVIATE
+
+    def test_every_score_is_its_seed_path_draw(self, monkeypatch):
+        deviate = backend_module._deviate
+        drawn = set()
+
+        def recording(digest):
+            drawn.add(digest)
+            return deviate(digest)
+
+        monkeypatch.setattr(backend_module, "_deviate", recording)
+
+        def digest(*path):
+            return hashlib.blake2b(seed_text(*path).encode("utf-8"), digest_size=16).digest()
+
+        # All tokens on XGUARD: SAFE's mean is base + gain, BENIGN's is its
+        # base less its interference, and IF's is its base.
+        shares = _Shares({Dataset.XGUARD: 1.0, Dataset.ORBENCH: 0.0, Dataset.IF: 0.0})
+        sets = mixed_sets(slices=8, per_slice=6)
+        rng = random.Random(26)
+        paths = set()
+        for trial in range(40):
+            sigma = 0.0 if trial % 4 == 0 else rng.uniform(0.01, 0.4)
+            reach = sigma * 8.57  # about the largest sample noise
+            # Slice centres on both sides of 5 + reach and of 1 - reach, or
+            # between the bound and that.
+            if trial % 2:
+                safe_offset, benign_offset = (
+                    reach + rng.uniform(-2.0, 2.0) * (sigma or 0.01) for _ in "ab"
+                )
+            else:
+                safe_offset, benign_offset = (rng.uniform(0.0, reach) for _ in "ab")
+            safe, benign = 5.0 + safe_offset, 1.0 - benign_offset
+            backend = SimulatorBackend(SurfaceParams.from_json({
+                "base": {"SAFE": 4.0, "BENIGN": 5.0, "IF": rng.uniform(1.0, 5.0)},
+                "gain": {"SAFE": safe - 4.0, "BENIGN": 0.0, "IF": 0.0},
+                "saturation": {"SAFE": 1e-6},
+                "interference": {"BENIGN": {"SAFE": 5.0 - benign}},
+                "noise_sigma": sigma,
+            }))
+            seed = rng.randrange(2**32)
+            drawn.clear()
+            records = backend.run_round(
+                BackendRequest(round_index=0, manifest=shares, eval_sets=sets, seed=seed)
+            )
+            means = backend.dimension_means(shares.dataset_token_shares())
+            for run in records.runs:
+                dimension = run.dimension.value
+                for sample_id, annotation, template in zip(
+                    run.sample_ids, run.annotations, run.templates
+                ):
+                    sample = digest(seed, "sample", dimension, sample_id)
+                    slice_ = digest(seed, "slice", dimension, annotation.slice_label)
+                    score = means[run.dimension] + sigma * deviate(slice_) + sigma * deviate(sample)
+                    expected = round(min(5.0, max(1.0, score)), 4)
+                    assert run.table.scores[template] == expected, (trial, sample_id)
+                    paths.add((sample in drawn, expected if expected in (1.0, 5.0) else None))
+        assert paths == {
+            (False, 1.0), (False, 5.0), (True, 1.0), (True, 5.0), (True, None)
+        }
 
 
 @pytest.fixture(scope="module")

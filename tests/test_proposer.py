@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixsearch.errors import ConfigError
+from mixsearch.fixtures import default_fixture_path, load_replay_fixture
 from mixsearch.profiles import FailureProfile, MetricVector
 from mixsearch.proposer import PolicyConfig, RoundHistory, RoundRecord, propose_explained
 from mixsearch.records import Dataset, Dimension
@@ -381,3 +382,19 @@ class TestDeterminismAndInvariants:
         assert math.fsum(proposed.dataset_mixture) == pytest.approx(1.0)
         for share in proposed.dataset_mixture:
             assert share >= floor - 1e-9
+
+
+def test_distance_to_the_paper_next_mixture():
+    """Fed the replay fixture's points one round at a time (no profiles,
+    since the fixture records none), the proposer's mixture after round i
+    is this far in L1 from the mixture the paper chose for round i + 1."""
+    fixture = load_replay_fixture(default_fixture_path())
+    built = RoundHistory(base_metric=fixture.base)
+    distances = []
+    for index, point in enumerate(fixture.rounds[:-1]):
+        built.append(RoundRecord(index, point.action, point.metrics, ()))
+        proposed = propose_explained(built, PolicyConfig())[0].dataset_mixture
+        chosen = fixture.rounds[index + 1].action.dataset_mixture
+        distances.append(round(math.fsum(abs(a - b) for a, b in zip(proposed, chosen)), 2))
+    print("L1 to the paper's next mixture, after rounds 0-3:", distances)
+    assert distances == [0.04, 0.30, 0.20, 0.00]

@@ -137,6 +137,23 @@ class TestSampleRecord:
         template = table.add(record.checks, record.l2_state, record.score)
         assert table.modes[template] == ("c2", "PARTIAL")
 
+    def test_a_copied_template_shares_its_source_objects(self):
+        checks = (CheckResult("c1", True, hard=True), CheckResult("c2", False, weight=0.5))
+        source = TemplateColumns(Dimension.IF)
+        source.add(_record().checks, L2State.FULL, 5.0)
+        template = source.add(checks, L2State.PARTIAL, 3.25)
+        table = TemplateColumns(Dimension.IF)
+        assert table.add_copy(source, template) == 0
+        assert table.scores[0] is source.scores[template]
+        assert table.modes[0] is source.modes[template]
+        assert table.middles[0] is source.middles[template]
+        # Made afresh in the new table, the same template shares its modes.
+        made = table.add(checks, L2State.PARTIAL, 3.25)
+        assert table.middles[made] == table.middles[0]
+        assert table.modes[made] is table.modes[0]
+        with pytest.raises(ValueError, match="SAFE template copied into a IF table"):
+            table.add_copy(TemplateColumns(Dimension.SAFE), 0)
+
     @pytest.mark.parametrize("score", [0.9, 5.1, -1.0])
     def test_score_range_enforced(self, score):
         with pytest.raises(ValueError, match="outside"):

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
 the lower layers import nothing from the upper ones, the modules'
-imports form no cycle, and every error class is used."""
+imports form no cycle, every error class is used, and only ``records``
+decodes JSON."""
 import ast
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -130,3 +131,58 @@ def test_every_error_class_is_named_outside_errors_py():
                     named.add(node.attr)
     assert {"ConfigError", "DataError"} < classes
     assert sorted(classes - named) == []
+
+
+JSON_READERS = {"load", "loads", "JSONDecoder"}
+# Outside records.py, the functions that may decode JSON: a response text
+# that is not read from a file.
+JSON_READERS_ALLOWED = {("rubric.py", "_format_ok")}
+
+
+def json_readers(source: str) -> list[str]:
+    """The functions of ``source`` (``<module>`` at module level) that name
+    ``json.load``, ``json.loads`` or ``json.JSONDecoder``, or import one
+    of them from ``json``."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Attribute) and node.attr in JSON_READERS
+            and isinstance(node.value, ast.Name) and node.value.id == "json"
+        ) or (
+            isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name in JSON_READERS for alias in node.names)
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_records_decodes_json():
+    """Every JSON file the package reads goes through ``records.read_json``.
+    The oracles are left out: they share no code with the package."""
+    readers = {
+        (path.name, where)
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "records.py"
+        for where in json_readers(path.read_text(encoding="utf-8"))
+    }
+    assert json_readers((PACKAGE_DIR / "records.py").read_text(encoding="utf-8"))
+    assert readers - JSON_READERS_ALLOWED == set()
+
+
+def test_a_json_reader_is_found():
+    source = (
+        "import json\n"
+        "from json import loads as parse\n"
+        "DECODER = json.JSONDecoder()\n"
+        "def f(path):\n"
+        "    def g(handle):\n"
+        "        return json.load(handle)\n"
+        "    return json.dumps(json.loads(path.read_text()))\n"
+    )
+    assert json_readers(source) == ["<module>", "<module>", "g", "f"]
