@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -210,6 +211,10 @@ class SurfaceParams:
 
     ``interference[d][e]`` is the marginal penalty to dimension ``d``
     per unit of token share on the dataset paired with dimension ``e``.
+    ``noise_sigma`` times ``_MAX_DEVIATE`` must be a finite float (so
+    ``noise_sigma`` is below about 2.1e307): then every slice centre and
+    sample score is finite or infinite, never NaN, and the clip maps it
+    into [1, 5].
     """
 
     base: dict[Dimension, float] = field(
@@ -255,6 +260,8 @@ class SurfaceParams:
                     raise ConfigError("interference terms must be >= 0")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+        if not math.isfinite(self.noise_sigma * _MAX_DEVIATE):
+            raise ConfigError(f"noise_sigma must be below {sys.float_info.max / _MAX_DEVIATE:.4g}")
 
     @staticmethod
     def from_json(obj: dict) -> "SurfaceParams":

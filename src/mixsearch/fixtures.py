@@ -28,7 +28,7 @@ from .errors import FixtureError
 from .pareto import ParetoArchive
 from .profiles import MetricVector
 from .records import config_fields, read_json
-from .sampler import DataAction, FocusCriterion, slice_pairs
+from .sampler import DataAction, FocusCriterion
 
 CHECK_DIGEST_CHARS = 8
 ROW_FIELDS = {
@@ -138,11 +138,9 @@ def _fixture_row(raw: dict) -> tuple[str, MetricVector, DataAction | None]:
 def _focus_criterion(descriptor: dict) -> FocusCriterion:
     """The focus criterion a fixture row's focus descriptor records."""
     config_fields(descriptor, "replay fixture focus descriptor", FOCUS_FIELDS)
-    return FocusCriterion(
-        pairs=slice_pairs(descriptor["slice"]),
-        boost=float(descriptor.get("boost", 2.0)),
-        cap_fraction=float(descriptor.get("cap_fraction", 0.25)),
-        label=f"{descriptor['dimension']}:{descriptor['slice']}:{descriptor.get('mode', '')}",
+    return FocusCriterion.on_slice(
+        descriptor["dimension"], descriptor["slice"], descriptor.get("mode", ""),
+        float(descriptor.get("boost", 2.0)), float(descriptor.get("cap_fraction", 0.25)),
     )
 
 

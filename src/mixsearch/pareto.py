@@ -35,62 +35,50 @@ class InsertVerdict:
             raise ValueError("REPLACES verdicts and only REPLACES verdicts carry labels")
 
 
-@dataclass(frozen=True)
-class ArchiveEntry:
-    label: str
-    metric: MetricVector
-
-
 class ParetoArchive:
-    """Mutable frontier with an append-only event log.
+    """A frontier and the rows that say how it was reached.
 
-    Insertion keeps arrival order among surviving entries; the event log
-    records every verdict so a run directory can show why a point is
+    The frontier maps each surviving label to its metric, in arrival
+    order.  The rows are the insert rows of ``archive.jsonl``, one per
+    insert in insert order, so a run directory can show why a point is
     absent.
     """
 
     def __init__(self) -> None:
-        self._entries: list[ArchiveEntry] = []
-        self._events: list[dict] = []
-        self._labels: set[str] = set()
+        self._frontier: dict[str, MetricVector] = {}
+        self._rows: list[dict] = []
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(entry.label for entry in self._entries)
+        return tuple(self._frontier)
 
     def insert(self, label: str, metric: MetricVector) -> InsertVerdict:
         """Insert a labeled point, dropping whatever it dominates.
 
-        A point some existing entry dominates is rejected.  Duplicate
+        A point some frontier point dominates is rejected.  Duplicate
         labels are a caller bug, hence ValueError.
         """
-        if label in self._labels:
+        if any(row["label"] == label for row in self._rows):
             raise ValueError(f"archive already holds an entry labeled {label!r}")
-        self._labels.add(label)
-        if any(dominates(entry.metric, metric) for entry in self._entries):
+        frontier = self._frontier
+        if any(dominates(point, metric) for point in frontier.values()):
             verdict = InsertVerdict(DOMINATED)
         else:
-            removed = tuple(
-                entry.label for entry in self._entries if dominates(metric, entry.metric)
-            )
-            self._entries = [
-                entry for entry in self._entries if entry.label not in removed
-            ]
-            self._entries.append(ArchiveEntry(label=label, metric=metric))
-            verdict = (
-                InsertVerdict(REPLACES, replaced=removed) if removed else InsertVerdict(ACCEPTED)
-            )
-        self._events.append(
+            removed = tuple(held for held, point in frontier.items() if dominates(metric, point))
+            for held in removed:
+                del frontier[held]
+            frontier[label] = metric
+            verdict = InsertVerdict(REPLACES if removed else ACCEPTED, removed)
+        self._rows.append(
             {
                 "label": label,
                 "metric": metric.to_json(),
                 "verdict": verdict.status,
                 "replaced": list(verdict.replaced),
+                "kind": "insert",
             }
         )
         return verdict
 
     def snapshot_rows(self) -> list[dict]:
-        """Event log plus a final frontier row, for the per-round artifact."""
-        rows = [dict(event, kind="insert") for event in self._events]
-        rows.append({"kind": "frontier", "labels": list(self.labels())})
-        return rows
+        """The insert rows plus a final frontier row, for ``archive.jsonl``."""
+        return [*self._rows, {"kind": "frontier", "labels": list(self._frontier)}]

@@ -39,7 +39,7 @@ from .records import (
     MIXTURE_ORDER,
     config_fields,
 )
-from .sampler import DataAction, FocusCriterion, slice_pairs
+from .sampler import DataAction, FocusCriterion
 
 DEFAULT_TARGET = 4.5
 FOCUS_BOOST = 2.0
@@ -235,23 +235,17 @@ def _focus_criteria(
         if not failing:
             continue
         worst = rank_slices(failing)[0]
-        modes = sorted(worst.breakdown.items(), key=lambda item: (-item[1], item[0]))
-        mode = modes[0][0] if modes else "unscored"
-        label = f"{dimension.value}:{worst.slice_label}:{mode}"
-        if dimension in regressed and label in previous_labels:
+        mode = (worst.top_modes(1) or ["unscored"])[0]
+        criterion = FocusCriterion.on_slice(
+            dimension.value, worst.slice_label, mode, FOCUS_BOOST, config.focus_cap
+        )
+        if dimension in regressed and criterion.label in previous_labels:
             notes.append(
-                f"{dimension.value}: dropping focus {label!r}; it was active while the "
-                "dimension regressed"
+                f"{dimension.value}: dropping focus {criterion.label!r}; it was active while "
+                "the dimension regressed"
             )
             continue
-        criteria.append(
-            FocusCriterion(
-                pairs=slice_pairs(worst.slice_label),
-                boost=FOCUS_BOOST,
-                cap_fraction=config.focus_cap,
-                label=label,
-            )
-        )
+        criteria.append(criterion)
         notes.append(
             f"{dimension.value}: focus on worst slice {worst.slice_label!r} "
             f"(fail_mass {worst.fail_mass:.4f}, top mode {mode})"

@@ -567,7 +567,8 @@ def read_json(
     the ``what`` it was read as: the file cannot be opened or read, is
     not UTF-8, is not JSON (lines give their number; ``NaN``,
     ``Infinity``, a number that overflows a float and an integer too long
-    to convert are not JSON), or ``build`` rejects what it parsed.  An
+    to convert are not JSON), or ``build`` rejects what it parsed (an
+    overflow in ``build``'s arithmetic is a rejection too).  An
     ``error`` raised by ``build`` keeps its class, and gains the file's
     name when its message lacks it.  With ``lines``, an error ``build``
     raises while it holds a line's value names that line too; one raised
@@ -591,7 +592,9 @@ def read_json(
             if str(path) not in str(exc):
                 exc.args = (f"{what} {_located(path, where[0])}: {exc}",)
             raise
-        except (LookupError, TypeError, ValueError, AttributeError, MixSearchError) as exc:
+        except (
+            LookupError, TypeError, ValueError, AttributeError, ArithmeticError, MixSearchError
+        ) as exc:
             raise error(
                 f"{what} {_located(path, where[0])} is malformed ({type(exc).__name__}: {exc})"
             ) from exc

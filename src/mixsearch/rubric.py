@@ -298,12 +298,21 @@ def score_checks(vector: AtomicCheckVector, *, valid: bool) -> tuple[L2State, fl
 EvalColumns = tuple[list[str], list[PromptAnnotation]]
 
 
+# A slice weight's upper bound.  Scores are at most 5, so every weight mass
+# and weighted score sum of an eval set stays finite.
+MAX_SLICE_WEIGHT = 1e6
+
+
 class SliceTaxonomy:
     """Maps raw sample tags onto slice descriptors and weights.
 
     The file declares, per dataset, the required tags, the ordered
-    levels of each graded axis, the allowed values of categorical axes,
-    and an optional per-slice weight map.
+    levels of each graded axis, the allowed values of the categorical
+    axis (ORBENCH's ``categories``, IF's ``families``), and an optional
+    per-slice weight map with a ``default_weight`` (1 when absent).
+    Every weight is a number greater than 0 and at most
+    ``MAX_SLICE_WEIGHT``.  The file is checked and shaped once, when it
+    is read; annotating a sample reads only the shaped rules.
     """
 
     # The level axes ``slice_fields`` grades each dataset on.
@@ -312,8 +321,17 @@ class SliceTaxonomy:
         Dataset.ORBENCH: ("proximity",),
         Dataset.IF: ("complexity",),
     }
+    # The categorical tag ``slice_fields`` checks first, and the key that lists its values.
+    _CHOICES = {Dataset.ORBENCH: {"category": "categories"}, Dataset.IF: {"family": "families"}}
 
     def __init__(self, spec: dict) -> None:
+        # Per dataset, once checked: the required tags; each checked tag's allowed
+        # values, in check order (an axis's values are its levels, lowest first);
+        # the weights of the listed slices; and the default weight.
+        self._required_tags: dict[Dataset, list[str]] = {}
+        self._allowed: dict[Dataset, dict[str, list[str]]] = {}
+        self._weights: dict[Dataset, dict[str, float]] = {}
+        self._default_weight: dict[Dataset, float] = {}
         for dataset in Dataset:
             if dataset.value not in spec:
                 raise SchemaError(f"taxonomy missing dataset {dataset.value}")
@@ -326,60 +344,46 @@ class SliceTaxonomy:
             for key, value in lists.items():
                 if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
                     raise SchemaError(f"taxonomy {dataset.value}.{key} is not a list of strings")
+            weights = section.get("weights", {})
             default = section.get("default_weight", 1)
-            for key, value in [*section.get("weights", {}).items(), ("default_weight", default)]:
+            for key, value in [*weights.items(), ("default_weight", default)]:
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
                     raise SchemaError(f"taxonomy {dataset.value} weight {key} is not a number > 0")
+                if value > MAX_SLICE_WEIGHT:
+                    raise SchemaError(
+                        f"taxonomy {dataset.value} weight {key} is above {MAX_SLICE_WEIGHT:g}"
+                    )
             # A sample's complexity is the pressure level at the higher of its two grades.
             if dataset is Dataset.XGUARD and len(levels["pressure"]) != len(levels["concealment"]):
                 raise SchemaError("taxonomy XGUARD pressure and concealment differ in length")
-        self._spec = spec
+            self._required_tags[dataset] = lists["required_tags"]
+            allowed = {tag: lists[key] for tag, key in self._CHOICES.get(dataset, {}).items()}
+            self._allowed[dataset] = allowed | {axis: levels[axis] for axis in self._AXES[dataset]}
+            self._weights[dataset] = {label: float(value) for label, value in weights.items()}
+            self._default_weight[dataset] = float(default)
 
     @staticmethod
     def from_file(path: Path | str) -> "SliceTaxonomy":
         return read_json(path, SliceTaxonomy, what="taxonomy file")
 
-    def _section(self, dataset: Dataset) -> dict:
-        return self._spec[dataset.value]
-
     def weight_for(self, dataset: Dataset, label: str) -> float:
-        section = self._section(dataset)
-        return float(section.get("weights", {}).get(label, section.get("default_weight", 1.0)))
+        return self._weights[dataset].get(label, self._default_weight[dataset])
 
     def slice_fields(self, dataset: Dataset, tags: Mapping[str, str]) -> dict[str, str]:
         """Derive the slice descriptor for one sample; raises ValueError with
         a reason when the tags cannot be mapped."""
-        section = self._section(dataset)
-        for tag in section.get("required_tags", []):
+        for tag in self._required_tags[dataset]:
             if tag not in tags:
                 raise ValueError(f"missing tag: {tag}")
-        levels: dict[str, list[str]] = section.get("levels", {})
-
-        def _level_index(axis: str, value: str) -> int:
-            scale = levels[axis]
-            if value not in scale:
-                raise ValueError(f"unknown {axis} value: {value}")
-            return scale.index(value)
-
+        allowed = self._allowed[dataset]
+        for tag, values in allowed.items():
+            if tags[tag] not in values:
+                raise ValueError(f"unknown {tag} value: {tags[tag]}")
         if dataset is Dataset.XGUARD:
-            # Complexity is the max of the pressure and concealment grades.
-            scale = levels["pressure"]
-            grade = max(
-                _level_index("pressure", tags["pressure"]),
-                _level_index("concealment", tags["concealment"]),
-            )
-            return {"complexity": scale[grade]}
-        if dataset is Dataset.ORBENCH:
-            category = tags["category"]
-            if category not in section.get("categories", []):
-                raise ValueError(f"unknown category value: {category}")
-            _level_index("proximity", tags["proximity"])
-            return {"category": category, "proximity": tags["proximity"]}
-        family = tags["family"]
-        if family not in section.get("families", []):
-            raise ValueError(f"unknown family value: {family}")
-        _level_index("complexity", tags["complexity"])
-        return {"family": family, "complexity": tags["complexity"]}
+            # Complexity is the pressure level at the max of the two grades.
+            grade = max(allowed[axis].index(tags[axis]) for axis in allowed)
+            return {"complexity": allowed["pressure"][grade]}
+        return {tag: tags[tag] for tag in allowed}
 
 
 def annotate_prompt(

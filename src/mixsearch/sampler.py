@@ -65,6 +65,15 @@ class FocusCriterion:
         if not 0.0 < self.cap_fraction <= 1.0:
             raise ValueError(f"cap_fraction must be in (0, 1], got {self.cap_fraction}")
 
+    @staticmethod
+    def on_slice(
+        dimension: str, slice_label: str, mode: str, boost: float, cap_fraction: float
+    ) -> "FocusCriterion":
+        """The criterion on slice ``slice_label``'s windows, labeled
+        ``DIMENSION:slice:mode``."""
+        label = f"{dimension}:{slice_label}:{mode}"
+        return FocusCriterion(slice_pairs(slice_label), boost, cap_fraction, label)
+
     def matches(self, tags: Mapping[str, str]) -> bool:
         return all(tags.get(tag) == value for tag, value in self.pairs)
 

@@ -6,15 +6,16 @@ non-dominated set is {base, round 2, round 4}.
 """
 import itertools
 import json
+import random
 from pathlib import Path
 from typing import Sequence
 
 from hypothesis import settings
 
-from mixsearch.backend import SurfaceParams, synthetic_checks
+from mixsearch.backend import BackendRequest, SimulatorBackend, SurfaceParams, synthetic_checks
 from mixsearch.corpus import Pool, PoolManifest, load_pool
 from mixsearch.orchestrator import LoopConfig
-from mixsearch.profiles import MetricVector
+from mixsearch.profiles import MetricVector, metric_vector
 from mixsearch.records import (
     DATASET_FOR_DIMENSION,
     PromptAnnotation,
@@ -23,9 +24,10 @@ from mixsearch.records import (
     SampleRecord,
     TemplateColumns,
     _record_lines,
+    child_seed,
 )
 from mixsearch.rubric import AtomicCheckVector, score_checks
-from mixsearch.sampler import DrawnWindows
+from mixsearch.sampler import DataAction, DrawnWindows, draw_budgeted, effective_distribution
 
 settings.register_profile("package", deadline=None, max_examples=100)
 settings.load_profile("package")
@@ -269,3 +271,32 @@ def drawn_rows(drawn: DrawnWindows) -> list[dict]:
             "token_count": lengths[index],
         })
     return rows
+
+
+def static_mixture(master_seed: int, k: int) -> tuple[float, float, float]:
+    """Static mixture ``k`` of a run with master seed ``master_seed``: a
+    point drawn uniformly on the (XGUARD, ORBENCH, IF) simplex, as the
+    gaps between two uniforms from ``child_seed(master_seed, "static", k)``."""
+    rng = random.Random(child_seed(master_seed, "static", k))
+    low, high = sorted((rng.random(), rng.random()))
+    return (low, high - low, 1.0 - high)
+
+
+def round_metric(runtime, action: DataAction, index: int) -> MetricVector:
+    """The metric round ``index`` of a simulated run gives, had it taken
+    ``action``.
+
+    ``runtime`` is ``orchestrator._load_runtime(config)``.  The round
+    draws with that round's draw seed and runs the backend with its
+    backend seed, as ``orchestrator.run`` does.  Each round is a fresh
+    fine-tuning from the same base, so no earlier round enters: a run
+    whose round ``index`` takes ``action`` reports this metric.
+    """
+    config = runtime.config
+    seeds = {p: child_seed(config.master_seed, "round", index, p) for p in ("draw", "backend")}
+    distribution = effective_distribution(action, runtime.pool, config.budget_tokens)
+    manifest = draw_budgeted(
+        distribution, runtime.pool, config.budget_tokens, seeds["draw"], action.focus_criteria
+    )
+    request = BackendRequest(index, manifest, runtime.eval_sets, seeds["backend"])
+    return metric_vector(SimulatorBackend(config.surface).run_round(request))

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given
@@ -627,6 +628,25 @@ class TestClipShortcut:
         assert backend_module._deviate(
             (2**63).to_bytes(8, "big") + extreme_low
         ) == -backend_module._MAX_DEVIATE
+
+    def test_the_largest_noise_allowed_keeps_every_score_in_range(self):
+        """The largest ``noise_sigma`` whose reach is a finite float runs a
+        round: centres and draws overflow to infinities, never to NaN, and
+        every score clips into [1, 5].  The next float up is refused."""
+        reach = backend_module._MAX_DEVIATE
+        sigma = sys.float_info.max / reach
+        while not math.isfinite(sigma * reach):
+            sigma = math.nextafter(sigma, 0.0)
+        while math.isfinite(math.nextafter(sigma, math.inf) * reach):
+            sigma = math.nextafter(sigma, math.inf)
+        with pytest.raises(ConfigError, match="noise_sigma must be below"):
+            SurfaceParams.from_json({"noise_sigma": math.nextafter(sigma, math.inf)})
+        backend = SimulatorBackend(SurfaceParams.from_json({"noise_sigma": sigma}))
+        records = backend.run_round(
+            BackendRequest(round_index=0, manifest=None, eval_sets=mixed_sets(), seed=27)
+        )
+        scores = {run.table.scores[template] for run in records.runs for template in run.templates}
+        assert scores == {1.0, 5.0}
 
     def test_every_score_is_its_seed_path_draw(self, monkeypatch):
         deviate = backend_module._deviate

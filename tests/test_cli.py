@@ -159,6 +159,9 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+# Three shares, each a finite float, whose sum is not.
+OVERFLOWING_MIXTURE = [1e308, 1e308, 0.0]
+
 # case -> (command up to the run directory argument, damage done to a finished run).
 # A "run" command resumes a 2-round demo run to 3 rounds; every other command
 # reads a finished replay run.
@@ -251,6 +254,17 @@ DAMAGE = {
         lambda run: _edit_document(lambda obj: _set(obj, "safe", value=True))(
             run / "round-001" / "metric.json"
         ),
+    ),
+    # Shares whose sum overflows a float: the action's check cannot sum them.
+    "action-mixture-overflows-report": (
+        ["report", "--in"],
+        lambda run: _edit_document(
+            lambda obj: _set(obj, "action", "dataset_mixture", value=OVERFLOWING_MIXTURE)
+        )(run / "round-004" / "action.json"),
+    ),
+    "action-mixture-overflows-extension": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _edit_action(run, "dataset_mixture", value=OVERFLOWING_MIXTURE),
     ),
 }
 
@@ -379,6 +393,9 @@ FIXTURE_INTEGRITY_FAULTS = {
     "mixture-two-shares": _edit_line(
         4, _sealed(lambda row: _set(row, "mixture", value=[0.6, 0.4]))
     ),
+    "mixture-overflows": _edit_line(
+        1, _sealed(lambda row: _set(row, "mixture", value=OVERFLOWING_MIXTURE))
+    ),
     "frontier-mismatch": _edit_line(
         -1, lambda row: _set(row, "frontier", value=["base", "1", "4"])
     ),
@@ -439,6 +456,21 @@ FAULTS = {
         "run",
         "config.json",
         _edit_document(lambda obj: _set(obj, "initial_mixture", value=[1.2, -0.2, 0.0])),
+        2,
+    ),
+    "config-mixture-overflows": (
+        "run",
+        "config.json",
+        _edit_document(lambda obj: _set(obj, "initial_mixture", value=OVERFLOWING_MIXTURE)),
+        2,
+    ),
+    # A noise_sigma whose reach, times the largest deviate, is not a float.
+    "config-surface-noise-overflows": (
+        "run",
+        "config.json",
+        _edit_document(
+            lambda obj: _set(obj, "backend", "surface", value={"noise_sigma": 1.7e308})
+        ),
         2,
     ),
     # The demo's shortest window has more than 5 tokens.
@@ -700,6 +732,23 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "ORBENCH", "default_weight", value=math.inf)),
         3,
     ),
+    # Weights above the bound: one a float cannot hold, one a weighted sum overflows.
+    "taxonomy-weight-beyond-a-float": (
+        "run",
+        "taxonomy.json",
+        _edit_document(
+            lambda obj: _set(obj, "XGUARD", "weights", "complexity=HIGH", value=10**400)
+        ),
+        3,
+    ),
+    "taxonomy-weight-huge": (
+        "run",
+        "taxonomy.json",
+        _edit_document(
+            lambda obj: _set(obj, "XGUARD", "weights", "complexity=HIGH", value=1.5e308)
+        ),
+        3,
+    ),
     "fixture-directory": ("replay", "fixture.jsonl", _make_directory, 3),
     "fixture-not-utf8": ("replay", "fixture.jsonl", _not_utf8, 3),
     "fixture-not-utf8-at-end": ("replay", "fixture.jsonl", _not_utf8_at_end, 3),
@@ -778,6 +827,16 @@ FAULT_MESSAGES = {
     "config-budget-below-every-window": "budget 5 is smaller than every window",
     "manifest-bucket-slice-empty": "bucket 'xg_low': slice descriptor must have at least one field",
     "manifest-bucket-slice-reserved": "bucket 'xg_low': slice field 'complexity'='LOW|MED'",
+    "config-mixture-overflows": "is malformed (OverflowError: intermediate overflow in fsum)",
+    "config-surface-noise-overflows": "noise_sigma must be below 2.097e+307",
+    "taxonomy-weight-beyond-a-float": "taxonomy XGUARD weight complexity=HIGH is above 1e+06",
+    "taxonomy-weight-huge": "taxonomy XGUARD weight complexity=HIGH is above 1e+06",
+    **{
+        f"fixture-mixture-overflows-{command}": (
+            "fixture.jsonl:2 is malformed (OverflowError: intermediate overflow in fsum)"
+        )
+        for command in ("validate", "replay")
+    },
     **{
         f"fixture-mixture-{case}-{command}": message
         for case, message in (
