@@ -192,6 +192,8 @@ class _Templates(dict):
 
 
 _DIMENSION_KEYS = tuple(dimension.value for dimension in DIMENSION_ORDER)
+# A surface's per-dimension maps, each overlaid key by key on its default.
+_SURFACE_MAPS = ("base", "gain", "saturation")
 
 
 def _overlay(
@@ -266,37 +268,30 @@ class SurfaceParams:
     @staticmethod
     def from_json(obj: dict) -> "SurfaceParams":
         section = "backend.surface"
-        maps = ("base", "gain", "saturation", "interference")
+        maps = (*_SURFACE_MAPS, "interference")
         config_fields(obj, section, {**dict.fromkeys(maps, dict), "noise_sigma": float})
         defaults = SurfaceParams()
-        interference = defaults.interference
-        if "interference" in obj:
+        kwargs = {
+            n: _overlay(getattr(defaults, n), obj.get(n), f"{section}.{n}") for n in _SURFACE_MAPS
+        }
+        if "interference" in obj:  # replaces the default rows, not overlaid on them
             where = f"{section}.interference"
             rows = config_fields(obj["interference"], where, dict.fromkeys(_DIMENSION_KEYS, dict))
-            interference = {
+            kwargs["interference"] = {
                 Dimension(d): _overlay({}, row, f"{where}.{d}") for d, row in rows.items()
             }
-        return SurfaceParams(
-            base=_overlay(defaults.base, obj.get("base"), f"{section}.base"),
-            gain=_overlay(defaults.gain, obj.get("gain"), f"{section}.gain"),
-            saturation=_overlay(
-                defaults.saturation, obj.get("saturation"), f"{section}.saturation"
-            ),
-            interference=interference,
-            noise_sigma=float(obj.get("noise_sigma", defaults.noise_sigma)),
-        )
+        if "noise_sigma" in obj:
+            kwargs["noise_sigma"] = float(obj["noise_sigma"])
+        return SurfaceParams(**kwargs)
 
     def to_json(self) -> dict:
-        return {
-            "base": {d.value: self.base[d] for d in DIMENSION_ORDER},
-            "gain": {d.value: self.gain[d] for d in DIMENSION_ORDER},
-            "saturation": {d.value: self.saturation[d] for d in DIMENSION_ORDER},
-            "interference": {
-                d.value: {e.value: v for e, v in sorted(row.items(), key=lambda i: i[0].value)}
-                for d, row in sorted(self.interference.items(), key=lambda i: i[0].value)
-            },
-            "noise_sigma": self.noise_sigma,
+        obj = {n: {d.value: getattr(self, n)[d] for d in DIMENSION_ORDER} for n in _SURFACE_MAPS}
+        obj["interference"] = {
+            d.value: {e.value: v for e, v in sorted(row.items(), key=lambda i: i[0].value)}
+            for d, row in sorted(self.interference.items(), key=lambda i: i[0].value)
         }
+        obj["noise_sigma"] = self.noise_sigma
+        return obj
 
 
 _UINT64_PAIR = struct.Struct(">QQ").unpack

@@ -25,6 +25,7 @@ from pathlib import Path
 from .errors import ConfigError, MixSearchError
 from .fixtures import default_fixture_path, load_replay_fixture
 from .orchestrator import LoopConfig, run
+from .profiles import METRIC_KEYS
 from .report import RunDirectory, report
 
 log = logging.getLogger(__name__)
@@ -126,11 +127,9 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"{'label':<12}{'safe':>9}{'benign':>9}{'if':>9}")
+    print(f"{'label':<12}" + "".join(f"{key:>9}" for key in METRIC_KEYS))
     for label, metric in frontier:
-        print(
-            f"{label:<12}{metric.safe:>9.4f}{metric.benign:>9.4f}{metric.if_score:>9.4f}"
-        )
+        print(f"{label:<12}" + "".join(f"{mean:>9.4f}" for mean in metric.as_tuple()))
     return 0
 
 

@@ -26,16 +26,14 @@ from typing import Iterator
 
 from .errors import FixtureError
 from .pareto import ParetoArchive
-from .profiles import MetricVector
+from .profiles import METRIC_KEYS, MetricVector
 from .records import config_fields, read_json
 from .sampler import DataAction, FocusCriterion
 
 CHECK_DIGEST_CHARS = 8
 ROW_FIELDS = {
     "round": (str, int),
-    "safe": float,
-    "benign": float,
-    "if": float,
+    **dict.fromkeys(METRIC_KEYS, float),
     "mixture": [float],
     "focus": [dict],
     "check": str,
@@ -117,7 +115,7 @@ def _fixture_row(raw: dict) -> tuple[str, MetricVector, DataAction | None]:
             if not label.isdecimal():
                 raise ValueError(f"round {raw['round']!r} is neither 'base' nor a round index")
             label = str(int(label))  # "01" and 1 both name round 1
-        metrics = MetricVector(safe=raw["safe"], benign=raw["benign"], if_score=raw["if"])
+        metrics = MetricVector.from_json(raw)
         mixture = tuple(float(v) for v in raw["mixture"]) if raw.get("mixture") else None
         focus = tuple(_focus_criterion(descriptor) for descriptor in raw.get("focus", []))
     except (KeyError, TypeError, ValueError) as exc:

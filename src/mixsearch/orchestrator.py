@@ -96,17 +96,13 @@ from .sampler import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BUDGET_TOKENS = 1_000_000
-DEFAULT_ROUNDS = 5
-DEFAULT_INITIAL_MIXTURE = (0.50, 0.30, 0.20)
-
 
 @dataclass(frozen=True)
 class LoopConfig:
     """Everything one run needs, resolvable from a single JSON file."""
 
-    budget_tokens: int = DEFAULT_BUDGET_TOKENS
-    rounds: int = DEFAULT_ROUNDS
+    budget_tokens: int = 1_000_000
+    rounds: int = 5
     master_seed: int = 0
     backend_kind: str = "simulate"
     surface: SurfaceParams | None = None
@@ -114,7 +110,7 @@ class LoopConfig:
     pool_manifest_path: Path | None = None
     eval_set_paths: tuple[Path, ...] = ()
     taxonomy_path: Path | None = None
-    initial_mixture: tuple[float, float, float] = DEFAULT_INITIAL_MIXTURE
+    initial_mixture: tuple[float, float, float] = (0.50, 0.30, 0.20)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     fail_threshold: float = DEFAULT_FAIL_THRESHOLD
     source: Path | None = field(default=None, compare=False)  # its file, named in run errors
@@ -148,13 +144,11 @@ class LoopConfig:
 
     @staticmethod
     def from_json(raw: dict, base_dir: Path | None = None) -> "LoopConfig":
+        """The config ``raw`` holds; a key it lacks leaves its field's default."""
         base_dir = base_dir or Path.cwd()
 
         def _resolve(value: str | None) -> Path | None:
-            if value is None:
-                return None
-            p = Path(value)
-            return p if p.is_absolute() else (base_dir / p)
+            return None if value is None else base_dir / value
 
         path = (str, None)  # null names no file
         fields = {
@@ -172,25 +166,22 @@ class LoopConfig:
         config_fields(raw, "config", fields)
         backend_fields = {"kind": str, "surface": (dict, None), "fixture": path}
         backend = config_fields(raw.get("backend", {}), "backend", backend_fields)
-        kind = backend.get("kind", "simulate")
-        surface = (
-            SurfaceParams.from_json(backend.get("surface", {})) if kind == "simulate" else None
-        )
-        mixture = raw.get("initial_mixture", DEFAULT_INITIAL_MIXTURE)
-        return LoopConfig(
-            budget_tokens=raw.get("budget_tokens", DEFAULT_BUDGET_TOKENS),
-            rounds=raw.get("rounds", DEFAULT_ROUNDS),
-            master_seed=raw.get("master_seed", 0),
-            backend_kind=kind,
-            surface=surface,
-            fixture_path=_resolve(backend.get("fixture")),
-            pool_manifest_path=_resolve(raw.get("pool_manifest")),
-            eval_set_paths=tuple(_resolve(p) for p in raw.get("eval_sets", [])),
-            taxonomy_path=_resolve(raw.get("taxonomy")),
-            initial_mixture=tuple(float(v) for v in mixture),  # type: ignore[arg-type]
-            policy=PolicyConfig.from_json(raw.get("policy", {})),
-            fail_threshold=float(raw.get("fail_threshold", DEFAULT_FAIL_THRESHOLD)),
-        )
+        kwargs = {key: raw[key] for key in ("budget_tokens", "rounds", "master_seed") if key in raw}
+        for key in ("pool_manifest", "taxonomy"):
+            if key in raw:
+                kwargs[f"{key}_path"] = _resolve(raw[key])
+        if "fixture" in backend:
+            kwargs["fixture_path"] = _resolve(backend["fixture"])
+        if "eval_sets" in raw:
+            kwargs["eval_set_paths"] = tuple(base_dir / p for p in raw["eval_sets"])
+        if "initial_mixture" in raw:
+            kwargs["initial_mixture"] = tuple(float(v) for v in raw["initial_mixture"])
+        if "fail_threshold" in raw:
+            kwargs["fail_threshold"] = float(raw["fail_threshold"])
+        kind = kwargs["backend_kind"] = backend.get("kind", LoopConfig.backend_kind)
+        if kind == "simulate":
+            kwargs["surface"] = SurfaceParams.from_json(backend.get("surface", {}))
+        return LoopConfig(policy=PolicyConfig.from_json(raw.get("policy", {})), **kwargs)
 
     def normalized(self) -> dict:
         """Stable JSON form, written to the run directory and compared on resume."""
@@ -366,7 +357,12 @@ def _point(index: int) -> tuple[str, str]:
 
 
 def _start(
-    config: LoopConfig, run_dir: RunDirectory, runtime: _Runtime | None, first: int, end: int
+    config: LoopConfig,
+    run_dir: RunDirectory,
+    runtime: _Runtime | None,
+    history: RoundHistory,
+    first: int,
+    end: int,
 ) -> _Runtime:
     """Make ready to evaluate points ``first`` to ``end - 1``, the points left.
 
@@ -375,9 +371,12 @@ def _start(
     else nothing is written.  Then the inputs load (a replay's fixture
     already has), and a fresh run (``first`` is the base) checks that
     the pool can serve the initial action, creates the run directory and
-    writes ``config.json`` and ``run_meta.json``.  Last, the archive and
-    reports of the run so far go before a point is committed, so a kill
-    cannot leave them describing fewer points than are committed.
+    writes ``config.json`` and ``run_meta.json``; a simulation that
+    extends committed rounds checks that the pool can serve the last
+    committed action, which the proposer builds on, else its
+    ``action.json`` is damaged data.  Last, the archive and reports of
+    the run so far go before a point is committed, so a kill cannot
+    leave them describing fewer points than are committed.
     """
     out = run_dir.path
     for index in range(first, end):
@@ -406,6 +405,12 @@ def _start(
         _write_json(out / "config.json", dict(config.normalized(), inputs=inputs))
         now = datetime.now(timezone.utc).isoformat()
         _write_json(out / "run_meta.json", {"created_at": now, "tool": f"mixsearch {__version__}"})
+    elif first > 0 and runtime.pool is not None:
+        try:
+            effective_distribution(history.latest.action, runtime.pool)
+        except ConfigError as exc:
+            path = out / round_dir_name(first - 1) / "action.json"
+            raise DataError(f"run artifact {path}: {exc}") from exc
     for name in RUN_SUMMARY_FILES:
         (out / name).unlink(missing_ok=True)
     return runtime
@@ -513,7 +518,7 @@ def run(config: LoopConfig, out_dir: Path | str) -> RunDirectory:
                 profiles = run_dir.load_round_profiles(index)
         else:
             if index == done:
-                runtime = _start(config, run_dir, runtime, index, rounds)
+                runtime = _start(config, run_dir, runtime, history, index, rounds)
                 if draws:
                     history.bucket_slices = runtime.pool.bucket_slices()
             metric, action, profiles = _evaluate(runtime, archive, history, index, out)

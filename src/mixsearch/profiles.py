@@ -21,6 +21,10 @@ from .records import (
 
 DEFAULT_FAIL_THRESHOLD = 3.0
 
+# The JSON key of each dimension's mean, in ``DIMENSION_ORDER``; every
+# metric file, fixture row and report table names the means by these.
+METRIC_KEYS: tuple[str, ...] = tuple(dimension.value.lower() for dimension in DIMENSION_ORDER)
+
 
 @dataclass(frozen=True)
 class MetricVector:
@@ -36,14 +40,10 @@ class MetricVector:
                 raise ValueError(f"{name} mean {value} outside [1, 5]")
 
     def items(self) -> tuple[tuple[str, float], ...]:
-        return (("safe", self.safe), ("benign", self.benign), ("if", self.if_score))
+        return tuple(zip(METRIC_KEYS, self.as_tuple()))
 
     def get(self, dimension: Dimension) -> float:
-        if dimension is Dimension.SAFE:
-            return self.safe
-        if dimension is Dimension.BENIGN:
-            return self.benign
-        return self.if_score
+        return self.as_tuple()[DIMENSION_ORDER.index(dimension)]
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.safe, self.benign, self.if_score)
@@ -53,15 +53,15 @@ class MetricVector:
         return tuple(round(v * SCALE) for v in self.as_tuple())  # type: ignore[return-value]
 
     def to_json(self) -> dict:
-        return {"safe": self.safe, "benign": self.benign, "if": self.if_score}
+        return dict(self.items())
 
     @staticmethod
     def from_json(obj: dict) -> "MetricVector":
         """The three means of ``obj``, each a JSON number (``true`` is not
         1.0); ``obj``'s other keys are ignored."""
-        means = {key: obj[key] for key in ("safe", "benign", "if")}
+        means = {key: obj[key] for key in METRIC_KEYS}
         config_fields(means, "metric", dict.fromkeys(means, float))
-        return MetricVector(safe=means["safe"], benign=means["benign"], if_score=means["if"])
+        return MetricVector(*means.values())
 
     def __format__(self, spec: str) -> str:
         spec = spec or ".4f"
@@ -82,19 +82,15 @@ def metric_vector(records: RoundRecords) -> MetricVector:
             for annotation, template in zip(run.annotations, run.templates)
             if annotation.valid
         ]
-    means = {}
+    means = []
     for dimension in DIMENSION_ORDER:
         scores = by_dimension[dimension]
         if not scores:
             raise UndefinedMetricError(
                 f"no valid records for dimension {dimension.value}; its mean is undefined"
             )
-        means[dimension] = math.fsum(scores) / len(scores)
-    return MetricVector(
-        safe=means[Dimension.SAFE],
-        benign=means[Dimension.BENIGN],
-        if_score=means[Dimension.IF],
-    )
+        means.append(math.fsum(scores) / len(scores))
+    return MetricVector(*means)
 
 
 def weighted_means(records: RoundRecords) -> dict[str, float]:
@@ -111,8 +107,8 @@ def weighted_means(records: RoundRecords) -> dict[str, float]:
                 weights += annotation.weight
         sums[run.dimension], mass[run.dimension] = total, weights
     return {
-        dim.value.lower(): (sums[dim] / mass[dim] if mass[dim] > 0 else float("nan"))
-        for dim in DIMENSION_ORDER
+        key: (sums[dim] / mass[dim] if mass[dim] > 0 else float("nan"))
+        for key, dim in zip(METRIC_KEYS, DIMENSION_ORDER)
     }
 
 

@@ -45,6 +45,8 @@ DEFAULT_TARGET = 4.5
 FOCUS_BOOST = 2.0
 SMOOTHING_RATE = 0.01
 DEFICIT_EPSILON = 1e-9
+# The policy's numeric keys, each a JSON number and a ``PolicyConfig`` field.
+_POLICY_NUMBERS = ("max_ratio_step", "dataset_floor", "focus_cap", "regression_guard")
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,13 @@ class PolicyConfig:
     def to_json(self) -> dict:
         return {
             "targets": {dim.value: self.targets[dim] for dim in DIMENSION_ORDER},
-            "max_ratio_step": self.max_ratio_step,
-            "dataset_floor": self.dataset_floor,
-            "focus_cap": self.focus_cap,
-            "regression_guard": self.regression_guard,
+            **{key: getattr(self, key) for key in _POLICY_NUMBERS},
         }
 
     @staticmethod
     def from_json(obj: dict) -> "PolicyConfig":
-        numbers = ("max_ratio_step", "dataset_floor", "focus_cap", "regression_guard")
-        config_fields(obj, "policy", {"targets": dict, **dict.fromkeys(numbers, float)})
-        kwargs: dict = {key: float(obj[key]) for key in numbers if key in obj}
+        config_fields(obj, "policy", {"targets": dict, **dict.fromkeys(_POLICY_NUMBERS, float)})
+        kwargs: dict = {key: float(obj[key]) for key in _POLICY_NUMBERS if key in obj}
         if "targets" in obj:
             targets = config_fields(
                 obj["targets"], "policy.targets", {dim.value: float for dim in DIMENSION_ORDER}

@@ -640,7 +640,8 @@ def config_fields(obj: object, section: str, fields: dict) -> dict:
     """Return ``obj`` once it checks out as the config section ``section``.
 
     Every config parser checks each of its sections here, and so do the
-    readers of the pool manifest and of tag mappings (``tag_mapping``).
+    readers of the pool manifest, of the slice taxonomy and of tag
+    mappings (``tag_mapping``).
     ``obj`` must be a JSON object whose keys all appear in ``fields``,
     which maps each key to the JSON type of its value: ``int`` (an
     integer), ``float`` (any number), ``str``, ``bool``, ``dict``,

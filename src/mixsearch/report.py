@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import DataError
-from .profiles import FailureProfile, MetricVector, rank_slices
+from .profiles import METRIC_KEYS, FailureProfile, MetricVector, rank_slices
 from .records import DIMENSION_ORDER, config_fields, read_json
 from .sampler import DataAction
 
@@ -177,7 +177,7 @@ def _micro_flags(actions: list[tuple[int, DataAction]]) -> tuple[set[int], list[
 def _trajectory(run_dir: RunDirectory) -> tuple[list[list[str]], list[str]]:
     """The trajectory table (a header, the base, then each round) and the flag lines."""
     rows = [
-        ["round", "safe", "benign", "if", "mixture", "note"],
+        ["round", *METRIC_KEYS, "mixture", "note"],
         [BASE_LABEL, *_metric_cells(run_dir.load_metric(BASE_LABEL)), "-", ""],
     ]
     actions = [(index, run_dir.load_round_action(index)[0]) for index in run_dir.round_indices()]
@@ -218,7 +218,7 @@ def report(run_dir: RunDirectory | Path | str) -> dict[str, str]:
     if not isinstance(run_dir, RunDirectory):
         run_dir = RunDirectory(run_dir)
     trajectory, flag_lines = _trajectory(run_dir)
-    archive = [["label", "safe", "benign", "if"]]
+    archive = [["label", *METRIC_KEYS]]
     archive += [[label, *_metric_cells(metric)] for label, metric in run_dir.frontier()]
     worst = _worst_slices(run_dir)
     slices = [["dimension", "slice", "mean_score", "fail_rate", "fail_mass", "top_modes"]]

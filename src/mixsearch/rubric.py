@@ -32,6 +32,7 @@ from .records import (
     L2State,
     PromptAnnotation,
     SCORE_DECIMALS,
+    config_fields,
     read_json,
     slice_key,
     tag_mapping,
@@ -311,8 +312,11 @@ class SliceTaxonomy:
     axis (ORBENCH's ``categories``, IF's ``families``), and an optional
     per-slice weight map with a ``default_weight`` (1 when absent).
     Every weight is a number greater than 0 and at most
-    ``MAX_SLICE_WEIGHT``.  The file is checked and shaped once, when it
-    is read; annotating a sample reads only the shaped rules.
+    ``MAX_SLICE_WEIGHT``.  Each object takes only its own keys, checked
+    by ``config_fields``.  A tag the taxonomy checks (the categorical tag
+    and each axis) is required too, after the listed ``required_tags``.
+    The file is checked and shaped once, when it is read; annotating a
+    sample reads only the shaped rules.
     """
 
     # The level axes ``slice_fields`` grades each dataset on.
@@ -323,42 +327,50 @@ class SliceTaxonomy:
     }
     # The categorical tag ``slice_fields`` checks first, and the key that lists its values.
     _CHOICES = {Dataset.ORBENCH: {"category": "categories"}, Dataset.IF: {"family": "families"}}
+    # A dataset section's keys and their JSON types.
+    _SECTION_FIELDS = {
+        **dict.fromkeys(("required_tags", "categories", "families"), [str]),
+        "levels": dict,
+        "weights": dict,
+        "default_weight": float,
+    }
 
     def __init__(self, spec: dict) -> None:
-        # Per dataset, once checked: the required tags; each checked tag's allowed
-        # values, in check order (an axis's values are its levels, lowest first);
-        # the weights of the listed slices; and the default weight.
+        # Per dataset, once checked: the required tags (the listed ones, then each
+        # checked tag they leave out); each checked tag's allowed values, in check
+        # order (an axis's values are its levels, lowest first); the weights of the
+        # listed slices; and the default weight.
         self._required_tags: dict[Dataset, list[str]] = {}
         self._allowed: dict[Dataset, dict[str, list[str]]] = {}
         self._weights: dict[Dataset, dict[str, float]] = {}
         self._default_weight: dict[Dataset, float] = {}
+        config_fields(spec, "taxonomy", dict.fromkeys((d.value for d in Dataset), dict))
         for dataset in Dataset:
             if dataset.value not in spec:
                 raise SchemaError(f"taxonomy missing dataset {dataset.value}")
-            section = spec[dataset.value]
-            if not isinstance(section, dict):
-                raise SchemaError(f"taxonomy section {dataset.value} is not an object")
+            where, axes = f"taxonomy {dataset.value}", self._AXES[dataset]
+            section = config_fields(spec[dataset.value], where, self._SECTION_FIELDS)
             levels = section.get("levels", {})
-            lists = {k: section.get(k, []) for k in ("required_tags", "categories", "families")}
-            lists.update((f"levels.{axis}", levels.get(axis)) for axis in self._AXES[dataset])
-            for key, value in lists.items():
-                if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-                    raise SchemaError(f"taxonomy {dataset.value}.{key} is not a list of strings")
+            config_fields(levels, f"{where}.levels", dict.fromkeys(axes, [str]))
+            if len(levels) < len(axes):
+                raise SchemaError(f"{where}.levels must list each of {', '.join(axes)}")
             weights = section.get("weights", {})
+            config_fields(weights, f"{where}.weights", dict.fromkeys(weights, float))
             default = section.get("default_weight", 1)
             for key, value in [*weights.items(), ("default_weight", default)]:
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-                    raise SchemaError(f"taxonomy {dataset.value} weight {key} is not a number > 0")
+                if not value > 0:
+                    raise SchemaError(f"{where} weight {key} is not a number > 0")
                 if value > MAX_SLICE_WEIGHT:
-                    raise SchemaError(
-                        f"taxonomy {dataset.value} weight {key} is above {MAX_SLICE_WEIGHT:g}"
-                    )
+                    raise SchemaError(f"{where} weight {key} is above {MAX_SLICE_WEIGHT:g}")
             # A sample's complexity is the pressure level at the higher of its two grades.
             if dataset is Dataset.XGUARD and len(levels["pressure"]) != len(levels["concealment"]):
                 raise SchemaError("taxonomy XGUARD pressure and concealment differ in length")
-            self._required_tags[dataset] = lists["required_tags"]
-            allowed = {tag: lists[key] for tag, key in self._CHOICES.get(dataset, {}).items()}
-            self._allowed[dataset] = allowed | {axis: levels[axis] for axis in self._AXES[dataset]}
+            choices = self._CHOICES.get(dataset, {}).items()
+            allowed = {tag: section.get(key, []) for tag, key in choices}
+            allowed |= {axis: levels[axis] for axis in axes}
+            required = section.get("required_tags", [])
+            self._required_tags[dataset] = required + [t for t in allowed if t not in required]
+            self._allowed[dataset] = allowed
             self._weights[dataset] = {label: float(value) for label, value in weights.items()}
             self._default_weight[dataset] = float(default)
 

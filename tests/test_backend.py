@@ -103,6 +103,13 @@ class TestSurfaceParams:
         params = SurfaceParams.from_json({"noise_sigma": 0.02, "gain": {"IF": 1.3}})
         assert SurfaceParams.from_json(params.to_json()) == params
 
+    def test_an_empty_surface_is_the_default_one(self):
+        assert SurfaceParams.from_json({}) == SurfaceParams()
+
+    def test_interference_replaces_the_default_rows(self):
+        params = SurfaceParams.from_json({"interference": {"IF": {"BENIGN": 0.5}}})
+        assert params.interference == {Dimension.IF: {Dimension.BENIGN: 0.5}}
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="base"):
             SurfaceParams.from_json({"base": {"SAFE": 0.5}})

@@ -19,7 +19,7 @@ from mixsearch.fixtures import (
     row_check,
 )
 from mixsearch.records import DIMENSION_FOR_DATASET, DIMENSION_ORDER, Dataset
-from mixsearch.report import RunDirectory
+from mixsearch.report import RUN_SUMMARY_FILES, RunDirectory
 from mixsearch.rubric import SliceTaxonomy, annotate_prompt
 
 from conftest import REPLAY_FRONTIER, REPLAY_TRAJECTORY, tree_bytes
@@ -266,6 +266,26 @@ DAMAGE = {
         ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
         lambda run: _edit_action(run, "dataset_mixture", value=OVERFLOWING_MIXTURE),
     ),
+    # The proposer builds round 2's action on round 1's bucket weights, so
+    # weights the pool cannot serve are damage in round 1's action.json.
+    "action-unknown-bucket-extension": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _edit_bucket_weights(run, _rename_bucket("ORBENCH", "or_legal_far")),
+    ),
+    "action-if-weights-dropped-extension": (
+        ["run", "--config", str(demo_config_path()), "--rounds", "3", "--out"],
+        lambda run: _edit_bucket_weights(run, lambda weights: weights.pop("IF")),
+    ),
+}
+
+# Cases whose message is checked too.
+DAMAGE_MESSAGES = {
+    "action-unknown-bucket-extension": (
+        "round-001/action.json: action references unknown ORBENCH buckets: ['no_such_bucket']"
+    ),
+    "action-if-weights-dropped-extension": (
+        "round-001/action.json: action puts mixture mass on IF but has no bucket weights for it"
+    ),
 }
 
 
@@ -275,6 +295,24 @@ def _edit_action(run, *keys, value):
     obj = json.loads(path.read_text("utf-8"))
     _set(obj["action"], *keys, value=value)
     path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _edit_bucket_weights(run, edit):
+    """Apply ``edit`` to the bucket weights of round 1's action."""
+    path = run / "round-001" / "action.json"
+    obj = json.loads(path.read_text("utf-8"))
+    edit(obj["action"]["bucket_weights"])
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _rename_bucket(dataset, bucket):
+    """An edit of bucket weights that names ``dataset``'s ``bucket`` as
+    ``no_such_bucket``, its weight kept."""
+
+    def edit(weights):
+        weights[dataset]["no_such_bucket"] = weights[dataset].pop(bucket)
+
+    return edit
 
 
 def _edit_action_document(run, key, *, value):
@@ -290,7 +328,11 @@ def test_damaged_run_directory_exits_three(case, request, tmp_path, capsys):
     shutil.copytree(request.getfixturevalue(source), damaged)
     damage(damaged)
     assert main(command + [str(damaged)]) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert DAMAGE_MESSAGES.get(case, "") in err
+    if command[0] == "run":  # damage found before the archive and reports are removed
+        assert all((damaged / name).is_file() for name in RUN_SUMMARY_FILES)
 
 
 def _make_directory(path):
@@ -705,6 +747,24 @@ FAULTS = {
         _edit_document(lambda obj: _set(obj, "IF", "required_tags", value=5)),
         3,
     ),
+    "taxonomy-levels-list": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "IF", "levels", value=["complexity"])),
+        3,
+    ),
+    "taxonomy-weights-list": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "XGUARD", "weights", value=["complexity=HIGH"])),
+        3,
+    ),
+    "taxonomy-unknown-key": (
+        "run",
+        "taxonomy.json",
+        _edit_document(lambda obj: _set(obj, "IF", "familes", value=["FORMAT"])),
+        3,
+    ),
     "taxonomy-families-number": (
         "run", "taxonomy.json", _edit_document(lambda obj: _set(obj, "IF", "families", value=5)), 3
     ),
@@ -831,6 +891,9 @@ FAULT_MESSAGES = {
     "config-surface-noise-overflows": "noise_sigma must be below 2.097e+307",
     "taxonomy-weight-beyond-a-float": "taxonomy XGUARD weight complexity=HIGH is above 1e+06",
     "taxonomy-weight-huge": "taxonomy XGUARD weight complexity=HIGH is above 1e+06",
+    "taxonomy-levels-list": "taxonomy IF.levels must be an object, got ['complexity']",
+    "taxonomy-weights-list": "taxonomy XGUARD.weights must be an object, got ['complexity=HIGH']",
+    "taxonomy-unknown-key": "taxonomy IF has unknown key 'familes'",
     **{
         f"fixture-mixture-overflows-{command}": (
             "fixture.jsonl:2 is malformed (OverflowError: intermediate overflow in fsum)"
@@ -884,6 +947,7 @@ def test_bad_input_exits_with_one_error_line(case, fault_inputs, replay_out, tmp
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert str(root / name) in err
     assert FAULT_MESSAGES.get(case, "") in err
+    assert "AttributeError" not in err and "TypeError" not in err  # the fault, not Python's
     assert not out.exists()  # inputs are loaded before the run directory is made
 
 
@@ -1062,6 +1126,27 @@ def test_eval_samples_with_one_tag_set_share_one_annotation(case, fault_inputs):
             objects.setdefault((dataset, frozenset(tags.items())), set()).add(id(annotation))
     assert all(len(ids) == 1 for ids in objects.values())
     assert len(set().union(*objects.values())) == len(objects)
+
+
+def test_a_tag_the_taxonomy_checks_is_required(fault_inputs, tmp_path, capsys):
+    """Under a taxonomy whose IF ``required_tags`` leaves out ``family``,
+    the tag it checks, an IF sample without ``family`` is invalid for
+    that reason, as a sample missing a listed tag is, and the run
+    completes."""
+    taxonomy = _edit_document(lambda obj: _set(obj, "IF", "required_tags", value=["complexity"]))
+    taxonomy(fault_inputs / "taxonomy.json")
+    untagged = _edit_line(0, lambda row: _set(row, "tags", value={"complexity": "1"}))
+    untagged(fault_inputs / "eval_if.jsonl")
+    out = tmp_path / "out"
+    config = str(fault_inputs / "config.json")
+    assert main(["run", "--config", config, "--rounds", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for point in ("base", "round-000"):
+        lines = (out / point / "records.jsonl").read_text("utf-8").splitlines()
+        records = {row["sample_id"]: row for row in map(json.loads, lines)}
+        assert records["if-eval-000"]["valid"] is False
+        assert records["if-eval-000"]["invalid_reason"] == "missing tag: family"
+        assert records["if-eval-001"]["valid"] is True
 
 
 def test_eval_rows_other_keys_are_ignored(fault_inputs, tmp_path, capsys):

@@ -37,6 +37,15 @@ class TestLoopConfig:
         assert config.budget_tokens == 1_000_000
         assert config.initial_mixture == (0.50, 0.30, 0.20)
 
+    def test_a_config_without_keys_is_the_default_one(self):
+        assert LoopConfig.from_json({"backend": {"kind": "replay"}}) == LoopConfig(
+            backend_kind="replay"
+        )
+
+    def test_the_normalized_demo_config_reads_back_as_itself(self):
+        config = LoopConfig.from_file(demo_config_path())
+        assert LoopConfig.from_json(config.normalized()) == config
+
     def test_simulate_needs_pool_and_eval_sets(self):
         with pytest.raises(ConfigError, match="pool_manifest"):
             LoopConfig(backend_kind="simulate")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mixsearch.errors import UndefinedMetricError
 from mixsearch.profiles import (
     DEFAULT_FAIL_THRESHOLD,
+    METRIC_KEYS,
     FailureProfile,
     MetricVector,
     build_failure_profiles,
@@ -15,7 +16,7 @@ from mixsearch.profiles import (
     rank_slices,
     weighted_means,
 )
-from mixsearch.records import CheckResult, Dimension, L2State, SampleRecord
+from mixsearch.records import DIMENSION_ORDER, CheckResult, Dimension, L2State, SampleRecord
 
 from conftest import columns_of
 
@@ -112,6 +113,14 @@ class TestMetricVector:
             MetricVector(safe=0.9, benign=3.0, if_score=3.0)
         with pytest.raises(ValueError):
             MetricVector(safe=3.0, benign=5.1, if_score=3.0)
+
+    def test_json_names_each_dimension_by_its_key(self):
+        vector = MetricVector(safe=1.5, benign=2.5, if_score=3.5)
+        assert vector.to_json() == {"safe": 1.5, "benign": 2.5, "if": 3.5}
+        assert list(vector.to_json()) == list(METRIC_KEYS)
+        assert MetricVector.from_json(vector.to_json()) == vector
+        for dimension, key in zip(DIMENSION_ORDER, METRIC_KEYS):
+            assert vector.get(dimension) == vector.to_json()[key]
 
     def test_json_roundtrip_ignores_extra_keys(self):
         vector = MetricVector(safe=3.2267, benign=3.6433, if_score=3.53)

@@ -106,6 +106,9 @@ class TestPolicyConfig:
         with pytest.raises(ConfigError):
             PolicyConfig(**kwargs)
 
+    def test_an_empty_policy_is_the_default_one(self):
+        assert PolicyConfig.from_json({}) == PolicyConfig()
+
     def test_from_json_partial_override(self):
         config = PolicyConfig.from_json({"max_ratio_step": 0.05})
         assert config.max_ratio_step == 0.05

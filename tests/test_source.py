@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses,
 the lower layers import nothing from the upper ones, the modules'
-imports form no cycle, every error class is used, and only ``records``
-decodes JSON."""
+imports form no cycle, every error class is used, only ``records``
+decodes JSON, and only ``profiles`` names the metric keys, which it
+derives from the dimensions."""
 import ast
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -186,3 +187,35 @@ def test_a_json_reader_is_found():
         "    return json.dumps(json.loads(path.read_text()))\n"
     )
     assert json_readers(source) == ["<module>", "<module>", "g", "f"]
+
+
+# The JSON keys of the three means, which ``profiles.METRIC_KEYS`` derives
+# from the dimensions; no module spells one.
+METRIC_KEY_SPELLINGS = {"safe", "benign", "if"}
+
+
+def metric_key_literals(source: str) -> list[str]:
+    """The string constants of ``source`` that spell a metric key, in
+    syntax-tree walk order (f-string parts included)."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in METRIC_KEY_SPELLINGS
+    ]
+
+
+def test_no_module_spells_a_metric_key():
+    spelled = {
+        str(path.relative_to(PACKAGE_DIR)): metric_key_literals(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    assert spelled == {name: [] for name in spelled}
+
+
+def test_a_spelled_metric_key_is_found():
+    source = (
+        "HEADER = ['label', 'safe']\n"
+        "def row(metric):\n"
+        "    return f\"{'if':>9}\" + metric.to_json()[\"benign\"] + 'iff'\n"
+    )
+    assert sorted(metric_key_literals(source)) == ["benign", "if", "safe"]
